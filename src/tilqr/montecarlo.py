@@ -1,10 +1,12 @@
 """Seeded Euler simulation of the controlled state and Monte Carlo costs.
 
-Noise comes from a counter-based generator (Philox 4x64, 10 rounds), so each
-path's stream is a pure function of (seed, stream index, step). That makes
-batches bit-reproducible across runs, platforms, chunk sizes, and thread
-counts, and gives common random numbers across strategies for free: the same
-(seed, path) always sees the same increments, whatever gain is applied.
+Noise comes from numpy's counter-based Philox 4x64-10 generator: counter word 0
+is the block, word 1 the stream, the key is (seed, 0), and each stream starts one
+block back because numpy increments the counter before hashing. These are the
+words of the numpy-only emulation this replaced, so no noise byte changed. Each
+path's stream is a pure function of (seed, stream index, step): batches are
+bit-reproducible across runs, platforms, chunk sizes and thread counts, and one
+Euler kernel advances every gain of a call on each noise chunk (common random numbers).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -21,73 +24,52 @@ from .errors import ConfigError, NumericError
 from .model import LqrParams
 from .riccati import GainLabel, GainSchedule
 
-# Philox 4x64 round constants (multipliers and Weyl key increments).
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK256 = (1 << 256) - 1
 
 # Paths are simulated in fixed-size chunks; chunk boundaries are part of no
 # contract (results per path depend only on seed and stream index), but a
 # fixed size keeps the reduction order identical for any worker count.
 _CHUNK = 8192
+# Steps buffered before a copy into path-major trajectories (one strided write each)
+_BLOCK = 32
 
 
-def _mulhilo(a: np.uint64, b: np.ndarray):
-    # full 64x64 -> 128 bit product via 32-bit halves; lo wraps natively
-    lo = a * b
-    a_hi, a_lo = a >> np.uint64(32), a & _MASK32
-    b_hi, b_lo = b >> np.uint64(32), b & _MASK32
-    t = a_lo * b_lo
-    u = (t >> np.uint64(32)) + a_hi * b_lo
-    v = (u & _MASK32) + a_lo * b_hi
-    hi = a_hi * b_hi + (u >> np.uint64(32)) + (v >> np.uint64(32))
-    return hi, lo
+def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
+    """Raw 64-bit Philox words, one row per (stream, first block) pair.
 
-
-def _philox_block(c0, c1, c2, c3, key0: int, key1: int):
-    """Ten Philox rounds on vectors of 4x64 counters under one key."""
-    k0, k1 = key0, key1
-    for r in range(10):
-        if r:
-            k0 = (k0 + _W0) & _MASK64
-            k1 = (k1 + _W1) & _MASK64
-        hi0, lo0 = _mulhilo(_M0, c0)
-        hi1, lo1 = _mulhilo(_M1, c2)
-        c0 = hi1 ^ c1 ^ np.uint64(k0)
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ np.uint64(k1)
-        c3 = lo0
-    return c0, c1, c2, c3
-
-
-def raw_blocks(seed: int, stream: np.ndarray, block: np.ndarray):
-    """Four raw 64-bit words per (stream, block) counter pair.
-
-    Exposed mainly so tests can check the generator against an independent
-    implementation word for word.
+    Row ``i`` holds the ``4 * n_blocks`` words of blocks ``block[i]``,
+    ``block[i] + 1``, ... of stream ``stream[i]``. One generator serves the
+    call and ``advance`` moves it between rows.
     """
-    c0 = np.asarray(block, dtype=np.uint64)
-    c1 = np.asarray(stream, dtype=np.uint64)
-    z = np.zeros_like(c0)
-    return _philox_block(c0, c1, z, z, seed, 0)
+    out = np.empty((len(stream), 4 * n_blocks), dtype=np.uint64)
+    gen, at = None, 0
+    for row, (s, b) in enumerate(zip(np.asarray(stream).tolist(), np.asarray(block).tolist())):
+        # numpy increments the counter before hashing, so start one block back
+        start = ((s << 64 | b) - 1) & _MASK256
+        if gen is None:
+            gen = np.random.Philox(key=seed, counter=start)
+        elif start != at:
+            gen.advance((start - at) & _MASK256)
+        out[row] = gen.random_raw(4 * n_blocks)
+        at = (start + n_blocks) & _MASK256
+    return out
 
 
 def normal_stream(seed: int, first_stream: int, n_streams: int, n_draws: int) -> np.ndarray:
     """Standard normals, one row per stream, via inverse CDF of (0,1) uniforms.
 
     Uniforms take the top 53 bits of each word, offset by half a spacing, so
-    they stay strictly inside (0, 1) and the inverse CDF stays finite.
+    they stay strictly inside (0, 1) and the inverse CDF stays finite. Stored
+    draw-major, so ``.T`` is C-contiguous.
     """
     blocks = (n_draws + 3) // 4
-    c0 = np.tile(np.arange(blocks, dtype=np.uint64), n_streams)
-    c1 = np.repeat(np.arange(first_stream, first_stream + n_streams, dtype=np.uint64), blocks)
-    x0, x1, x2, x3 = raw_blocks(seed, c1, c0)
-    words = np.stack([x0, x1, x2, x3], axis=-1).reshape(n_streams, 4 * blocks)[:, :n_draws]
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    return ndtri(u)
+    streams = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
+    words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
+    np.right_shift(words, np.uint64(11), out=words)
+    u = words.T.astype(np.float64, order="C")
+    u += 0.5
+    u *= 2.0 ** -53
+    return ndtri(u, out=u).T
 
 
 @dataclass(frozen=True)
@@ -128,11 +110,13 @@ class TrajectoryBatch:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.params.horizon, self.config.n_steps + 1)
 
-    @property
+    @cached_property
     def valid_mask(self) -> np.ndarray:
         """True for paths that stayed finite throughout."""
-        return (np.isfinite(self.states).all(axis=1)
+        mask = (np.isfinite(self.states).all(axis=1)
                 & np.isfinite(self.controls).all(axis=1))
+        mask.setflags(write=False)
+        return mask
 
 
 @dataclass(frozen=True)
@@ -140,12 +124,14 @@ class CostEstimate:
     """Monte Carlo cost with its standard error.
 
     ``n_paths`` counts the independent samples behind the standard error:
-    mirrored pairs count once in antithetic mode.
+    mirrored pairs count once in antithetic mode. ``n_dropped`` counts paths
+    left out as non-finite, both members of a mirrored pair with a bad member.
     """
 
     mean: float
     stderr: float
     n_paths: int
+    n_dropped: int = 0
 
 
 def _gain_on_sim_grid(gain: GainSchedule, n_steps: int):
@@ -158,6 +144,109 @@ def _gain_on_sim_grid(gain: GainSchedule, n_steps: int):
     i = np.arange(n_steps)
     j = (2 * i * n_ode + n_steps) // (2 * n_steps)  # round half up
     return gain.k_state[j], gain.c_offset[j]
+
+
+def _sim_gains(gains, params: LqrParams, n_steps: int):
+    """Negated state gains and offsets on the simulation grid, (n_steps, K, 1) each."""
+    for gain in gains:  # every route checks the horizon before the grids
+        if abs(gain.grid.horizon - params.horizon) > 1e-12:
+            raise ConfigError(
+                f"gain horizon {gain.grid.horizon} does not match model horizon {params.horizon}")
+    k, c = (np.stack(v, axis=1)[:, :, None]
+            for v in zip(*(_gain_on_sim_grid(g, n_steps) for g in gains)))
+    return -k, c
+
+
+def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
+                 states=None, controls=None):
+    """Advance K gains as one (K, m) state over paths ``[lo, hi)`` on one noise chunk.
+
+    Writes the trajectories into ``states``/``controls`` (K x n_paths x ...)
+    when given; otherwise returns the (K, m) path costs, with the squared
+    controls summed step by step.
+    """
+    m, n_steps = hi - lo, config.n_steps
+    dt = params.horizon / n_steps
+    if config.antithetic:
+        # one stream per mirrored pair; odd members negate it
+        base = normal_stream(config.seed, lo // 2, m // 2, n_steps).T
+        dw = np.stack([base, -base], axis=-1).reshape(n_steps, m)
+    else:
+        dw = normal_stream(config.seed, lo, m, n_steps).T
+    dw *= params.sigma * math.sqrt(dt)
+    x = np.full((k.shape[1], m), params.x0)
+    run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
+    a_buf, x_buf = np.empty((2, _BLOCK) + x.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n_steps, _BLOCK):
+            n = min(_BLOCK, n_steps - i0)
+            for j in range(n):
+                # keeps the operation order of x + (a_bar x + b_bar a) dt + sigma sqrt(dt) z
+                a = np.multiply(k[i0 + j], x, out=a_buf[j])
+                a -= c[i0 + j]
+                np.multiply(params.a_bar, x, out=drift)
+                np.multiply(params.b_bar, a, out=tmp)
+                drift += tmp
+                drift *= dt
+                x += drift
+                x += dw[i0 + j]
+                x_buf[j] = x
+            if states is None:
+                for a in a_buf[:n]:
+                    run += a * a
+            else:
+                controls[:, lo:hi, i0:i0 + n] = a_buf[:n].transpose(1, 2, 0)
+                states[:, lo:hi, i0 + 1:i0 + n + 1] = x_buf[:n].transpose(1, 2, 0)
+        if states is None:
+            return 0.5 * dt * run + 0.5 * params.gamma * (x - params.x0) ** 2
+
+
+def _over_chunks(fn, n_paths: int, workers: int) -> list:
+    # _CHUNK is even, so mirrored pairs never straddle chunk boundaries
+    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+    if workers > 1 and len(bounds) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda b: fn(*b), bounds))
+    return [fn(*b) for b in bounds]
+
+
+def _checked(good: np.ndarray) -> np.ndarray:
+    # every route tolerates at most 0.1% non-finite paths
+    n_bad = good.size - int(np.count_nonzero(good))
+    if n_bad > 0.001 * good.size:
+        raise NumericError(f"{n_bad} of {good.size} paths went non-finite")
+    return good
+
+
+def _estimate(costs: np.ndarray, good: np.ndarray, antithetic: bool) -> CostEstimate:
+    """Mean and standard error over the finite paths; a bad pair is dropped whole."""
+    if antithetic:
+        kept = costs.reshape(-1, 2)[good[0::2] & good[1::2]]
+        samples = 0.5 * (kept[:, 0] + kept[:, 1])
+    else:
+        kept = samples = costs[good]
+    n = samples.size
+    if n == 0:
+        raise ConfigError("no finite paths left to average")
+    stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / math.sqrt(n))
+    return CostEstimate(mean=float(np.mean(samples)), stderr=stderr, n_paths=n,
+                        n_dropped=good.size - kept.size)
+
+
+def _simulate_batches(gains, params: LqrParams, config: SimConfig, workers: int) -> tuple:
+    """One retained batch per gain, all advanced on one noise pass."""
+    k, c = _sim_gains(gains, params, config.n_steps)
+    states = np.empty((len(gains), config.n_paths, config.n_steps + 1))
+    controls = np.empty((len(gains), config.n_paths, config.n_steps))
+    states[:, :, 0] = params.x0
+    _over_chunks(lambda lo, hi: _euler_chunk(k, c, params, config, lo, hi, states, controls),
+                 config.n_paths, workers)
+    batches = tuple(TrajectoryBatch(params=params, config=config, states=s, controls=u,
+                                    strategy_label=g.label)
+                    for g, s, u in zip(gains, states, controls))
+    for batch in batches:
+        _checked(batch.valid_mask)
+    return batches
 
 
 def simulate_paths(gain: GainSchedule, params: LqrParams, config: SimConfig,
@@ -176,66 +265,7 @@ def simulate_paths(gain: GainSchedule, params: LqrParams, config: SimConfig,
     NumericError
         If more than 0.1% of paths go non-finite (explosive gains).
     """
-    if abs(gain.grid.horizon - params.horizon) > 1e-12:
-        raise ConfigError(
-            f"gain horizon {gain.grid.horizon} does not match model horizon {params.horizon}")
-    k_sim, c_sim = _gain_on_sim_grid(gain, config.n_steps)
-    n_paths, n_steps = config.n_paths, config.n_steps
-    dt = params.horizon / n_steps
-    sqdt = math.sqrt(dt)
-    states = np.empty((n_paths, n_steps + 1))
-    controls = np.empty((n_paths, n_steps))
-
-    def run_chunk(lo: int, hi: int):
-        m = hi - lo
-        if config.antithetic:
-            # one stream per mirrored pair; odd members negate it
-            base = normal_stream(config.seed, lo // 2, m // 2, n_steps)
-            z = np.empty((m, n_steps))
-            z[0::2] = base
-            z[1::2] = -base
-        else:
-            z = normal_stream(config.seed, lo, m, n_steps)
-        x = np.full(m, params.x0)
-        states[lo:hi, 0] = x
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                a = -k_sim[i] * x - c_sim[i]
-                controls[lo:hi, i] = a
-                x = x + (params.a_bar * x + params.b_bar * a) * dt + params.sigma * sqdt * z[:, i]
-                states[lo:hi, i + 1] = x
-
-    # _CHUNK is even, so mirrored pairs never straddle chunk boundaries
-    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        for b in bounds:
-            run_chunk(*b)
-
-    batch = TrajectoryBatch(params=params, config=config, states=states,
-                            controls=controls, strategy_label=gain.label)
-    n_bad = int(np.sum(~batch.valid_mask))
-    if n_bad > 0.001 * n_paths:
-        raise NumericError(f"{n_bad} of {n_paths} paths went non-finite")
-    return batch
-
-
-def _path_costs(batch: TrajectoryBatch, params: LqrParams) -> np.ndarray:
-    dt = batch.params.horizon / batch.config.n_steps
-    run = 0.5 * dt * np.sum(batch.controls ** 2, axis=1)
-    miss = batch.states[:, -1] - params.x0
-    return run + 0.5 * params.gamma * miss * miss
-
-
-def _aggregate(costs: np.ndarray, antithetic: bool) -> CostEstimate:
-    if antithetic:
-        costs = 0.5 * (costs[0::2] + costs[1::2])
-    n = costs.size
-    mean = float(np.mean(costs))
-    stderr = 0.0 if n < 2 else float(np.std(costs, ddof=1) / math.sqrt(n))
-    return CostEstimate(mean=mean, stderr=stderr, n_paths=n)
+    return _simulate_batches([gain], params, config, workers)[0]
 
 
 def estimate_cost(batch: TrajectoryBatch, params: LqrParams) -> CostEstimate:
@@ -247,16 +277,20 @@ def estimate_cost(batch: TrajectoryBatch, params: LqrParams) -> CostEstimate:
     """
     if batch.config.n_paths == 0 or batch.states.size == 0:
         raise ConfigError("cannot estimate cost from an empty batch")
-    costs = _path_costs(batch, params)
-    good = batch.valid_mask
-    if batch.config.antithetic:
-        pair_good = good[0::2] & good[1::2]
-        costs = costs.reshape(-1, 2)[pair_good].reshape(-1)
-    else:
-        costs = costs[good]
-    if costs.size == 0:
-        raise ConfigError("no finite paths left to average")
-    return _aggregate(costs, batch.config.antithetic)
+    dt = batch.params.horizon / batch.config.n_steps
+    miss = batch.states[:, -1] - params.x0
+    costs = 0.5 * dt * np.sum(batch.controls ** 2, axis=1) + 0.5 * params.gamma * miss * miss
+    return _estimate(costs, batch.valid_mask, batch.config.antithetic)
+
+
+def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
+                         workers: int = 1) -> list:
+    """``estimate_cost_streaming`` for every gain, all advanced on one noise pass."""
+    k, c = _sim_gains(gains, params, config.n_steps)
+    parts = _over_chunks(lambda lo, hi: _euler_chunk(k, c, params, config, lo, hi),
+                         config.n_paths, workers)
+    return [_estimate(costs, _checked(np.isfinite(costs)), config.antithetic)
+            for costs in np.concatenate(parts, axis=1)]
 
 
 def estimate_cost_streaming(gain: GainSchedule, params: LqrParams, config: SimConfig,
@@ -266,43 +300,10 @@ def estimate_cost_streaming(gain: GainSchedule, params: LqrParams, config: SimCo
     Same estimator as ``simulate_paths`` + ``estimate_cost``, but chunks are
     reduced to per-path costs on the fly, so path counts in the millions fit
     in memory. Reductions run in fixed chunk order regardless of ``workers``.
+    Non-finite paths follow the batch rule: more than 0.1% raises
+    ``NumericError``, fewer are left out and counted in ``n_dropped``.
     """
-    k_sim, c_sim = _gain_on_sim_grid(gain, config.n_steps)
-    if abs(gain.grid.horizon - params.horizon) > 1e-12:
-        raise ConfigError(
-            f"gain horizon {gain.grid.horizon} does not match model horizon {params.horizon}")
-    n_paths, n_steps = config.n_paths, config.n_steps
-    dt = params.horizon / n_steps
-    sqdt = math.sqrt(dt)
-
-    def chunk_costs(lo: int, hi: int) -> np.ndarray:
-        m = hi - lo
-        if config.antithetic:
-            base = normal_stream(config.seed, lo // 2, m // 2, n_steps)
-            z = np.empty((m, n_steps))
-            z[0::2] = base
-            z[1::2] = -base
-        else:
-            z = normal_stream(config.seed, lo, m, n_steps)
-        x = np.full(m, params.x0)
-        run = np.zeros(m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_steps):
-                a = -k_sim[i] * x - c_sim[i]
-                run += a * a
-                x = x + (params.a_bar * x + params.b_bar * a) * dt + params.sigma * sqdt * z[:, i]
-        costs = 0.5 * dt * run + 0.5 * params.gamma * (x - params.x0) ** 2
-        if not np.all(np.isfinite(costs)):
-            raise NumericError("non-finite path costs in streaming estimate")
-        return costs
-
-    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: chunk_costs(*b), bounds))
-    else:
-        parts = [chunk_costs(*b) for b in bounds]
-    return _aggregate(np.concatenate(parts), config.antithetic)
+    return _streaming_estimates([gain], params, config, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -327,19 +328,17 @@ def compare_strategies(params: LqrParams, config: SimConfig,
                        strategies, workers: int = 1) -> StrategyComparison:
     """Simulate every strategy on identical noise and average across paths.
 
-    Common random numbers are automatic: the noise stream depends only on
-    (seed, stream index), never on the gain. Duplicate labels get an ordinal
-    suffix so downstream columns stay distinguishable.
+    Common random numbers are automatic: each noise chunk is drawn once and
+    drives every strategy, and each batch equals ``simulate_paths`` for its
+    gain bit for bit. Duplicate labels get an ordinal suffix so downstream
+    columns stay distinguishable.
     """
     strategies = list(strategies)
     if len(strategies) < 2:
         raise ConfigError("comparison needs at least two strategies")
-    batches = tuple(simulate_paths(g, params, config, workers=workers) for g in strategies)
-    labels = []
-    for i, g in enumerate(strategies):
-        base = g.label.value
-        labels.append(base if sum(1 for s in strategies if s.label is g.label) == 1
-                      else f"{base}_{i}")
+    batches = _simulate_batches(strategies, params, config, workers)
+    labels = [g.label.value if sum(s.label is g.label for s in strategies) == 1
+              else f"{g.label.value}_{i}" for i, g in enumerate(strategies)]
     mean_state = np.stack([b.states[b.valid_mask].mean(axis=0) for b in batches])
     mean_abs = np.stack([np.abs(b.controls[b.valid_mask]).mean(axis=0) for b in batches])
     return StrategyComparison(params=params, config=config, labels=tuple(labels),

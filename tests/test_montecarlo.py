@@ -8,6 +8,7 @@ from scipy.special import ndtri
 
 from tilqr import (
     ConfigError,
+    CostEstimate,
     GainLabel,
     GainSchedule,
     LqrParams,
@@ -27,7 +28,8 @@ from tilqr import (
     solve_equilibrium_riccati,
     solve_naive,
 )
-from tilqr.montecarlo import _CHUNK, _gain_on_sim_grid
+from tilqr import montecarlo
+from tilqr.montecarlo import _CHUNK, _gain_on_sim_grid, _streaming_estimates
 
 
 def constant_gain(k: float, c: float, n_steps: int, horizon: float = 1.0) -> GainSchedule:
@@ -50,29 +52,59 @@ def numpy_block_words(seed: int, stream: int, block: int, n_words: int = 4) -> n
     return np.random.Philox(key=key, counter=counter).random_raw(n_words)
 
 
+def one_block(seed: int, stream: int, block: int) -> np.ndarray:
+    return raw_blocks(seed, np.array([stream], dtype=np.uint64),
+                      np.array([block], dtype=np.uint64))[0]
+
+
+# (seed, stream, block) -> the four words of that block, as computed by the
+# pure-numpy Philox 4x64-10 (explicit 128-bit multiplies, ten rounds) that the
+# generator used before it wrapped numpy's C implementation. They stay an
+# oracle independent of numpy's Philox.
+KNOWN_WORDS = {
+    (42, 7, 3): (0x4489BA073A3B1D95, 0x8D5E886ECEF73F5F,
+                 0xCF2DBD416EB632C8, 0x5D39A389A8700369),
+    (42, 7, 0): (0x9FCA6955DA835DDB, 0x51654C1AD0EEF583,   # borrow into the stream word
+                 0xAC01F893F3B69890, 0x26FE72F14B18CFA7),
+    (42, 0, 0): (0xA7687E2D34C89DC6, 0x4C5818AB9649D53F,   # full 256-bit wraparound
+                 0xEA0ADD4230DDDAB5, 0xE2A142EECEE5BB40),
+    (0, 0, 0): (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC,
+                0xD7E772CEE186176B, 0x7E68B68AEC7BA23B),
+    (123456789, 2 ** 40, 5): (0x06ADF5A5595D1AA2, 0xB0862ABE69C0F8D6,
+                              0x7BAADFBA17F8208A, 0xF596288E72CA3697),
+    (2 ** 63, 1, 2 ** 20): (0x7909194575D683D5, 0x14CD3147AE399637,
+                            0xC053F6E3A2B96DE5, 0x3CC8A36B0C46EE6B),
+}
+
+
 class TestRawBlocks:
+    @pytest.mark.parametrize("case", sorted(KNOWN_WORDS))
+    def test_matches_known_answer_words(self, case):
+        expected = np.array(KNOWN_WORDS[case], dtype=np.uint64)
+        assert np.array_equal(one_block(*case), expected)
+
     def test_matches_numpy_philox_word_for_word(self):
-        cases = [
-            (42, 7, 3),
-            (42, 7, 0),        # counter borrow into the stream word
-            (42, 0, 0),        # full 256-bit wraparound
-            (0, 0, 0),
-            (123456789, 2 ** 40, 5),
-            (2 ** 63, 1, 2 ** 20),
-        ]
-        for seed, stream, block in cases:
-            words = np.stack(raw_blocks(seed, np.array([stream], dtype=np.uint64),
-                                        np.array([block], dtype=np.uint64)), axis=-1)
+        for seed, stream, block in KNOWN_WORDS:
             expected = numpy_block_words(seed, stream, block)
-            assert np.array_equal(words.ravel(), expected), (seed, stream, block)
+            assert np.array_equal(one_block(seed, stream, block), expected), (seed, stream, block)
 
     def test_vector_call_matches_elementwise_calls(self):
         streams = np.array([0, 3, 3, 17], dtype=np.uint64)
         blocks = np.array([5, 0, 2, 9], dtype=np.uint64)
-        batch = np.stack(raw_blocks(99, streams, blocks), axis=-1)
+        batch = raw_blocks(99, streams, blocks)
+        assert batch.shape == (4, 4)
         for i in range(streams.size):
-            one = np.stack(raw_blocks(99, streams[i:i + 1], blocks[i:i + 1]), axis=-1)
-            assert np.array_equal(batch[i], one[0])
+            assert np.array_equal(batch[i], one_block(99, int(streams[i]), int(blocks[i])))
+
+    def test_consecutive_blocks_continue_the_counter(self):
+        # rows of several blocks, including a jump backwards and a wrap into
+        # the next stream word, match the blocks taken one at a time
+        streams = np.array([4, 2, 2 ** 64 - 1], dtype=np.uint64)
+        blocks = np.array([1, 6, 2 ** 64 - 2], dtype=np.uint64)
+        rows = raw_blocks(7, streams, blocks, n_blocks=3)
+        assert rows.shape == (3, 12)
+        for row, (stream, block) in zip(rows, zip(streams.tolist(), blocks.tolist())):
+            assert np.array_equal(row, numpy_block_words(7, stream, block, n_words=12))
 
 
 class TestNormalStream:
@@ -89,6 +121,14 @@ class TestNormalStream:
         wide = normal_stream(7, 0, 8, 20)
         assert np.array_equal(wide[5], normal_stream(7, 5, 1, 20)[0])
         assert np.array_equal(wide[2:6], normal_stream(7, 2, 4, 20))
+
+    def test_odd_draw_counts_and_extreme_seeds_match_numpy_words(self):
+        for seed in (0, 2 ** 63, 2 ** 64 - 1):
+            got = normal_stream(seed, 0, 2, 5)
+            for stream in range(2):
+                words = numpy_block_words(seed, stream, 0, n_words=8)[:5]
+                u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+                assert np.array_equal(got[stream], ndtri(u))
 
     def test_draws_are_finite_with_plausible_moments(self):
         z = normal_stream(1, 0, 200, 500)
@@ -258,6 +298,11 @@ class TestEstimateCost:
         assert est.stderr == pytest.approx(per_path.std(ddof=1) / np.sqrt(3), abs=1e-15)
         assert est.n_paths == 3
 
+    def test_cost_estimate_defaults_to_nothing_dropped(self):
+        est = CostEstimate(1.0, 0.1, 5)
+        assert est.n_dropped == 0
+        assert estimate_cost(hand_built_batch([[1.0, 1.0]], [[0.3]]), LqrParams()).n_dropped == 0
+
     def test_single_path_has_zero_stderr(self):
         batch = hand_built_batch([[1.0, 1.0]], [[0.3]])
         est = estimate_cost(batch, LqrParams())
@@ -271,6 +316,7 @@ class TestEstimateCost:
         good = hand_built_batch(states[[0, 2]], controls[[0, 2]])
         assert est.mean == estimate_cost(good, LqrParams()).mean
         assert est.n_paths == 2
+        assert est.n_dropped == 1
 
     def test_antithetic_mode_drops_pairs_whole(self):
         states = np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 2.0], [1.0, 0.0]])
@@ -281,6 +327,7 @@ class TestEstimateCost:
         # both its members cost 0.5*dt*0.16 + 2.5*1 with dt = 1
         pair_mean = 0.5 * 0.16 + 2.5
         assert est.n_paths == 1
+        assert est.n_dropped == 2
         assert est.mean == pytest.approx(pair_mean, abs=1e-15)
         assert est.stderr == 0.0
 
@@ -329,6 +376,23 @@ class TestStreamingEstimate:
         with pytest.raises(NumericError, match="non-finite"):
             estimate_cost_streaming(gain, LqrParams(), SimConfig(n_paths=8, n_steps=4, seed=0))
 
+    @pytest.mark.parametrize("route", [simulate_paths, estimate_cost_streaming])
+    def test_horizon_mismatch_is_reported_before_grid_mismatch(self, route):
+        # 10 ODE steps cannot be resampled onto 4 simulation steps either, so
+        # the error shows which check runs first
+        gain = constant_gain(0.1, 0.0, 10, horizon=2.0)
+        with pytest.raises(ConfigError, match="horizon"):
+            route(gain, LqrParams(), SimConfig(n_paths=2, n_steps=4, seed=0))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_shared_noise_estimates_equal_one_gain_at_a_time(self, antithetic):
+        params = LqrParams()
+        gains = [constant_gain(0.4, 0.1, 20), constant_gain(1.2, -0.3, 20),
+                 constant_gain(0.0, 0.0, 20)]
+        config = SimConfig(n_paths=2 * _CHUNK + 6, n_steps=20, seed=8, antithetic=antithetic)
+        shared = _streaming_estimates(gains, params, config)
+        assert shared == [estimate_cost_streaming(g, params, config) for g in gains]
+
     def test_antithetic_counts_pairs_once(self):
         params = LqrParams()
         gain = constant_gain(0.0, 0.0, 50)
@@ -348,6 +412,56 @@ class TestStreamingEstimate:
         assert paired.stderr < plain.stderr
         reference = exact_cost(gain, params).total
         assert abs(paired.mean - reference) <= 3.0 * paired.stderr
+
+
+def poison(monkeypatch, paths):
+    """Make the noise of the given stream indices infinite at step 2."""
+    real = montecarlo.normal_stream
+
+    def poisoned(seed, first_stream, n_streams, n_draws):
+        z = real(seed, first_stream, n_streams, n_draws)
+        for p in paths:
+            if first_stream <= p < first_stream + n_streams:
+                z[p - first_stream, 2] = np.inf
+        return z
+
+    monkeypatch.setattr(montecarlo, "normal_stream", poisoned)
+
+
+class TestNonFinitePolicy:
+    """Both routes drop up to 0.1% non-finite paths and raise beyond that."""
+
+    params = LqrParams()
+    gain = constant_gain(0.4, 0.1, 10)
+
+    def test_one_bad_path_in_a_thousand_is_dropped_by_both_routes(self, monkeypatch):
+        config = SimConfig(n_paths=1000, n_steps=10, seed=6)
+        clean = simulate_paths(self.gain, self.params, config)
+        poison(monkeypatch, [17])
+        batch = simulate_paths(self.gain, self.params, config)
+        assert np.flatnonzero(~batch.valid_mask).tolist() == [17]
+        from_batch = estimate_cost(batch, self.params)
+        streamed = estimate_cost_streaming(self.gain, self.params, config)
+        keep = np.arange(1000) != 17
+        expected = estimate_cost(hand_built_batch(clean.states[keep], clean.controls[keep]),
+                                 self.params)
+        for est in (from_batch, streamed):
+            assert (est.n_paths, est.n_dropped) == (999, 1)
+            assert est.mean == pytest.approx(expected.mean, rel=1e-12)
+            assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
+
+    def test_antithetic_streaming_drops_the_pair_whole(self, monkeypatch):
+        config = SimConfig(n_paths=2000, n_steps=10, seed=6, antithetic=True)
+        poison(monkeypatch, [40])  # stream 40 drives paths 80 and 81
+        est = estimate_cost_streaming(self.gain, self.params, config)
+        assert (est.n_paths, est.n_dropped) == (999, 2)
+        assert np.isfinite(est.mean)
+
+    @pytest.mark.parametrize("route", [simulate_paths, estimate_cost_streaming])
+    def test_more_than_a_thousandth_raises(self, route, monkeypatch):
+        poison(monkeypatch, [3, 900])
+        with pytest.raises(NumericError, match="2 of 1000 paths went non-finite"):
+            route(self.gain, self.params, SimConfig(n_paths=1000, n_steps=10, seed=6))
 
 
 class TestCompareStrategies:
@@ -371,6 +485,33 @@ class TestCompareStrategies:
         assert result.mean_state.shape == (2, 31)
         assert result.mean_abs_control.shape == (2, 30)
         assert np.array_equal(result.times, np.linspace(0.0, 1.0, 31))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_each_batch_equals_its_own_simulation(self, antithetic):
+        params = LqrParams()
+        grid = TimeGrid(20, params.horizon)
+        gains = [equilibrium_gain(solve_equilibrium_riccati(params, grid), params),
+                 naive_gain(solve_naive(params, grid), params), constant_gain(0.0, 0.0, 20)]
+        config = SimConfig(n_paths=2 * _CHUNK + 6, n_steps=20, seed=4, antithetic=antithetic)
+        result = compare_strategies(params, config, gains)
+        for gain, batch in zip(gains, result.batches):
+            alone = simulate_paths(gain, params, config)
+            assert np.array_equal(batch.states, alone.states)
+            assert np.array_equal(batch.controls, alone.controls)
+
+    def test_draws_each_noise_chunk_once_for_all_gains(self, monkeypatch):
+        calls = []
+        real = montecarlo.normal_stream
+
+        def counted(seed, first_stream, n_streams, n_draws):
+            calls.append((first_stream, n_streams))
+            return real(seed, first_stream, n_streams, n_draws)
+
+        monkeypatch.setattr(montecarlo, "normal_stream", counted)
+        gains = [constant_gain(k, 0.0, 20) for k in (0.2, 0.5, 0.9)]
+        compare_strategies(LqrParams(), SimConfig(n_paths=2 * _CHUNK + 6, n_steps=20, seed=4),
+                           gains)
+        assert calls == [(0, _CHUNK), (_CHUNK, _CHUNK), (2 * _CHUNK, 6)]
 
     def test_needs_at_least_two_strategies(self):
         gain = constant_gain(0.1, 0.0, 8)
