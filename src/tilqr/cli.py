@@ -45,30 +45,10 @@ from .hjbgrid import (
 )
 from .model import LqrParams, lqr_model
 from .montecarlo import SimConfig, compare_strategies, estimate_cost, simulate_paths
-from .riccati import (
-    GainSchedule,
-    TimeGrid,
-    equilibrium_gain,
-    naive_gain,
-    precommitted_policy,
-    solve_equilibrium_riccati,
-    solve_naive,
-)
+from .riccati import STRATEGY_LABELS, GainLabel, TimeGrid, strategy_gains
 from .svgplot import PlotStyle, Series, render_svg
 
-_STRATEGIES = ("equilibrium", "naive", "precommitted")
-
-
-@dataclass(frozen=True)
-class ModelSection:
-    """Model parameters; defaults are the benchmark set."""
-
-    a_bar: float = 0.5
-    b_bar: float = 1.0
-    sigma: float = 0.5
-    gamma: float = 5.0
-    horizon: float = 1.0
-    x0: float = 1.0
+_STRATEGIES = tuple(label.value for label in STRATEGY_LABELS)
 
 
 @dataclass(frozen=True)
@@ -110,16 +90,11 @@ class OutputSection:
 class RunConfig:
     """Fully resolved configuration of one invocation."""
 
-    model: ModelSection = ModelSection()
+    model: LqrParams = LqrParams()
     numerics: NumericsSection = NumericsSection()
     pde: PdeSection = PdeSection()
     sweep: SweepSection = SweepSection()
     output: OutputSection = OutputSection()
-
-    def params(self) -> LqrParams:
-        m = self.model
-        return LqrParams(a_bar=m.a_bar, b_bar=m.b_bar, sigma=m.sigma,
-                         gamma=m.gamma, horizon=m.horizon, x0=m.x0)
 
     def sim_config(self) -> SimConfig:
         n = self.numerics
@@ -182,7 +157,7 @@ def _parse_str(text: str) -> str:
 
 
 _SECTION_TYPES = {
-    "model": ModelSection,
+    "model": LqrParams,
     "numerics": NumericsSection,
     "pde": PdeSection,
     "sweep": SweepSection,
@@ -203,9 +178,9 @@ _SCHEMA = {
 
 
 def _validated(config: RunConfig) -> RunConfig:
-    # constructing the derived objects runs their domain checks, so a bad
-    # value fails at parse time instead of deep inside a subcommand
-    config.params()
+    # the model section checks itself when built; constructing the derived
+    # objects runs the other domain checks, so a bad value fails at parse
+    # time instead of deep inside a subcommand
     config.sim_config()
     config.ode_grid()
     config.pde_grid()
@@ -391,20 +366,9 @@ def _report_written(paths):
         print(f"wrote {path}")
 
 
-def _strategy_gain(params: LqrParams, grid: TimeGrid, name: str) -> GainSchedule:
-    if name == "equilibrium":
-        return equilibrium_gain(solve_equilibrium_riccati(params, grid), params)
-    sol = solve_naive(params, grid)
-    return naive_gain(sol, params) if name == "naive" else precommitted_policy(sol, params)
-
-
 def _cmd_gains(config: RunConfig, args, out_dir: Path) -> int:
-    params = config.params()
     grid = config.ode_grid()
-    eq = equilibrium_gain(solve_equilibrium_riccati(params, grid), params)
-    nav_sol = solve_naive(params, grid)
-    nav = naive_gain(nav_sol, params)
-    pre = precommitted_policy(nav_sol, params)
+    eq, nav, pre = strategy_gains(config.model, grid).values()
     rows = zip(grid.nodes, eq.k_state, nav.k_state, pre.k_state, pre.c_offset)
     paths = _emit_table(config, out_dir, "gains",
                         ("t", "k_equilibrium", "k_naive", "k_pre_state", "c_pre_offset"),
@@ -416,9 +380,9 @@ def _cmd_gains(config: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_cost(config: RunConfig, args, out_dir: Path) -> int:
-    params = config.params()
-    gain = _strategy_gain(params, config.ode_grid(), args.strategy)
-    report = exact_cost(gain, params)
+    label = GainLabel(args.strategy)
+    (gain,) = strategy_gains(config.model, config.ode_grid(), [label]).values()
+    report = exact_cost(gain, config.model)
     rows = [(args.strategy, report.running_cost, report.terminal_cost, report.total)]
     paths = _emit_table(config, out_dir, "cost",
                         ("strategy", "running_cost", "terminal_cost", "total"), rows)
@@ -429,8 +393,7 @@ def _cmd_cost(config: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_sweep(config: RunConfig, args, out_dir: Path) -> int:
-    params = config.params()
-    table = gamma_sweep(params, config.gamma_values(), config.ode_grid())
+    table = gamma_sweep(config.model, config.gamma_values(), config.ode_grid())
     rows = zip(table.gammas, table.j_equilibrium, table.j_naive, table.j_precommitted)
     comments = [f"note: {n}" for n in table.notes if n]
     paths = _emit_table(config, out_dir, "sweep",
@@ -455,13 +418,16 @@ def _cmd_sweep(config: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_simulate(config: RunConfig, args, out_dir: Path) -> int:
-    params = config.params()
+    params = config.model
     sim = config.sim_config()
-    gain = _strategy_gain(params, config.sim_grid(), args.strategy)
+    label = GainLabel(args.strategy)
+    (gain,) = strategy_gains(params, config.sim_grid(), [label]).values()
     batch = simulate_paths(gain, params, sim)
     est = estimate_cost(batch, params)
     # reference cost on the ODE grid, so an odd sim step count stays usable
-    exact = exact_cost(_strategy_gain(params, config.ode_grid(), args.strategy), params)
+    if config.ode_grid() != config.sim_grid():
+        (gain,) = strategy_gains(params, config.ode_grid(), [label]).values()
+    exact = exact_cost(gain, params)
     gap = abs(est.mean - exact.total)
     rows = [(args.strategy, est.mean, est.stderr, est.n_paths,
              exact.total, gap, gap <= 3.0 * est.stderr)]
@@ -485,13 +451,9 @@ def _cmd_simulate(config: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_compare(config: RunConfig, args, out_dir: Path) -> int:
-    params = config.params()
+    params = config.model
     sim = config.sim_config()
-    grid = config.sim_grid()
-    nav_sol = solve_naive(params, grid)
-    strategies = [equilibrium_gain(solve_equilibrium_riccati(params, grid), params),
-                  naive_gain(nav_sol, params),
-                  precommitted_policy(nav_sol, params)]
+    strategies = list(strategy_gains(params, config.sim_grid()).values())
     comp = compare_strategies(params, sim, strategies)
     n = sim.n_steps
     columns = (["t"] + [f"mean_state_{lab}" for lab in comp.labels]
@@ -518,7 +480,7 @@ def _cmd_compare(config: RunConfig, args, out_dir: Path) -> int:
 
 
 def _cmd_pde(config: RunConfig, args, out_dir: Path) -> int:
-    params = config.params()
+    params = config.model
     model = lqr_model(params)
     grid = config.pde_grid()
     if args.mode == "picard":

@@ -15,16 +15,7 @@ import numpy as np
 from ._util import readonly
 from .errors import ConfigError, NumericError
 from .model import LqrParams
-from .riccati import (
-    GainLabel,
-    GainSchedule,
-    TimeGrid,
-    equilibrium_gain,
-    naive_gain,
-    precommitted_policy,
-    solve_equilibrium_riccati,
-    solve_naive,
-)
+from .riccati import GainLabel, GainSchedule, TimeGrid, strategy_gains
 
 
 @dataclass(frozen=True)
@@ -155,11 +146,7 @@ class SweepTable:
 
 def strategy_costs(params: LqrParams, grid: TimeGrid) -> dict:
     """Exact costs of the three laws at one parameter set, keyed by label."""
-    eq = equilibrium_gain(solve_equilibrium_riccati(params, grid), params)
-    nv_sol = solve_naive(params, grid)
-    nv = naive_gain(nv_sol, params)
-    pre = precommitted_policy(nv_sol, params)
-    return {g.label: exact_cost(g, params) for g in (eq, nv, pre)}
+    return {label: exact_cost(g, params) for label, g in strategy_gains(params, grid).items()}
 
 
 def gamma_sweep(params: LqrParams, gammas, grid: TimeGrid) -> SweepTable:

@@ -16,6 +16,7 @@ exact for the quadratic fields of the linear-quadratic benchmark.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -32,8 +33,9 @@ from .riccati import GainLabel, GainSchedule, TimeGrid
 class GridSpec2:
     """Space-time grid for the coupled solve.
 
-    The parameter grid defaults to the state grid; diagonal sampling and gain
-    extraction require them to coincide exactly.
+    The parameter grid spans the state bounds ``[x_lo, x_hi]`` with ``n_y``
+    cells (default ``n_x``); diagonal sampling and gain extraction require
+    ``n_y == n_x``, so that the two grids coincide exactly.
     """
 
     n_t: int
@@ -42,26 +44,25 @@ class GridSpec2:
     x_hi: float
     horizon: float
     n_y: Optional[int] = None
-    y_lo: Optional[float] = None
-    y_hi: Optional[float] = None
 
     def __post_init__(self):
         if self.n_y is None:
             object.__setattr__(self, "n_y", self.n_x)
-        if self.y_lo is None:
-            object.__setattr__(self, "y_lo", self.x_lo)
-        if self.y_hi is None:
-            object.__setattr__(self, "y_hi", self.x_hi)
         if self.n_t < 1:
             raise ConfigError(f"n_t must be >= 1, got {self.n_t}")
         if self.n_x < 4 or self.n_y < 4:
             raise ConfigError("need at least 4 space nodes in each direction")
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
+            raise ConfigError(f"x_lo and x_hi must be finite, got [{self.x_lo}, {self.x_hi}]")
         if not self.x_lo < self.x_hi:
             raise ConfigError(f"x grid needs x_lo < x_hi, got [{self.x_lo}, {self.x_hi}]")
-        if not self.y_lo < self.y_hi:
-            raise ConfigError(f"y grid needs y_lo < y_hi, got [{self.y_lo}, {self.y_hi}]")
-        if self.horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        # the stability bound divides by dx^2
+        if not 0.0 < self.dx * self.dx < math.inf:
+            raise ConfigError(
+                f"x grid [{self.x_lo}, {self.x_hi}] with {self.n_x} cells gives a "
+                f"spacing whose square is not a positive finite number")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -69,7 +70,7 @@ class GridSpec2:
 
     @property
     def ys(self) -> np.ndarray:
-        return np.linspace(self.y_lo, self.y_hi, self.n_y + 1)
+        return np.linspace(self.x_lo, self.x_hi, self.n_y + 1)
 
     @property
     def dx(self) -> float:
@@ -77,7 +78,7 @@ class GridSpec2:
 
     @property
     def dy(self) -> float:
-        return (self.y_hi - self.y_lo) / self.n_y
+        return (self.x_hi - self.x_lo) / self.n_y
 
     @property
     def dt(self) -> float:
@@ -85,8 +86,7 @@ class GridSpec2:
 
     @property
     def aligned(self) -> bool:
-        return (self.n_y == self.n_x and self.y_lo == self.x_lo
-                and self.y_hi == self.x_hi)
+        return self.n_y == self.n_x
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def _check_cfl(model: ModelSpec, grid: GridSpec2) -> tuple:
     return sigma_max, sigma_max ** 2 * grid.dt / grid.dx ** 2
 
 
-def _diag_fields(jslice: np.ndarray, dx: float, dy: float, one_sided: bool):
+def _diag_fields(jslice: np.ndarray, dx: float, dy: float):
     """Parameter-coupling derivatives on the diagonal at interior state nodes."""
     n_x = jslice.shape[0] - 1
     i = np.arange(1, n_x)
@@ -164,22 +164,11 @@ def _diag_fields(jslice: np.ndarray, dx: float, dy: float, one_sided: bool):
     d_yy = (jslice[i, i + 1] - 2.0 * jslice[i, i] + jslice[i, i - 1]) / dy ** 2
     d_xy = (jslice[i + 1, i + 1] - jslice[i + 1, i - 1]
             - jslice[i - 1, i + 1] + jslice[i - 1, i - 1]) / (4.0 * dx * dy)
-    if one_sided:
-        # test-only alternative: second-order forward differences in the
-        # parameter direction where the stencil fits, centered elsewhere
-        ok = i <= n_x - 3
-        s = i[ok]
-        fwd = lambda r: (-3.0 * jslice[r, s] + 4.0 * jslice[r, s + 1] - jslice[r, s + 2]) / (2.0 * dy)
-        d_y[ok] = fwd(s)
-        d_yy[ok] = (2.0 * jslice[s, s] - 5.0 * jslice[s, s + 1]
-                    + 4.0 * jslice[s, s + 2] - jslice[s, s + 3]) / dy ** 2
-        d_xy[ok] = (fwd(s + 1) - fwd(s - 1)) / (2.0 * dx)
     return d_y, d_yy, d_xy
 
 
 def _slice_control(model: ModelSpec, t: float, grid: GridSpec2,
-                   v_slice: np.ndarray, coupling_slice: np.ndarray,
-                   drop_adjustment: bool, one_sided: bool):
+                   v_slice: np.ndarray, coupling_slice: np.ndarray):
     """Optimize the control on one time slice and return the update pieces.
 
     Returns (value_rate, a_interior, a_full): the corrected Hamiltonian value
@@ -191,9 +180,7 @@ def _slice_control(model: ModelSpec, t: float, grid: GridSpec2,
     dx = grid.dx
     v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * dx)
     sigma = np.broadcast_to(np.asarray(model.vol(t, xi), dtype=float), xi.shape)
-    d_y, d_yy, d_xy = _diag_fields(coupling_slice, dx, grid.dy, one_sided)
-    if drop_adjustment:
-        d_y = d_yy = d_xy = np.zeros_like(xi)
+    d_y, d_yy, d_xy = _diag_fields(coupling_slice, dx, grid.dy)
     value_rate, a_int = extended_hamiltonian(model, HamiltonianInputs(
         t=t, x=xi, z=sigma * v_x, grad_param=d_y, hess_param=d_yy,
         mixed=sigma * d_xy))
@@ -250,20 +237,15 @@ def _require_aligned(grid: GridSpec2):
     if not grid.aligned:
         raise ConfigError(
             "diagonal sampling needs identical x and y grids "
-            f"(got x: [{grid.x_lo}, {grid.x_hi}] n={grid.n_x}, "
-            f"y: [{grid.y_lo}, {grid.y_hi}] n={grid.n_y})")
+            f"(got n_x = {grid.n_x}, n_y = {grid.n_y})")
 
 
-def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2,
-                             _drop_adjustment: bool = False,
-                             _one_sided_diagonal: bool = False) -> GridSolution:
+def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     """Single backward pass of the coupled system.
 
     Per step, the coupling derivatives come from the slice just computed, so
-    the pass is self-contained. The two underscore switches exist for
-    validation experiments only: dropping the parameter-coupling terms must
-    visibly break agreement with the closed form, and one-sided diagonal
-    sampling probes the stencil choice.
+    the pass is self-contained. They are read on the diagonal with centered
+    differences (``_diag_fields``).
 
     Raises
     ------
@@ -286,16 +268,13 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2,
         v[n_t], j[n_t] = _terminal_fields(model, grid)
         for k in range(n_t - 1, -1, -1):
             t1 = nodes[k + 1]
-            rate, a_int, a_full = _slice_control(
-                model, t1, grid, v[k + 1], j[k + 1],
-                _drop_adjustment, _one_sided_diagonal)
+            rate, a_int, a_full = _slice_control(model, t1, grid, v[k + 1], j[k + 1])
             alpha[k + 1] = a_full
             v[k], j[k] = _advance_slice(model, grid, t1, v[k + 1], j[k + 1],
                                         rate, a_int)
             _check_finite("value field", v[k], k)
             _check_finite("indexed field", j[k], k)
-        _, _, a0 = _slice_control(model, nodes[0], grid, v[0], j[0],
-                                  _drop_adjustment, _one_sided_diagonal)
+        _, _, a0 = _slice_control(model, nodes[0], grid, v[0], j[0])
     alpha[0] = a0
     report = SchemeReport(mode="sweep", dt=grid.dt, dx=grid.dx,
                           sigma_max=sigma_max, stability_ratio=ratio, iterations=1)
@@ -304,7 +283,7 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2,
 
 def _window_pass(model: ModelSpec, grid: GridSpec2, nodes: np.ndarray,
                  lo: int, hi: int, v_hi: np.ndarray, j_hi: np.ndarray,
-                 j_prev: np.ndarray, drop_adjustment: bool, one_sided: bool):
+                 j_prev: np.ndarray):
     """One application of the decoupled solve map on slices ``lo .. hi``.
 
     The coupling derivatives at each slice are frozen from ``j_prev`` (the
@@ -320,24 +299,21 @@ def _window_pass(model: ModelSpec, grid: GridSpec2, nodes: np.ndarray,
     v[m], j[m] = v_hi, j_hi
     for k in range(m - 1, -1, -1):
         t1 = nodes[lo + k + 1]
-        rate, a_int, a_full = _slice_control(
-            model, t1, grid, v[k + 1], j_prev[k + 1], drop_adjustment, one_sided)
+        rate, a_int, a_full = _slice_control(model, t1, grid, v[k + 1], j_prev[k + 1])
         alpha[k + 1] = a_full
         v[k], j[k] = _advance_slice(model, grid, t1, v[k + 1], j[k + 1], rate, a_int)
         _check_finite("value field", v[k], lo + k)
         _check_finite("indexed field", j[k], lo + k)
     # control on the window's lowest slice, for the iterate distance only;
     # the assembled solution recomputes it from converged fields
-    _, _, a0 = _slice_control(model, nodes[lo], grid, v[0], j_prev[0],
-                              drop_adjustment, one_sided)
+    _, _, a0 = _slice_control(model, nodes[lo], grid, v[0], j_prev[0])
     alpha[0] = a0
     return v, j, alpha
 
 
 def _iterate_window(model: ModelSpec, grid: GridSpec2, nodes: np.ndarray,
                     lo: int, hi: int, v_hi: np.ndarray, j_hi: np.ndarray,
-                    tol: float, max_iter: int,
-                    drop_adjustment: bool, one_sided: bool):
+                    tol: float, max_iter: int):
     """Fixed-point iteration on one window, from its terminal data extended
     constantly. Returns ``(status, v, j, alpha, distances)`` where status is
     ``"ok"`` (converged), ``"grow"`` (distances stopped decreasing: the map
@@ -349,16 +325,14 @@ def _iterate_window(model: ModelSpec, grid: GridSpec2, nodes: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v_prev = np.tile(v_hi, (m + 1, 1))
         j_prev = np.tile(j_hi, (m + 1, 1, 1))
-        _, _, a_hi = _slice_control(model, nodes[hi], grid, v_hi, j_hi,
-                                    drop_adjustment, one_sided)
+        _, _, a_hi = _slice_control(model, nodes[hi], grid, v_hi, j_hi)
         alpha_prev = np.tile(a_hi, (m + 1, 1))
 
         distances = []
         for _ in range(max_iter):
             try:
                 v, j, alpha = _window_pass(model, grid, nodes, lo, hi,
-                                           v_hi, j_hi, j_prev,
-                                           drop_adjustment, one_sided)
+                                           v_hi, j_hi, j_prev)
             except NumericError:
                 return "blowup", None, None, None, distances
             dist = max(float(np.max(np.abs(v - v_prev))),
@@ -376,9 +350,7 @@ def _iterate_window(model: ModelSpec, grid: GridSpec2, nodes: np.ndarray,
 
 
 def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
-                              tol: float = 1e-9, max_iter: int = 200,
-                              _drop_adjustment: bool = False,
-                              _one_sided_diagonal: bool = False) -> GridSolution:
+                              tol: float = 1e-9, max_iter: int = 200) -> GridSolution:
     """Fixed-point iteration of the decoupled solve map.
 
     The map freezes the parameter-coupling derivatives from the previous
@@ -421,8 +393,7 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     while pending:
         lo, hi = pending.pop()
         status, v_w, j_w, a_w, distances = _iterate_window(
-            model, grid, nodes, lo, hi, v[hi], j[hi], tol, max_iter,
-            _drop_adjustment, _one_sided_diagonal)
+            model, grid, nodes, lo, hi, v[hi], j[hi], tol, max_iter)
         if status == "ok":
             trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
             v[lo:hi] = v_w[:-1]
@@ -442,8 +413,7 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
 
     # converged everywhere: initial-slice control from the final fields, as
     # in the sweep
-    _, _, a0 = _slice_control(model, nodes[0], grid, v[0], j[0],
-                              _drop_adjustment, _one_sided_diagonal)
+    _, _, a0 = _slice_control(model, nodes[0], grid, v[0], j[0])
     alpha[0] = a0
     report = SchemeReport(mode="picard", dt=grid.dt, dx=grid.dx,
                           sigma_max=sigma_max, stability_ratio=ratio,

@@ -308,7 +308,8 @@ def inconsistency_adjustment(inp: AdjustmentInputs) -> float:
     Computes ``drift_vec . grad_y + Tr[(hess_yy/2 + hess_xy) sigma sigma^T]``.
     This is the exact term by which the parameter-coupled equation for the
     anchored cost differs from the classical backward equation of the frozen
-    problem; dropping it is what the grid solver's falsification switch does.
+    problem. The grid solver carries it through the diagonal derivatives of
+    the indexed field; zeroing those collapses the benchmark gain to zero.
 
     Raises
     ------

@@ -235,6 +235,35 @@ def precommitted_policy(sol: NaiveSolution, params: LqrParams) -> GainSchedule:
                         label=GainLabel.PRECOMMITTED)
 
 
+STRATEGY_LABELS = (GainLabel.EQUILIBRIUM, GainLabel.NAIVE, GainLabel.PRECOMMITTED)
+
+
+def strategy_gains(params: LqrParams, grid: TimeGrid, labels=STRATEGY_LABELS) -> dict:
+    """The requested feedback laws on ``grid``, keyed by label.
+
+    Keys come back in the order of ``STRATEGY_LABELS`` whatever the order of
+    ``labels``. Only the systems the requested laws need are solved (the
+    naive and precommitted laws share one), so a blow-up in a system that no
+    requested law needs cannot fail the call.
+    """
+    wanted = set(labels)
+    unknown = wanted - set(STRATEGY_LABELS)
+    if unknown:
+        names = sorted(label.value for label in unknown)
+        raise ConfigError(f"no built-in feedback law for {names}")
+    gains = {}
+    if GainLabel.EQUILIBRIUM in wanted:
+        gains[GainLabel.EQUILIBRIUM] = equilibrium_gain(
+            solve_equilibrium_riccati(params, grid), params)
+    if wanted - {GainLabel.EQUILIBRIUM}:
+        sol = solve_naive(params, grid)
+        for label, law in ((GainLabel.NAIVE, naive_gain),
+                           (GainLabel.PRECOMMITTED, precommitted_policy)):
+            if label in wanted:
+                gains[label] = law(sol, params)
+    return gains
+
+
 def closed_form_p(params: LqrParams, t):
     """Closed form of the scalar Riccati coefficient ``p``.
 

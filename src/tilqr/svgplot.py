@@ -117,16 +117,16 @@ def render_svg(series: Sequence[Series], style: PlotStyle = PlotStyle()) -> str:
         raise ConfigError("nothing to plot: no series given")
     _check_finite(series)
 
-    x_lo, x_hi = _axis_range([v for s in series for v in s.xs])
-    y_lo, y_hi = _axis_range([v for s in series for v in s.ys])
+    x_min, x_max = _axis_range([v for s in series for v in s.xs])
+    y_min, y_max = _axis_range([v for s in series for v in s.ys])
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
     def px(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (x - x_min) / (x_max - x_min) * plot_w
 
     def py(y: float) -> float:
-        return MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+        return MARGIN_T + (1.0 - (y - y_min) / (y_max - y_min)) * plot_h
 
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     if style.header:
@@ -141,7 +141,7 @@ def render_svg(series: Sequence[Series], style: PlotStyle = PlotStyle()) -> str:
     out.append(f'<rect x="{_fmt(MARGIN_L)}" y="{_fmt(MARGIN_T)}" '
                f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
                f'fill="none" stroke="#000000" stroke-width="1"/>')
-    for t in _ticks(x_lo, x_hi):
+    for t in _ticks(x_min, x_max):
         x = px(t)
         y0 = MARGIN_T + plot_h
         out.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" '
@@ -149,7 +149,7 @@ def render_svg(series: Sequence[Series], style: PlotStyle = PlotStyle()) -> str:
         out.append(f'<text x="{_fmt(x)}" y="{_fmt(y0 + 18)}" '
                    f'font-family="monospace" font-size="11" '
                    f'text-anchor="middle">{_tick_label(t)}</text>')
-    for t in _ticks(y_lo, y_hi):
+    for t in _ticks(y_min, y_max):
         y = py(t)
         out.append(f'<line x1="{_fmt(MARGIN_L - 5)}" y1="{_fmt(y)}" '
                    f'x2="{_fmt(MARGIN_L)}" y2="{_fmt(y)}" '

@@ -45,10 +45,10 @@ from .riccati import (
     equilibrium_gain,
     equilibrium_value,
     naive_gain,
-    precommitted_policy,
     rk4_backward,
     solve_equilibrium_riccati,
     solve_naive,
+    strategy_gains,
 )
 
 BENCHMARK = LqrParams()
@@ -153,21 +153,11 @@ def _check_ansatz_moment_match() -> CheckResult:
     return CheckResult(5, "ansatz-moment-match", err <= 1e-6, detail)
 
 
-def _benchmark_gains(p: LqrParams, n_steps: int) -> dict:
-    grid = TimeGrid(n_steps=n_steps, horizon=p.horizon)
-    nav = solve_naive(p, grid)
-    return {
-        GainLabel.EQUILIBRIUM: equilibrium_gain(solve_equilibrium_riccati(p, grid), p),
-        GainLabel.NAIVE: naive_gain(nav, p),
-        GainLabel.PRECOMMITTED: precommitted_policy(nav, p),
-    }
-
-
 def _check_monte_carlo_agreement() -> CheckResult:
     p = BENCHMARK
     config = SimConfig(n_paths=100_000, n_steps=1000, seed=42)
     parts, passed = [], True
-    gains = _benchmark_gains(p, config.n_steps)
+    gains = strategy_gains(p, TimeGrid(config.n_steps, p.horizon))
     # the three gains share each noise chunk; every estimate equals its own
     # estimate_cost_streaming call bit for bit
     estimates = _streaming_estimates(list(gains.values()), p, config)
@@ -198,7 +188,7 @@ def _check_initial_gain_ordering() -> CheckResult:
     # Qualitative claim; a violation is reported as a discrepancy rather
     # than failing the suite, since no printed constant pins these values.
     p = BENCHMARK
-    gains = _benchmark_gains(p, 1000)
+    gains = strategy_gains(p, TimeGrid(1000, p.horizon))
     k_nv = abs(float(gains[GainLabel.NAIVE].k_state[0]))
     k_eq = abs(float(gains[GainLabel.EQUILIBRIUM].k_state[0]))
     holds = k_nv > k_eq
@@ -324,7 +314,8 @@ def _check_clock_augmentation() -> CheckResult:
 def _check_determinism() -> CheckResult:
     p = BENCHMARK
     config = SimConfig(n_paths=2000, n_steps=200, seed=42)
-    gain = _benchmark_gains(p, config.n_steps)[GainLabel.EQUILIBRIUM]
+    (gain,) = strategy_gains(p, TimeGrid(config.n_steps, p.horizon),
+                             [GainLabel.EQUILIBRIUM]).values()
     b1 = simulate_paths(gain, p, config)
     b2 = simulate_paths(gain, p, config)
     rerun_equal = bool(np.array_equal(b1.states, b2.states)

@@ -1,6 +1,7 @@
 """Tests for configuration parsing, file emission, and the command line."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 import tilqr.validation
 from tilqr import ConfigError, LqrParams, TimeGrid, equilibrium_gain, exact_cost, solve_equilibrium_riccati
 from tilqr.cli import (
-    ModelSection,
     NumericsSection,
     OutputSection,
     PdeSection,
@@ -112,6 +112,9 @@ class TestParseConfig:
         ("[sweep]\ngamma_min = 2\ngamma_max = 1\n", "sweep range"),
         ("[sweep]\ngamma_steps = 0\n", "gamma_steps"),
         ("[numerics]\nn_paths = 3\nantithetic = true\n", "even"),
+        ("[pde]\nx_hi = 1e308\n", "not a positive finite number"),
+        ("[pde]\nx_hi = inf\n", "must be finite"),
+        ("[pde]\nx_lo = nan\n", "must be finite"),
     ])
     def test_domain_errors_surface_at_parse_time(self, text, match):
         with pytest.raises(ConfigError, match=match):
@@ -124,7 +127,7 @@ class TestParseConfig:
 
 def section_strategies():
     models = st.builds(
-        ModelSection,
+        LqrParams,
         a_bar=st.floats(-5, 5), b_bar=st.floats(-5, 5),
         sigma=st.floats(1e-3, 5), gamma=st.floats(0, 20),
         horizon=st.floats(0.1, 5), x0=st.floats(-5, 5))
@@ -298,6 +301,60 @@ class TestOutputFiles:
             parse_header_config(path)
 
 
+GOLDEN_CONFIG = SMALL_CONFIG + "\n[output]\nformats = csv,json\n"
+
+# SHA-256 of every file each subcommand writes and of its stdout, run with
+# GOLDEN_CONFIG and ``--out out`` from the working directory; a refactor
+# that claims to change no output must leave all of them as they are
+GOLDEN_SHA256 = {
+    "gains": {
+        "gains.csv": "59ed932670bfb87a86e2ac2b36c442e84cd90d1091ee7d5d289feddc7cb7163d",
+        "gains.json": "fa8d3fff7daeac32b56f291d06d9082953096932d2a8220c8918bea96936f425",
+        "stdout": "acb5d0ffbaf9f872d7b4c34e9d7864985333543c2d16da125b8d8d12a675edc2",
+    },
+    "cost --strategy equilibrium": {
+        "cost.csv": "a728a6bdccbf647f4798c7b6fe67ee10c0c67c220bcd58fc14f916ff32aa45ec",
+        "cost.json": "1f1cf0e9c68a661fa7dbf23538f6cae44612e4ea09299a5559e6bd9ff5a17dc0",
+        "stdout": "94e23efef99ba7457a13f1ca554afecade52fb0a7b9b94a99eb21b468ff03911",
+    },
+    "sweep": {
+        "sweep.csv": "7e851d9215b4bcc6a0efed0b3fafd14473d08e336cf3a93a1384655ccc016870",
+        "sweep.json": "4e022d87f297834e7bf8c49e83e0d9be8014a0157ddb84e480117e41ad186777",
+        "sweep.svg": "548f3c47a4df4083c8c469a85748e1bf3ede269476ad945a25beca5915ed7355",
+        "stdout": "9987c5ce51852a4b461e0ed91f236ec19581b5e89886fdc5b72a412864c9775b",
+    },
+    "simulate --strategy naive": {
+        "simulate.csv": "cfaf68a6bbe3182f9a074eea9ca73d2b0c7c73bd24d9ae84f7ef333ed15131b9",
+        "simulate.json": "c7171f339d1a8d79ad7356b6cdd5dc270040c465068cd4dcbbda9dac475f240f",
+        "simulate_paths.csv": "f92326ba5feea4e4126eab4cf7da7c005384c2f989fd4ed4b16f4977fc254fb5",
+        "simulate_paths.json": "15549cd9139c2a54a1c8478915321c32dc7177086399537b187e843373bcd726",
+        "stdout": "6d16cf78f86de122f475cb5d2930733a4bb47e6e6a65ea7699d65088a039a5cf",
+    },
+    "compare": {
+        "compare.csv": "d70224c280859091ec90cf4c7d2817a335d8444bcab28a3e15152d65c7de5a24",
+        "compare.json": "f175aa5c71039f59ef4cde51c502292c0480bb754a626d3070fb79e2942dd30d",
+        "compare.svg": "ff739e3967374d28fc99798185902a4566d73d1d688ed514abb7c46308f572df",
+        "stdout": "b2f63f666e8189fa67c6f317e158494ff01d4679749cf82bd2d957c025308385",
+    },
+    "pde --mode sweep": {
+        "pde.csv": "3fce42551eeb3d66cf3f6f4d17b6e596521dc4cbd1535c0be26dfa85c768338f",
+        "pde.json": "6687a53180f7329d28c248f1f75c09c134576ad4b0d1a69dd5dee740816fd94e",
+        "stdout": "853cd71a25d877ed455b83731de2b52f02084c72f632fe41a7f26a3d350a15e8",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_SHA256))
+def test_output_tree_matches_the_recorded_digests(command, tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.ini").write_text(GOLDEN_CONFIG, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([*command.split(), "--config", "run.ini", "--out", "out"]) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in Path("out").iterdir()}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == GOLDEN_SHA256[command]
+
+
 class TestMainEntry:
     def test_seed_override_works_in_both_flag_positions(self, small_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -340,6 +397,30 @@ class TestMainEntry:
         rc = main(["simulate", "--strategy", "naive", "--config", str(config),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+    @pytest.mark.parametrize("x_hi", ["1e308", "inf"])
+    def test_unusable_pde_bounds_exit_config_with_one_record(self, capsys, tmp_path, x_hi):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[pde]\nx_hi = {x_hi}\n", encoding="utf-8")
+        rc = main(["pde", "--mode", "sweep", "--config", str(config),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
+
+    def test_equilibrium_cost_does_not_need_the_naive_system(self, capsys, tmp_path):
+        # the naive Riccati pair blows up at these parameters; the
+        # equilibrium cost must not depend on it
+        config = tmp_path / "run.ini"
+        config.write_text("[model]\na_bar = 6.154640442735776\nb_bar = -0.6877325122259386\n"
+                          "gamma = 1599.2745782950801\nhorizon = 3.1974620757508188\n",
+                          encoding="utf-8")
+        argv = ["--config", str(config), "--out", str(tmp_path / "o")]
+        assert main(["cost", "--strategy", "equilibrium", *argv]) == EXIT_OK
+        assert "exact equilibrium cost: 755.5537047475" in capsys.readouterr().out
+        assert main(["cost", "--strategy", "naive", *argv]) == EXIT_NUMERIC
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
     def test_unwritable_output_directory_exits_config(self, capsys, small_config, tmp_path):

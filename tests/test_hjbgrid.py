@@ -1,11 +1,13 @@
 """Tests for the coupled finite-difference solver and its two modes."""
 
+import math
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tilqr import hjbgrid
 from tilqr import (
     ConfigError,
     GridSolution,
@@ -69,12 +71,29 @@ def hopeless_model():
                    maximizer=lambda grad: 1e200 + 0.0 * np.asarray(grad, dtype=float))
 
 
+def one_sided_diag_fields(jslice, dx, dy):
+    """Diagonal coupling derivatives with second-order forward differences in
+    the parameter direction where the stencil fits, centered elsewhere."""
+    n_x = jslice.shape[0] - 1
+    i = np.arange(1, n_x)
+    d_y = (jslice[i, i + 1] - jslice[i, i - 1]) / (2.0 * dy)
+    d_yy = (jslice[i, i + 1] - 2.0 * jslice[i, i] + jslice[i, i - 1]) / dy ** 2
+    d_xy = (jslice[i + 1, i + 1] - jslice[i + 1, i - 1]
+            - jslice[i - 1, i + 1] + jslice[i - 1, i - 1]) / (4.0 * dx * dy)
+    ok = i <= n_x - 3
+    s = i[ok]
+    fwd = lambda r: (-3.0 * jslice[r, s] + 4.0 * jslice[r, s + 1] - jslice[r, s + 2]) / (2.0 * dy)
+    d_y[ok] = fwd(s)
+    d_yy[ok] = (2.0 * jslice[s, s] - 5.0 * jslice[s, s + 1]
+                + 4.0 * jslice[s, s + 2] - jslice[s, s + 3]) / dy ** 2
+    d_xy[ok] = (fwd(s + 1) - fwd(s - 1)) / (2.0 * dx)
+    return d_y, d_yy, d_xy
+
+
 class TestGridSpec2:
     def test_parameter_grid_defaults_to_the_state_grid(self):
         grid = GridSpec2(n_t=10, n_x=8, x_lo=-1.0, x_hi=3.0, horizon=1.0)
         assert grid.n_y == 8
-        assert grid.y_lo == -1.0
-        assert grid.y_hi == 3.0
         assert grid.aligned
 
     def test_node_arrays_and_spacings(self):
@@ -90,8 +109,15 @@ class TestGridSpec2:
         (dict(n_t=0), "n_t"),
         (dict(n_x=3), "at least 4"),
         (dict(x_lo=2.0, x_hi=2.0), "x_lo < x_hi"),
-        (dict(y_lo=1.0, y_hi=-1.0), "y_lo < y_hi"),
+        (dict(x_hi=math.inf), "must be finite"),
         (dict(horizon=0.0), "horizon"),
+        (dict(x_lo=-math.inf), "must be finite"),
+        (dict(x_hi=math.nan), "must be finite"),
+        (dict(x_hi=1e308), "not a positive finite number"),
+        (dict(x_lo=-1e308, x_hi=1e308), "not a positive finite number"),
+        (dict(x_lo=0.0, x_hi=1e-300), "not a positive finite number"),
+        (dict(horizon=math.nan), "horizon"),
+        (dict(horizon=math.inf), "horizon"),
     ])
     def test_rejects_bad_settings(self, kwargs, match):
         base = dict(n_t=10, n_x=8, x_lo=-1.0, x_hi=3.0, horizon=1.0)
@@ -146,19 +172,25 @@ class TestSweep:
             errors.append(float(np.max(np.abs(fitted.k_state - ref.k_state))))
         assert np.log2(errors[0] / errors[1]) >= 1.5
 
-    def test_dropping_the_coupling_terms_removes_the_gain(self):
+    def test_dropping_the_coupling_terms_removes_the_gain(self, monkeypatch):
         # the anchored terminal cost vanishes on the diagonal, so without the
         # parameter-coupling correction the optimal control collapses to zero
-        sol = solve_extended_hjb_sweep(MODEL, benchmark_grid(100, 80),
-                                       _drop_adjustment=True)
+        def no_coupling(jslice, dx, dy):
+            zeros = np.zeros(jslice.shape[0] - 2)
+            return zeros, zeros, zeros
+
+        monkeypatch.setattr(hjbgrid, "_diag_fields", no_coupling)
+        sol = solve_extended_hjb_sweep(MODEL, benchmark_grid(100, 80))
         fitted = extract_gain(sol, PARAMS)
         assert abs(fitted.k_state[0]) <= 1e-12
         assert abs(reference_gain(100).k_state[0]) > 0.5
 
-    def test_one_sided_diagonal_stencil_agrees_on_quadratic_fields(self):
+    def test_one_sided_diagonal_stencil_agrees_on_quadratic_fields(self, monkeypatch):
         grid = benchmark_grid(100, 80)
         centered = solve_extended_hjb_sweep(MODEL, grid)
-        one_sided = solve_extended_hjb_sweep(MODEL, grid, _one_sided_diagonal=True)
+        monkeypatch.setattr(hjbgrid, "_diag_fields", one_sided_diag_fields)
+        one_sided = solve_extended_hjb_sweep(MODEL, grid)
+        assert not np.array_equal(centered.alpha, one_sided.alpha)  # the stencil was used
         assert float(np.max(np.abs(centered.alpha - one_sided.alpha))) <= 1e-10
 
     def test_zero_penalty_gives_identically_zero_fields(self):

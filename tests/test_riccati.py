@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tilqr import riccati
 from tilqr import (
     ConfigError,
     GainLabel,
@@ -20,6 +21,7 @@ from tilqr import (
     rk4_backward,
     solve_equilibrium_riccati,
     solve_naive,
+    strategy_gains,
 )
 
 # Oracle constants at the benchmark parameters (a_bar=0.5, b_bar=1,
@@ -247,3 +249,62 @@ def test_gain_schedule_shape_validation():
     with pytest.raises(ConfigError, match="shape"):
         GainSchedule(grid=g, k_state=np.zeros(5), c_offset=np.zeros(11),
                      label=GainLabel.CUSTOM)
+
+
+# at these parameters (others at the defaults) the equilibrium system
+# integrates over 1000 steps while the naive Riccati pair blows up
+SPLIT_PARAMS = LqrParams(a_bar=6.154640442735776, b_bar=-0.6877325122259386,
+                         gamma=1599.2745782950801, horizon=3.1974620757508188)
+LAWS = [GainLabel.EQUILIBRIUM, GainLabel.NAIVE, GainLabel.PRECOMMITTED]
+
+
+class TestStrategyGains:
+    def test_canonical_order_and_bitwise_equal_to_direct_calls(self, benchmark_params):
+        p, g = benchmark_params, grid(200)
+        gains = strategy_gains(p, g, labels=LAWS[::-1])
+        assert list(gains) == LAWS
+        nv = solve_naive(p, g)
+        direct = [equilibrium_gain(solve_equilibrium_riccati(p, g), p),
+                  naive_gain(nv, p), precommitted_policy(nv, p)]
+        for (label, got), want in zip(gains.items(), direct):
+            assert got.label is label is want.label
+            assert got.grid == g
+            assert np.array_equal(got.k_state, want.k_state)
+            assert np.array_equal(got.c_offset, want.c_offset)
+        assert list(strategy_gains(p, g)) == LAWS
+
+    @pytest.mark.parametrize("label, eq_calls, naive_calls", [
+        (GainLabel.EQUILIBRIUM, 1, 0),
+        (GainLabel.NAIVE, 0, 1),
+        (GainLabel.PRECOMMITTED, 0, 1),
+    ])
+    def test_one_label_solves_only_its_own_system(self, benchmark_params, monkeypatch,
+                                                  label, eq_calls, naive_calls):
+        calls = {"eq": 0, "naive": 0}
+
+        def counted(name, solver):
+            def wrapper(*args):
+                calls[name] += 1
+                return solver(*args)
+            return wrapper
+
+        monkeypatch.setattr(riccati, "solve_equilibrium_riccati",
+                            counted("eq", riccati.solve_equilibrium_riccati))
+        monkeypatch.setattr(riccati, "solve_naive", counted("naive", riccati.solve_naive))
+        gains = strategy_gains(benchmark_params, grid(50), [label])
+        assert list(gains) == [label]
+        assert calls == {"eq": eq_calls, "naive": naive_calls}
+        calls.update(eq=0, naive=0)
+        strategy_gains(benchmark_params, grid(50))
+        assert calls == {"eq": 1, "naive": 1}   # naive and precommitted share one
+
+    def test_rejects_labels_without_a_built_in_law(self, benchmark_params):
+        with pytest.raises(ConfigError, match="custom"):
+            strategy_gains(benchmark_params, grid(50), [GainLabel.CUSTOM])
+
+    def test_a_failing_system_the_request_does_not_need_is_not_solved(self):
+        g = TimeGrid(n_steps=1000, horizon=SPLIT_PARAMS.horizon)
+        gains = strategy_gains(SPLIT_PARAMS, g, [GainLabel.EQUILIBRIUM])
+        assert np.all(np.isfinite(gains[GainLabel.EQUILIBRIUM].k_state))
+        with pytest.raises(NumericError, match="blew up"):
+            strategy_gains(SPLIT_PARAMS, g)
