@@ -145,84 +145,123 @@ def _check_cfl(model: ModelSpec, grid: GridSpec2) -> tuple:
     sigma_max = 0.0
     for t in ts:
         sigma_max = max(sigma_max, float(np.max(np.asarray(model.vol(t, xs)))))
-    if sigma_max <= 0 or not np.isfinite(sigma_max):
-        raise ConfigError("model volatility must be positive and finite on the grid")
+    # the stability bound divides by sigma_max^2
+    if not 0.0 < sigma_max * sigma_max < math.inf:
+        raise ConfigError(
+            f"model volatility must have a square that is a positive finite number on "
+            f"the grid, got a maximum of {sigma_max}")
     dt_max = grid.dx ** 2 / (1.05 * sigma_max ** 2)
     if grid.dt > dt_max:
-        n_min = int(np.ceil(grid.horizon / dt_max))
+        # dt_max is zero when the bound underflows or its denominator
+        # overflows; then no slice count is enough
+        n_min = np.ceil(grid.horizon / dt_max) if dt_max > 0 else math.inf
         raise ConfigError(
             f"explicit scheme unstable: dt = {grid.dt:.6g} exceeds the admissible "
-            f"{dt_max:.6g}; use n_t >= {n_min}")
+            f"{dt_max:.6g}; use n_t >= {n_min:.0f}")
     return sigma_max, sigma_max ** 2 * grid.dt / grid.dx ** 2
 
 
 def _diag_fields(jslice: np.ndarray, dx: float, dy: float):
     """Parameter-coupling derivatives on the diagonal at interior state nodes."""
-    n_x = jslice.shape[0] - 1
-    i = np.arange(1, n_x)
-    d_y = (jslice[i, i + 1] - jslice[i, i - 1]) / (2.0 * dy)
-    d_yy = (jslice[i, i + 1] - 2.0 * jslice[i, i] + jslice[i, i - 1]) / dy ** 2
-    d_xy = (jslice[i + 1, i + 1] - jslice[i + 1, i - 1]
-            - jslice[i - 1, i + 1] + jslice[i - 1, i - 1]) / (4.0 * dx * dy)
+    # diagonals as views: mid[i] = jslice[i, i]; at interior node i, entry
+    # i - 1 of up, down, diagonal(-2) and diagonal(2) is jslice[i, i + 1],
+    # jslice[i, i - 1], jslice[i + 1, i - 1] and jslice[i - 1, i + 1]
+    mid = jslice.diagonal()
+    up = jslice.diagonal(1)[1:]
+    down = jslice.diagonal(-1)[:-1]
+    d_y = (up - down) / (2.0 * dy)
+    d_yy = (up - 2.0 * mid[1:-1] + down) / dy ** 2
+    d_xy = (mid[2:] - jslice.diagonal(-2) - jslice.diagonal(2) + mid[:-2]) / (4.0 * dx * dy)
     return d_y, d_yy, d_xy
 
 
-def _slice_control(model: ModelSpec, t: float, grid: GridSpec2,
-                   v_slice: np.ndarray, coupling_slice: np.ndarray):
+@dataclass(frozen=True)
+class _Stepper:
+    """Per-solve constants of the explicit step, and its one slice of scratch."""
+
+    model: ModelSpec
+    xs: np.ndarray
+    ys: np.ndarray
+    xi: np.ndarray       # interior state nodes
+    dt: float
+    dx: float
+    dy: float
+    scratch: np.ndarray  # (n_x+1) x (n_y+1)
+
+
+def _stepper(model: ModelSpec, grid: GridSpec2) -> _Stepper:
+    xs = grid.xs
+    return _Stepper(model=model, xs=xs, ys=grid.ys, xi=xs[1:-1], dt=grid.dt,
+                    dx=grid.dx, dy=grid.dy,
+                    scratch=np.empty((grid.n_x + 1, grid.n_y + 1)))
+
+
+def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
+                   coupling_slice: np.ndarray, a_out: np.ndarray):
     """Optimize the control on one time slice and return the update pieces.
 
-    Returns (value_rate, a_interior, a_full): the corrected Hamiltonian value
-    at interior nodes, the optimizing control there, and the control extended
-    to the boundary by extrapolation.
+    Returns (value_rate, a_interior): the corrected Hamiltonian value at
+    interior nodes and the optimizing control there. The control extended to
+    the boundary by extrapolation is written into ``a_out``.
     """
-    xs = grid.xs
-    xi = xs[1:-1]
-    dx = grid.dx
-    v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * dx)
-    sigma = np.broadcast_to(np.asarray(model.vol(t, xi), dtype=float), xi.shape)
-    d_y, d_yy, d_xy = _diag_fields(coupling_slice, dx, grid.dy)
-    value_rate, a_int = extended_hamiltonian(model, HamiltonianInputs(
+    xi = st.xi
+    v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * st.dx)
+    sigma = np.broadcast_to(np.asarray(st.model.vol(t, xi), dtype=float), xi.shape)
+    d_y, d_yy, d_xy = _diag_fields(coupling_slice, st.dx, st.dy)
+    value_rate, a_int = extended_hamiltonian(st.model, HamiltonianInputs(
         t=t, x=xi, z=sigma * v_x, grad_param=d_y, hess_param=d_yy,
         mixed=sigma * d_xy))
     value_rate = np.asarray(value_rate, dtype=float)
     a_int = np.broadcast_to(np.asarray(a_int, dtype=float), xi.shape)
-    a_full = np.empty(xs.size)
-    a_full[1:-1] = a_int
-    _extrapolate_edges(a_full)
-    return value_rate, a_int, a_full
+    a_out[1:-1] = a_int
+    _extrapolate_edges(a_out)
+    return value_rate, a_int
 
 
-def _advance_slice(model: ModelSpec, grid: GridSpec2, t_next: float,
-                   v_next: np.ndarray, j_next: np.ndarray,
-                   value_rate: np.ndarray, a_int: np.ndarray):
-    """One explicit backward step of both fields given the slice control."""
-    xs, ys = grid.xs, grid.ys
-    xi = xs[1:-1]
-    dt, dx = grid.dt, grid.dx
+def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
+                   j_next: np.ndarray, value_rate: np.ndarray, a_int: np.ndarray,
+                   v_out: np.ndarray, j_out: np.ndarray):
+    """One explicit backward step of both fields given the slice control,
+    written into ``v_out`` and ``j_out``.
+
+    The indexed field is updated in place, on ``j_out`` and the scratch, in
+    the operation order of
+    ``j_next + dt * (f + mu * j_x + 0.5 * sigma^2 * j_xx)``, so every value
+    is bitwise that of the expression.
+    """
+    model, xi, ys = st.model, st.xi, st.ys
+    dt, dx = st.dt, st.dx
     sigma = np.broadcast_to(np.asarray(model.vol(t_next, xi), dtype=float), xi.shape)
 
     v_xx = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / dx ** 2
-    v_k = np.empty_like(v_next)
-    v_k[1:-1] = v_next[1:-1] + dt * (value_rate + 0.5 * sigma ** 2 * v_xx)
-    _extrapolate_edges(v_k)
+    v_out[1:-1] = v_next[1:-1] + dt * (value_rate + 0.5 * sigma ** 2 * v_xx)
+    _extrapolate_edges(v_out)
 
     mu = np.asarray(model.drift(t_next, xi, a_int), dtype=float)
     f = np.asarray(model.running_cost(t_next, ys[None, :], xi[:, None],
                                       a_int[:, None]), dtype=float)
     f = np.broadcast_to(f, (xi.size, ys.size))
-    j_x = (j_next[2:, :] - j_next[:-2, :]) / (2.0 * dx)
-    j_xx = (j_next[2:, :] - 2.0 * j_next[1:-1, :] + j_next[:-2, :]) / dx ** 2
-    j_k = np.empty_like(j_next)
-    j_k[1:-1, :] = j_next[1:-1, :] + dt * (
-        f + mu[:, None] * j_x + 0.5 * (sigma ** 2)[:, None] * j_xx)
-    _extrapolate_edges(j_k)
-    return v_k, j_k
+    up, mid, down = j_next[2:], j_next[1:-1], j_next[:-2]
+    acc, j_xx = j_out[1:-1], st.scratch[1:-1]
+    np.subtract(up, down, out=acc)
+    np.divide(acc, 2.0 * dx, out=acc)                   # j_x
+    np.multiply(mu[:, None], acc, out=acc)
+    np.add(f, acc, out=acc)                             # f + mu * j_x
+    np.multiply(2.0, mid, out=j_xx)
+    np.subtract(up, j_xx, out=j_xx)
+    np.add(j_xx, down, out=j_xx)
+    np.divide(j_xx, dx ** 2, out=j_xx)                  # j_xx
+    np.multiply(0.5 * (sigma ** 2)[:, None], j_xx, out=j_xx)
+    np.add(acc, j_xx, out=acc)
+    np.multiply(dt, acc, out=acc)
+    np.add(mid, acc, out=acc)
+    _extrapolate_edges(j_out)
 
 
-def _terminal_fields(model: ModelSpec, grid: GridSpec2):
-    xs, ys = grid.xs, grid.ys
-    v_T = np.asarray(model.terminal_cost(xs, xs), dtype=float)
-    j_T = np.asarray(model.terminal_cost(ys[None, :], xs[:, None]), dtype=float)
+def _terminal_fields(st: _Stepper):
+    xs, ys = st.xs, st.ys
+    v_T = np.asarray(st.model.terminal_cost(xs, xs), dtype=float)
+    j_T = np.asarray(st.model.terminal_cost(ys[None, :], xs[:, None]), dtype=float)
     j_T = np.broadcast_to(j_T, (xs.size, ys.size)).copy()
     return np.broadcast_to(v_T, xs.shape).copy(), j_T
 
@@ -256,6 +295,7 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     """
     _require_aligned(grid)
     sigma_max, ratio = _check_cfl(model, grid)
+    st = _stepper(model, grid)
     n_t = grid.n_t
     nodes = grid.horizon * np.linspace(0.0, 1.0, n_t + 1)
 
@@ -265,88 +305,101 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
 
     # a blow-up surfaces through the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v[n_t], j[n_t] = _terminal_fields(model, grid)
+        v[n_t], j[n_t] = _terminal_fields(st)
         for k in range(n_t - 1, -1, -1):
             t1 = nodes[k + 1]
-            rate, a_int, a_full = _slice_control(model, t1, grid, v[k + 1], j[k + 1])
-            alpha[k + 1] = a_full
-            v[k], j[k] = _advance_slice(model, grid, t1, v[k + 1], j[k + 1],
-                                        rate, a_int)
+            rate, a_int = _slice_control(st, t1, v[k + 1], j[k + 1], alpha[k + 1])
+            _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, v[k], j[k])
             _check_finite("value field", v[k], k)
             _check_finite("indexed field", j[k], k)
-        _, _, a0 = _slice_control(model, nodes[0], grid, v[0], j[0])
-    alpha[0] = a0
+        _slice_control(st, nodes[0], v[0], j[0], alpha[0])
     report = SchemeReport(mode="sweep", dt=grid.dt, dx=grid.dx,
                           sigma_max=sigma_max, stability_ratio=ratio, iterations=1)
     return GridSolution(grid=grid, v=v, j=j, alpha=alpha, report=report)
 
 
-def _window_pass(model: ModelSpec, grid: GridSpec2, nodes: np.ndarray,
-                 lo: int, hi: int, v_hi: np.ndarray, j_hi: np.ndarray,
-                 j_prev: np.ndarray):
-    """One application of the decoupled solve map on slices ``lo .. hi``.
+def _sup_distance(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
+    np.subtract(a, b, out=scratch)
+    return np.max(np.abs(scratch, out=scratch))
 
-    The coupling derivatives at each slice are frozen from ``j_prev`` (the
-    previous iterate's indexed field on the window, window-local indexing);
-    the value field and control re-optimize against them, and the indexed
-    field advances with this pass's control. Slice ``hi`` is the window's
-    fixed terminal data ``(v_hi, j_hi)``.
+
+def _window_pass(st: _Stepper, nodes: np.ndarray, lo: int,
+                 v_hi: np.ndarray, j_hi: np.ndarray, prev: tuple, cur: tuple):
+    """One application of the decoupled solve map on a window of slices.
+
+    ``prev`` and ``cur`` are ``(v, j, alpha)`` window buffers with
+    window-local slice indexing; the pass overwrites ``cur``. The coupling
+    derivatives at each slice are frozen from the previous iterate's indexed
+    field ``prev[1]``; the value field and control re-optimize against them,
+    and the indexed field advances with this pass's control. The last slice
+    is the window's fixed terminal data ``(v_hi, j_hi)``, and slice ``k`` of
+    the window is time slice ``lo + k``.
+
+    Returns the sup distances of the value and the indexed field from
+    ``prev``, each taken slice by slice as the slice is computed.
     """
-    m = hi - lo
-    v = np.empty((m + 1, grid.n_x + 1))
-    j = np.empty((m + 1,) + j_hi.shape)
-    alpha = np.empty_like(v)
+    v_prev, j_prev, _ = prev
+    v, j, alpha = cur
+    m = v.shape[0] - 1
+    dist_v, dist_j = np.empty(m + 1), np.empty(m + 1)
     v[m], j[m] = v_hi, j_hi
+    dist_v[m] = np.max(np.abs(v[m] - v_prev[m]))
+    dist_j[m] = _sup_distance(j[m], j_prev[m], st.scratch)
     for k in range(m - 1, -1, -1):
         t1 = nodes[lo + k + 1]
-        rate, a_int, a_full = _slice_control(model, t1, grid, v[k + 1], j_prev[k + 1])
-        alpha[k + 1] = a_full
-        v[k], j[k] = _advance_slice(model, grid, t1, v[k + 1], j[k + 1], rate, a_int)
+        rate, a_int = _slice_control(st, t1, v[k + 1], j_prev[k + 1], alpha[k + 1])
+        _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, v[k], j[k])
         _check_finite("value field", v[k], lo + k)
         _check_finite("indexed field", j[k], lo + k)
+        dist_v[k] = np.max(np.abs(v[k] - v_prev[k]))
+        dist_j[k] = _sup_distance(j[k], j_prev[k], st.scratch)
     # control on the window's lowest slice, for the iterate distance only;
     # the assembled solution recomputes it from converged fields
-    _, _, a0 = _slice_control(model, nodes[lo], grid, v[0], j_prev[0])
-    alpha[0] = a0
-    return v, j, alpha
+    _slice_control(st, nodes[lo], v[0], j_prev[0], alpha[0])
+    # the max of the slice maxima is the window's max, NaN included
+    return float(np.max(dist_v)), float(np.max(dist_j))
 
 
-def _iterate_window(model: ModelSpec, grid: GridSpec2, nodes: np.ndarray,
-                    lo: int, hi: int, v_hi: np.ndarray, j_hi: np.ndarray,
-                    tol: float, max_iter: int):
+def _iterate_window(st: _Stepper, nodes: np.ndarray, lo: int, hi: int,
+                    v_hi: np.ndarray, j_hi: np.ndarray, tol: float, max_iter: int):
     """Fixed-point iteration on one window, from its terminal data extended
-    constantly. Returns ``(status, v, j, alpha, distances)`` where status is
-    ``"ok"`` (converged), ``"grow"`` (distances stopped decreasing: the map
-    does not contract at this window length), ``"blowup"`` (a pass lost
-    finiteness), or ``"maxiter"``.
+    constantly. Returns ``(status, fields, distances)`` where status is
+    ``"ok"`` (converged; ``fields`` is the last iterate's ``(v, j, alpha)``),
+    ``"grow"`` (distances stopped decreasing: the map does not contract at
+    this window length), ``"blowup"`` (a pass lost finiteness), or
+    ``"maxiter"``; ``fields`` is None unless the window converged.
+
+    Two buffer sets are allocated once; each pass writes one set while
+    reading the previous iterate from the other, and the sets swap roles.
     """
     m = hi - lo
+    shapes = ((m + 1,) + v_hi.shape, (m + 1,) + j_hi.shape, (m + 1,) + v_hi.shape)
+    prev = tuple(np.empty(shape) for shape in shapes)
+    cur = tuple(np.empty(shape) for shape in shapes)
     # expected transient blow-ups abort the window; silence their warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v_prev = np.tile(v_hi, (m + 1, 1))
-        j_prev = np.tile(j_hi, (m + 1, 1, 1))
-        _, _, a_hi = _slice_control(model, nodes[hi], grid, v_hi, j_hi)
-        alpha_prev = np.tile(a_hi, (m + 1, 1))
+        v_prev, j_prev, alpha_prev = prev
+        v_prev[:] = v_hi
+        j_prev[:] = j_hi
+        _slice_control(st, nodes[hi], v_hi, j_hi, alpha_prev[m])
+        alpha_prev[:m] = alpha_prev[m]
 
         distances = []
         for _ in range(max_iter):
             try:
-                v, j, alpha = _window_pass(model, grid, nodes, lo, hi,
-                                           v_hi, j_hi, j_prev)
+                dist_v, dist_j = _window_pass(st, nodes, lo, v_hi, j_hi, prev, cur)
             except NumericError:
-                return "blowup", None, None, None, distances
-            dist = max(float(np.max(np.abs(v - v_prev))),
-                       float(np.max(np.abs(j - j_prev))),
-                       float(np.max(np.abs(alpha - alpha_prev))))
+                return "blowup", None, distances
+            dist = max(dist_v, dist_j, float(np.max(np.abs(cur[2] - prev[2]))))
             distances.append(dist)
-            v_prev, j_prev, alpha_prev = v, j, alpha
+            prev, cur = cur, prev
             if dist <= tol:
-                return "ok", v, j, alpha, distances
+                return "ok", prev, distances
             # contraction check from the second distance on; the first pass
             # only measures how far the constant extension sits from one solve
             if len(distances) >= 3 and distances[-1] >= distances[-2]:
-                return "grow", None, None, None, distances
-    return "maxiter", None, None, None, distances
+                return "grow", None, distances
+    return "maxiter", None, distances
 
 
 def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
@@ -370,6 +423,9 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     converged window; within each, distances after the first decrease
     strictly.
 
+    Memory: the output fields plus two window-sized ``(v, j, alpha)`` buffer
+    sets, allocated once per window and reused by every pass.
+
     Raises
     ------
     PicardError
@@ -380,22 +436,24 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     if tol <= 0 or max_iter < 2:
         raise ConfigError(f"need tol > 0 and max_iter >= 2, got {tol}, {max_iter}")
     sigma_max, ratio = _check_cfl(model, grid)
+    st = _stepper(model, grid)
     n_t = grid.n_t
     nodes = grid.horizon * np.linspace(0.0, 1.0, n_t + 1)
 
     v = np.empty((n_t + 1, grid.n_x + 1))
     j = np.empty((n_t + 1, grid.n_x + 1, grid.n_y + 1))
     alpha = np.empty_like(v)
-    v[n_t], j[n_t] = _terminal_fields(model, grid)
+    v[n_t], j[n_t] = _terminal_fields(st)
 
     trace = []
     pending = [(0, n_t)]
     while pending:
         lo, hi = pending.pop()
-        status, v_w, j_w, a_w, distances = _iterate_window(
-            model, grid, nodes, lo, hi, v[hi], j[hi], tol, max_iter)
+        status, fields, distances = _iterate_window(
+            st, nodes, lo, hi, v[hi], j[hi], tol, max_iter)
         if status == "ok":
             trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
+            v_w, j_w, a_w = fields
             v[lo:hi] = v_w[:-1]
             j[lo:hi] = j_w[:-1]
             alpha[lo + 1:hi + 1] = a_w[1:]
@@ -413,8 +471,7 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
 
     # converged everywhere: initial-slice control from the final fields, as
     # in the sweep
-    _, _, a0 = _slice_control(model, nodes[0], grid, v[0], j[0])
-    alpha[0] = a0
+    _slice_control(st, nodes[0], v[0], j[0], alpha[0])
     report = SchemeReport(mode="picard", dt=grid.dt, dx=grid.dx,
                           sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=sum(len(w.distances) for w in trace),

@@ -75,7 +75,7 @@ class LqrParams:
     a_bar, b_bar : float
         Drift coefficients (state feedback and control loading).
     sigma : float
-        Constant volatility, must be positive.
+        Constant volatility, must be positive with a finite square.
     gamma : float
         Terminal penalty weight, must be nonnegative.
     horizon : float
@@ -97,6 +97,9 @@ class LqrParams:
                 raise ConfigError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        # every variance, and the grid solver's stability bound, carries sigma^2
+        if self.sigma * self.sigma == math.inf:
+            raise ConfigError(f"sigma must have a finite square, got {self.sigma}")
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if self.gamma < 0:

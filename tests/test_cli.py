@@ -341,6 +341,12 @@ GOLDEN_SHA256 = {
         "pde.json": "6687a53180f7329d28c248f1f75c09c134576ad4b0d1a69dd5dee740816fd94e",
         "stdout": "853cd71a25d877ed455b83731de2b52f02084c72f632fe41a7f26a3d350a15e8",
     },
+    # windows [12 25]x15 [0 12]x13 after an aborted full-horizon attempt
+    "pde --mode picard": {
+        "pde.csv": "2998afaac1386808f24db7889c6151e22ef0ca2c33b9141cd8fc3ec37e1aaf2d",
+        "pde.json": "87b59d79854b3e37b7dbb19061a5773a6aebc8fe4cd260d8c17981bf7b881a9d",
+        "stdout": "9a641f58ea84b0e5d431d549451335aa707f8fcacfe5a5ff369cab4241b01d51",
+    },
 }
 
 
@@ -409,6 +415,21 @@ class TestMainEntry:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "config"
+
+    @pytest.mark.parametrize("mode", ["sweep", "picard"])
+    def test_overflowing_volatility_square_exits_config_before_any_output(
+            self, capsys, tmp_path, mode):
+        config = tmp_path / "run.ini"
+        config.write_text("[model]\nsigma = 1e200\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["pde", "--mode", mode, "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "config"
+        assert "finite square" in record["message"]
+        assert not out.exists()
 
     def test_equilibrium_cost_does_not_need_the_naive_system(self, capsys, tmp_path):
         # the naive Riccati pair blows up at these parameters; the

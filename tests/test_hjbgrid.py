@@ -1,6 +1,8 @@
 """Tests for the coupled finite-difference solver and its two modes."""
 
+import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -153,6 +155,17 @@ class TestStability:
         with pytest.raises(ConfigError, match="volatility"):
             solve_extended_hjb_sweep(flat, benchmark_grid(25, 40))
 
+    @pytest.mark.parametrize("solver", [solve_extended_hjb_sweep, solve_extended_hjb_picard])
+    @pytest.mark.parametrize("sigma, match", [
+        (1e200, "square that is a positive finite number"),   # it overflows
+        (1e-200, "square that is a positive finite number"),  # it underflows to 0
+        (1.32e154, r"unstable.*n_t >= inf"),  # 1.05 sigma^2 overflows
+    ])
+    def test_volatility_square_must_be_a_positive_finite_number(self, solver, sigma, match):
+        model = replace(MODEL, vol=lambda t, x: sigma + 0.0 * np.asarray(x, dtype=float))
+        with pytest.raises(ConfigError, match=match):
+            solver(model, benchmark_grid(25, 40))
+
 
 class TestSweep:
     def test_recovers_the_riccati_gain(self):
@@ -215,19 +228,31 @@ class TestSweep:
             solve_extended_hjb_sweep(hopeless_model(), grid)
 
 
+# SHA-256 of the 100 x 80 solutions: the float64 bytes of v, j and alpha of
+# the sweep, then of Picard, then each Picard window's (k_lo, k_hi) as int64
+# and its distances as float64. It pins every bit, so that a rewrite of the
+# solver for speed that changes any rounding or any distance fails here.
+SOLVED_100X80_SHA256 = "1a56d1170d9062fcabf4c20338ff04dd1517581cf2922d17599bb28d620d163d"
+
+
+@pytest.fixture(scope="module")
+def solved_100x80():
+    """Sweep and Picard solutions of the benchmark on one 100 x 80 grid."""
+    grid = benchmark_grid(100, 80)
+    return solve_extended_hjb_sweep(MODEL, grid), solve_extended_hjb_picard(MODEL, grid)
+
+
 class TestPicard:
-    def test_fixed_point_matches_the_sweep(self):
-        grid = benchmark_grid(100, 80)
-        sweep = solve_extended_hjb_sweep(MODEL, grid)
-        picard = solve_extended_hjb_picard(MODEL, grid)
+    def test_fixed_point_matches_the_sweep(self, solved_100x80):
+        sweep, picard = solved_100x80
         gap = max(float(np.max(np.abs(sweep.v - picard.v))),
                   float(np.max(np.abs(sweep.j - picard.j))),
                   float(np.max(np.abs(sweep.alpha - picard.alpha))))
         assert gap <= 1e-8
         assert picard.report.mode == "picard"
 
-    def test_windows_partition_the_horizon_from_the_terminal_end(self):
-        picard = solve_extended_hjb_picard(MODEL, benchmark_grid(100, 80))
+    def test_windows_partition_the_horizon_from_the_terminal_end(self, solved_100x80):
+        _, picard = solved_100x80
         trace = picard.report.trace
         assert trace[0].k_hi == 100
         assert trace[-1].k_lo == 0
@@ -235,12 +260,22 @@ class TestPicard:
             assert later.k_hi == earlier.k_lo
         assert picard.report.iterations == sum(len(w.distances) for w in trace)
 
-    def test_distances_decrease_after_the_first_pass(self):
-        picard = solve_extended_hjb_picard(MODEL, benchmark_grid(100, 80))
+    def test_distances_decrease_after_the_first_pass(self, solved_100x80):
+        _, picard = solved_100x80
         for window in picard.report.trace:
             d = window.distances
             assert len(d) >= 2
             assert all(d[i + 1] < d[i] for i in range(1, len(d) - 1))
+
+    def test_fields_and_distances_are_bitwise_the_recorded_ones(self, solved_100x80):
+        h = hashlib.sha256()
+        for sol in solved_100x80:
+            for field in (sol.v, sol.j, sol.alpha):
+                h.update(np.ascontiguousarray(field, dtype=np.float64).tobytes())
+        for window in solved_100x80[1].report.trace:
+            h.update(np.array([window.k_lo, window.k_hi], dtype=np.int64).tobytes())
+            h.update(np.array(window.distances, dtype=np.float64).tobytes())
+        assert h.hexdigest() == SOLVED_100X80_SHA256
 
     def test_time_consistent_model_stops_after_two_passes(self):
         # without coupling the second pass reproduces the first bitwise
@@ -267,6 +302,39 @@ class TestPicard:
         with pytest.raises(PicardError, match="no convergence on slices") as exc:
             solve_extended_hjb_picard(hopeless_model(), grid)
         assert len(exc.value.trace) >= 1
+
+
+def peak_traced_bytes(solve) -> int:
+    """Peak bytes traced by tracemalloc while ``solve()`` runs, over what was
+    traced before; the solution stays alive until the peak is read."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve()  # noqa: F841 -- held so that the peak includes the result
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - before
+
+
+class TestMemory:
+    # the unit is one indexed field j, (n_t+1) x (n_x+1) x (n_y+1) floats
+    GRID = benchmark_grid(25, 40)
+    FIELD_BYTES = 26 * 41 * 41 * 8
+
+    def test_sweep_holds_about_one_field(self):
+        peak = peak_traced_bytes(lambda: solve_extended_hjb_sweep(MODEL, self.GRID))
+        assert peak <= 1.5 * self.FIELD_BYTES
+
+    def test_picard_holds_the_fields_and_two_window_copies(self):
+        # the windows here are [12 25] and [0 12] after an aborted full-horizon
+        # attempt, whose two buffer sets are the size of the output field
+        peak = peak_traced_bytes(lambda: solve_extended_hjb_picard(MODEL, self.GRID))
+        assert peak <= 3.5 * self.FIELD_BYTES
 
 
 class TestDiagonalIdentity:

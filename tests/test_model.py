@@ -51,6 +51,7 @@ class TestLqrParams:
         {"horizon": 0.0},
         {"a_bar": math.inf},
         {"x0": math.nan},
+        {"sigma": 1e200},
     ])
     def test_domain_errors(self, kwargs):
         with pytest.raises(ConfigError):
