@@ -260,16 +260,6 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text, source=str(path))
 
 
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, tuple):
-        return ",".join(v)
-    return str(v)
-
-
 def config_echo(config: RunConfig) -> list:
     """Header lines recording the toolkit version and resolved config."""
     lines = [f"tilqr {__version__}"]
@@ -277,7 +267,7 @@ def config_echo(config: RunConfig) -> list:
         lines.append(f"[{name}]")
         section = getattr(config, name)
         for key in _SCHEMA[name]:
-            lines.append(f"{key} = {_format_value(getattr(section, key))}")
+            lines.append(f"{key} = {_format_cell(getattr(section, key))}")
     return lines
 
 
@@ -302,6 +292,8 @@ def _format_cell(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
+    if isinstance(v, tuple):
+        return ",".join(v)
     return str(v)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import first_bad_index, readonly
 from .errors import ConfigError, NumericError, PicardError
-from .model import HamiltonianInputs, LqrParams, ModelSpec, extended_hamiltonian
+from .model import LqrParams, ModelSpec, extended_hamiltonian
 from .riccati import GainLabel, GainSchedule, TimeGrid
 
 
@@ -208,9 +208,9 @@ def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
     v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * st.dx)
     sigma = np.broadcast_to(np.asarray(st.model.vol(t, xi), dtype=float), xi.shape)
     d_y, d_yy, d_xy = _diag_fields(coupling_slice, st.dx, st.dy)
-    value_rate, a_int = extended_hamiltonian(st.model, HamiltonianInputs(
-        t=t, x=xi, z=sigma * v_x, grad_param=d_y, hess_param=d_yy,
-        mixed=sigma * d_xy))
+    value_rate, a_int = extended_hamiltonian(
+        st.model, t=t, x=xi, z=sigma * v_x, grad_param=d_y, hess_param=d_yy,
+        mixed=sigma * d_xy)
     value_rate = np.asarray(value_rate, dtype=float)
     a_int = np.broadcast_to(np.asarray(a_int, dtype=float), xi.shape)
     a_out[1:-1] = a_int

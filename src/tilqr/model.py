@@ -15,51 +15,13 @@ state-anchored one on an extended state (:func:`augment_time_dependent`).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-
-
-class Sense(enum.Enum):
-    """Optimization sense of the Hamiltonian's inner problem."""
-
-    MINIMIZE = "minimize"
-    MAXIMIZE = "maximize"
-
-
-@dataclass(frozen=True)
-class ActionGrid:
-    """Uniform action grid for models without a closed-form optimizer.
-
-    Ties in the grid search break toward the lowest index, so results are
-    reproducible across runs and platforms.
-    """
-
-    lo: float
-    hi: float
-    count: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ConfigError("action grid endpoints must be finite")
-        if self.hi < self.lo:
-            raise ConfigError(f"action grid needs lo <= hi, got [{self.lo}, {self.hi}]")
-        if self.count < 1:
-            raise ConfigError(f"action grid needs count >= 1, got {self.count}")
-
-    @property
-    def actions(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
-
-
-# A maximizer is either a closed-form optimizer mapping the effective gradient
-# to the optimal action, or a grid to search over.
-Maximizer = Union[Callable, ActionGrid]
 
 
 @dataclass(frozen=True)
@@ -118,9 +80,11 @@ class ModelSpec:
     - ``running_cost(t, y, x, a)``, ``terminal_cost(y, x)``.
     - ``dy_running``/``dyy_running`` and ``dy_terminal``/``dyy_terminal``:
       first and second derivatives of the costs in the parameter slot.
+    - ``maximizer(g)``: the closed-form optimal action for the effective
+      gradient ``g`` (see :func:`extended_hamiltonian`).
 
-    All evaluators must accept numpy arrays and broadcast; the grid solver
-    relies on that.
+    All evaluators must accept numpy arrays and return an array that
+    broadcasts against their arguments; the grid solver relies on that.
     """
 
     drift: Callable
@@ -131,8 +95,7 @@ class ModelSpec:
     dyy_running: Callable
     dy_terminal: Callable
     dyy_terminal: Callable
-    maximizer: Maximizer
-    sense: Sense = Sense.MINIMIZE
+    maximizer: Callable
 
 
 def lqr_model(params: LqrParams) -> ModelSpec:
@@ -159,7 +122,7 @@ def lqr_model(params: LqrParams) -> ModelSpec:
         return p.sigma + 0.0 * np.asarray(x, dtype=float)
 
     def running_cost(t, y, x, a):
-        return 0.5 * a * a + 0.0 * y + 0.0 * x
+        return 0.5 * a * a
 
     def terminal_cost(y, x):
         d = x - y
@@ -190,26 +153,7 @@ def lqr_model(params: LqrParams) -> ModelSpec:
         dy_terminal=dy_terminal,
         dyy_terminal=dyy_terminal,
         maximizer=argopt,
-        sense=Sense.MINIMIZE,
     )
-
-
-@dataclass(frozen=True)
-class HamiltonianInputs:
-    """Slots consumed by :func:`extended_hamiltonian`.
-
-    ``z`` carries the volatility-scaled value gradient (vol * dV/dx);
-    ``grad_param``, ``hess_param`` the first/second parameter derivatives of
-    the coupled field on the diagonal; ``mixed`` the volatility-scaled mixed
-    second derivative. All slots may be scalars or broadcastable arrays.
-    """
-
-    t: object
-    x: object
-    z: object
-    grad_param: object
-    hess_param: object
-    mixed: object
 
 
 def _require_finite(**slots):
@@ -218,22 +162,27 @@ def _require_finite(**slots):
             raise NumericError(f"non-finite value in Hamiltonian slot '{name}'")
 
 
-def extended_hamiltonian(model: ModelSpec, inp: HamiltonianInputs):
+def extended_hamiltonian(model: ModelSpec, *, t, x, z, grad_param, hess_param,
+                         mixed):
     """Evaluate the corrected Hamiltonian and its optimal action.
 
-    The effective gradient is ``g = z / vol - grad_param``; the inner problem
-    optimizes ``running_cost(t, x, x, a) + drift(t, x, a) * g`` over actions
-    in the model's sense, and the value is then corrected by
-    ``- vol^2/2 * hess_param - vol * mixed``. The construction is invariant
-    under the shift ``(z, grad_param) -> (z + s, grad_param + s/vol)``.
+    The effective gradient is ``g = z / vol - grad_param``; the model's
+    maximizer maps it to the action ``a`` that optimizes
+    ``running_cost(t, x, x, a) + drift(t, x, a) * g``, and the value is then
+    corrected by ``- vol^2/2 * hess_param - vol * mixed``. The construction
+    is invariant under the shift
+    ``(z, grad_param) -> (z + s, grad_param + s/vol)``.
 
     Parameters
     ----------
     model : ModelSpec
         Scalar-state model; the vector-valued clock augmentation is not
         accepted here.
-    inp : HamiltonianInputs
-        Scalar or array slots, broadcast together.
+    t, x, z, grad_param, hess_param, mixed : scalar or array
+        Slots broadcast together: time and state, the volatility-scaled
+        value gradient (vol * dV/dx), the first and second parameter
+        derivatives of the coupled field on the diagonal, and its
+        volatility-scaled mixed second derivative.
 
     Returns
     -------
@@ -248,32 +197,16 @@ def extended_hamiltonian(model: ModelSpec, inp: HamiltonianInputs):
     ConfigError
         If the model's volatility is not positive at the evaluation points.
     """
-    t, x = inp.t, inp.x
-    _require_finite(t=t, x=x, z=inp.z, grad_param=inp.grad_param,
-                    hess_param=inp.hess_param, mixed=inp.mixed)
+    _require_finite(t=t, x=x, z=z, grad_param=grad_param,
+                    hess_param=hess_param, mixed=mixed)
     sigma = np.asarray(model.vol(t, x), dtype=float)
     if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
         raise ConfigError("model volatility must be positive and finite")
 
-    g = np.asarray(inp.z, dtype=float) / sigma - inp.grad_param
-
-    if isinstance(model.maximizer, ActionGrid):
-        actions = model.maximizer.actions
-        xb = np.asarray(x, dtype=float)
-        a_col = actions.reshape((actions.size,) + (1,) * xb.ndim)
-        cand = (model.running_cost(t, xb, xb, a_col)
-                + model.drift(t, xb, a_col) * g)
-        cand = np.asarray(cand, dtype=float)
-        # argmin/argmax take the first occurrence: lowest-index tie-break
-        idx = np.argmax(cand, axis=0) if model.sense is Sense.MAXIMIZE \
-            else np.argmin(cand, axis=0)
-        a_opt = actions[idx]
-        inner = np.take_along_axis(cand, idx[None, ...], axis=0)[0]
-    else:
-        a_opt = model.maximizer(g)
-        inner = model.running_cost(t, x, x, a_opt) + model.drift(t, x, a_opt) * g
-
-    value = inner - 0.5 * sigma * sigma * inp.hess_param - sigma * inp.mixed
+    g = np.asarray(z, dtype=float) / sigma - grad_param
+    a_opt = model.maximizer(g)
+    inner = model.running_cost(t, x, x, a_opt) + model.drift(t, x, a_opt) * g
+    value = inner - 0.5 * sigma * sigma * hess_param - sigma * mixed
 
     if np.ndim(value) == 0 and np.ndim(a_opt) == 0:
         return float(value), float(a_opt)
@@ -355,8 +288,7 @@ class TimeDependentModel:
     dpref2_running: Callable
     dpref_terminal: Callable
     dpref2_terminal: Callable
-    maximizer: Maximizer
-    sense: Sense = Sense.MINIMIZE
+    maximizer: Callable
 
 
 def augment_time_dependent(td: TimeDependentModel) -> ModelSpec:
@@ -409,65 +341,5 @@ def augment_time_dependent(td: TimeDependentModel) -> ModelSpec:
         dy_terminal=dy_terminal,
         dyy_terminal=dyy_terminal,
         maximizer=td.maximizer,
-        sense=td.sense,
     )
 
-
-def check_derivatives(model: ModelSpec, samples: Sequence, step: float = 1e-5,
-                      hess_step: float = 1e-4) -> float:
-    """Compare the spec's parameter derivatives against central differences.
-
-    Parameters
-    ----------
-    model : ModelSpec
-    samples : sequence of (t, y, x, a) tuples
-        Points at which to check; ``y`` may be a scalar or a vector.
-    step : float
-        Step for first differences.
-    hess_step : float
-        Step for second differences (larger, to stay above roundoff).
-
-    Returns
-    -------
-    float
-        Largest discrepancy over all samples and components, relative to
-        ``max(1, |exact|)``.
-    """
-    worst = 0.0
-
-    def rel(fd, exact):
-        return abs(fd - exact) / max(1.0, abs(exact))
-
-    for (t, y, x, a) in samples:
-        yv = np.atleast_1d(np.asarray(y, dtype=float))
-        scalar = np.ndim(y) == 0
-        m = yv.size
-
-        def wrap(vec):
-            return float(vec[0]) if scalar else vec
-
-        for func, dfunc, d2func in (
-            (lambda yy: model.running_cost(t, wrap(yy), x, a),
-             lambda: model.dy_running(t, y, x, a),
-             lambda: model.dyy_running(t, y, x, a)),
-            (lambda yy: model.terminal_cost(wrap(yy), x),
-             lambda: model.dy_terminal(y, x),
-             lambda: model.dyy_terminal(y, x)),
-        ):
-            grad = np.atleast_1d(np.asarray(dfunc(), dtype=float))
-            hess = np.atleast_2d(np.asarray(d2func(), dtype=float))
-            for i in range(m):
-                e_i = np.zeros(m)
-                e_i[i] = 1.0
-                fd1 = (func(yv + step * e_i) - func(yv - step * e_i)) / (2 * step)
-                worst = max(worst, rel(fd1, grad[i]))
-                h = hess_step
-                fd2 = (func(yv + h * e_i) - 2.0 * func(yv) + func(yv - h * e_i)) / (h * h)
-                worst = max(worst, rel(fd2, hess[i, i]))
-                for j in range(i + 1, m):
-                    e_j = np.zeros(m)
-                    e_j[j] = 1.0
-                    fdm = (func(yv + h * (e_i + e_j)) - func(yv + h * (e_i - e_j))
-                           - func(yv - h * (e_i - e_j)) + func(yv - h * (e_i + e_j))) / (4 * h * h)
-                    worst = max(worst, rel(fdm, hess[i, j]))
-    return worst

@@ -119,8 +119,8 @@ class RiccatiSolution:
     """Quadratic coefficients of the anchored-cost field for the equilibrium law.
 
     ``a``, ``c``, ``h`` are node arrays (coefficients of x^2, xy, and the
-    constant); ``b``, ``d``, ``f`` (coefficients of y^2, x, y) stay constant
-    and are recorded for reporting.
+    constant); ``b``, the coefficient of y^2, stays constant. The
+    coefficients of x and y are identically zero and are not stored.
     """
 
     grid: TimeGrid
@@ -128,8 +128,6 @@ class RiccatiSolution:
     c: np.ndarray
     h: np.ndarray
     b: float
-    d: float = 0.0
-    f: float = 0.0
 
     def __post_init__(self):
         for name in ("a", "c", "h"):

@@ -203,14 +203,13 @@ def _check_grid_vs_riccati() -> CheckResult:
     errs = []
     for n_t, n_x in ((25, 40), (100, 80), (400, 160)):
         grid = GridSpec2(n_t=n_t, n_x=n_x, x_lo=-3.0, x_hi=5.0, horizon=p.horizon)
-        sol = solve_extended_hjb_sweep(model, grid)
-        fitted = extract_gain(sol, p)
+        sweep = solve_extended_hjb_sweep(model, grid)
+        fitted = extract_gain(sweep, p)
         ref = equilibrium_gain(solve_equilibrium_riccati(p, TimeGrid(n_t, p.horizon)), p)
         errs.append(float(np.max(np.abs(fitted.k_state - ref.k_state))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
-    grid = GridSpec2(n_t=400, n_x=160, x_lo=-3.0, x_hi=5.0, horizon=p.horizon)
-    sweep = solve_extended_hjb_sweep(model, grid)
+    # the two modes are compared on the finest grid, whose sweep is the last one
     picard = solve_extended_hjb_picard(model, grid)
     mode_gap = max(float(np.max(np.abs(sweep.v - picard.v))),
                    float(np.max(np.abs(sweep.alpha - picard.alpha))),

@@ -1,4 +1,5 @@
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -6,21 +7,77 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tilqr import (
-    ActionGrid,
     AdjustmentInputs,
     ConfigError,
-    HamiltonianInputs,
     LqrParams,
     ModelSpec,
     NumericError,
-    Sense,
     TimeDependentModel,
     augment_time_dependent,
-    check_derivatives,
     extended_hamiltonian,
     inconsistency_adjustment,
     lqr_model,
 )
+
+
+def _check_derivatives(model: ModelSpec, samples: Sequence, step: float = 1e-5,
+                       hess_step: float = 1e-4) -> float:
+    """Compare the spec's parameter derivatives against central differences.
+
+    Parameters
+    ----------
+    model : ModelSpec
+    samples : sequence of (t, y, x, a) tuples
+        Points at which to check; ``y`` may be a scalar or a vector.
+    step : float
+        Step for first differences.
+    hess_step : float
+        Step for second differences (larger, to stay above roundoff).
+
+    Returns
+    -------
+    float
+        Largest discrepancy over all samples and components, relative to
+        ``max(1, |exact|)``.
+    """
+    worst = 0.0
+
+    def rel(fd, exact):
+        return abs(fd - exact) / max(1.0, abs(exact))
+
+    for (t, y, x, a) in samples:
+        yv = np.atleast_1d(np.asarray(y, dtype=float))
+        scalar = np.ndim(y) == 0
+        m = yv.size
+
+        def wrap(vec):
+            return float(vec[0]) if scalar else vec
+
+        for func, dfunc, d2func in (
+            (lambda yy: model.running_cost(t, wrap(yy), x, a),
+             lambda: model.dy_running(t, y, x, a),
+             lambda: model.dyy_running(t, y, x, a)),
+            (lambda yy: model.terminal_cost(wrap(yy), x),
+             lambda: model.dy_terminal(y, x),
+             lambda: model.dyy_terminal(y, x)),
+        ):
+            grad = np.atleast_1d(np.asarray(dfunc(), dtype=float))
+            hess = np.atleast_2d(np.asarray(d2func(), dtype=float))
+            for i in range(m):
+                e_i = np.zeros(m)
+                e_i[i] = 1.0
+                fd1 = (func(yv + step * e_i) - func(yv - step * e_i)) / (2 * step)
+                worst = max(worst, rel(fd1, grad[i]))
+                h = hess_step
+                fd2 = (func(yv + h * e_i) - 2.0 * func(yv) + func(yv - h * e_i)) / (h * h)
+                worst = max(worst, rel(fd2, hess[i, i]))
+                for j in range(i + 1, m):
+                    e_j = np.zeros(m)
+                    e_j[j] = 1.0
+                    fdm = (func(yv + h * (e_i + e_j)) - func(yv + h * (e_i - e_j))
+                           - func(yv - h * (e_i - e_j)) + func(yv - h * (e_i + e_j))) / (4 * h * h)
+                    worst = max(worst, rel(fdm, hess[i, j]))
+    return worst
 
 
 def clock_model(c1=0.7, c3=0.4, c4=1.3, c5=0.6):
@@ -78,7 +135,7 @@ class TestLqrModel:
     def test_parameter_derivatives_match_finite_differences(self, benchmark_params):
         spec = lqr_model(benchmark_params)
         samples = [(0.3, 0.7, -1.2, 0.4), (0.9, -2.0, 3.0, -1.5), (0.0, 0.0, 0.0, 0.0)]
-        assert check_derivatives(spec, samples) < 1e-6
+        assert _check_derivatives(spec, samples) < 1e-6
 
 
 class TestExtendedHamiltonian:
@@ -90,8 +147,7 @@ class TestExtendedHamiltonian:
         rng = np.random.default_rng(3)
         t, x, z, gy, hyy, mx = rng.normal(size=(6, 7))
         value, action = extended_hamiltonian(
-            spec, HamiltonianInputs(t=t, x=x, z=z, grad_param=gy,
-                                    hess_param=hyy, mixed=mx))
+            spec, t=t, x=x, z=z, grad_param=gy, hess_param=hyy, mixed=mx)
         g = z / p.sigma - gy
         expect_a = -p.b_bar * g
         expect_v = (0.5 * expect_a ** 2 + (p.a_bar * x + p.b_bar * expect_a) * g
@@ -102,8 +158,7 @@ class TestExtendedHamiltonian:
     def test_scalar_in_float_out(self, benchmark_params):
         value, action = extended_hamiltonian(
             lqr_model(benchmark_params),
-            HamiltonianInputs(t=0.0, x=1.0, z=0.5, grad_param=0.1,
-                              hess_param=0.2, mixed=0.3))
+            t=0.0, x=1.0, z=0.5, grad_param=0.1, hess_param=0.2, mixed=0.3)
         assert isinstance(value, float) and isinstance(action, float)
 
     @given(z=st.floats(-10, 10), gy=st.floats(-10, 10), s=st.floats(-5, 5),
@@ -112,102 +167,28 @@ class TestExtendedHamiltonian:
         # moving mass between the z slot and the parameter gradient must not
         # change the Hamiltonian: g depends only on z/vol - grad_param
         spec = lqr_model(LqrParams())
-        base = HamiltonianInputs(t=0.0, x=x, z=z, grad_param=gy,
-                                 hess_param=0.0, mixed=0.0)
-        shifted = HamiltonianInputs(t=0.0, x=x, z=z + s, grad_param=gy + s / 0.5,
-                                    hess_param=0.0, mixed=0.0)
-        v0, a0 = extended_hamiltonian(spec, base)
-        v1, a1 = extended_hamiltonian(spec, shifted)
+        v0, a0 = extended_hamiltonian(spec, t=0.0, x=x, z=z, grad_param=gy,
+                                      hess_param=0.0, mixed=0.0)
+        v1, a1 = extended_hamiltonian(spec, t=0.0, x=x, z=z + s,
+                                      grad_param=gy + s / 0.5,
+                                      hess_param=0.0, mixed=0.0)
         assert math.isclose(v0, v1, rel_tol=1e-9, abs_tol=1e-9)
         assert math.isclose(a0, a1, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_grid_search_matches_closed_form(self, benchmark_params):
-        p = benchmark_params
-        closed = lqr_model(p)
-        gridded = ModelSpec(
-            drift=closed.drift, vol=closed.vol,
-            running_cost=closed.running_cost, terminal_cost=closed.terminal_cost,
-            dy_running=closed.dy_running, dyy_running=closed.dyy_running,
-            dy_terminal=closed.dy_terminal, dyy_terminal=closed.dyy_terminal,
-            maximizer=ActionGrid(lo=-4.0, hi=4.0, count=8001),
-            sense=Sense.MINIMIZE)
-        inp = HamiltonianInputs(t=0.2, x=np.array([-1.0, 0.5, 2.0]),
-                                z=np.array([0.3, -0.2, 1.0]),
-                                grad_param=np.array([0.1, 0.0, -0.4]),
-                                hess_param=0.0, mixed=0.0)
-        v_closed, a_closed = extended_hamiltonian(closed, inp)
-        v_grid, a_grid = extended_hamiltonian(gridded, inp)
-        # value error is quadratic in the action spacing, action error linear
-        da = 8.0 / 8000
-        np.testing.assert_allclose(a_grid, a_closed, atol=da)
-        np.testing.assert_allclose(v_grid, v_closed, atol=da * da)
-
-    def test_grid_tie_breaks_to_lowest_index(self):
-        # with b_bar = 0 the action has no effect on drift, and a flat
-        # running cost makes every action optimal: the first must win
-        spec = ModelSpec(
-            drift=lambda t, x, a: 0.0 * a + x,
-            vol=lambda t, x: 1.0 + 0.0 * np.asarray(x),
-            running_cost=lambda t, y, x, a: 0.0 * a,
-            terminal_cost=lambda y, x: 0.0 * x,
-            dy_running=lambda t, y, x, a: 0.0 * y,
-            dyy_running=lambda t, y, x, a: 0.0 * y,
-            dy_terminal=lambda y, x: 0.0 * y,
-            dyy_terminal=lambda y, x: 0.0 * y,
-            maximizer=ActionGrid(lo=-2.0, hi=2.0, count=5))
-        _, action = extended_hamiltonian(
-            spec, HamiltonianInputs(t=0.0, x=1.0, z=0.0, grad_param=0.0,
-                                    hess_param=0.0, mixed=0.0))
-        assert action == -2.0
-
-    def test_maximize_sense_grid(self):
-        # concave reward in the action: grid argmax must find the peak
-        spec = ModelSpec(
-            drift=lambda t, x, a: x + 0.0 * a,
-            vol=lambda t, x: 1.0 + 0.0 * np.asarray(x),
-            running_cost=lambda t, y, x, a: -(a - 1.0) ** 2,
-            terminal_cost=lambda y, x: 0.0 * x,
-            dy_running=lambda t, y, x, a: 0.0 * y,
-            dyy_running=lambda t, y, x, a: 0.0 * y,
-            dy_terminal=lambda y, x: 0.0 * y,
-            dyy_terminal=lambda y, x: 0.0 * y,
-            maximizer=ActionGrid(lo=-2.0, hi=2.0, count=41),
-            sense=Sense.MAXIMIZE)
-        value, action = extended_hamiltonian(
-            spec, HamiltonianInputs(t=0.0, x=0.5, z=0.0, grad_param=0.0,
-                                    hess_param=0.0, mixed=0.0))
-        assert action == 1.0
-        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_non_finite_slot_raises(self, benchmark_params):
         spec = lqr_model(benchmark_params)
         with pytest.raises(NumericError, match="slot 'z'"):
             extended_hamiltonian(
-                spec, HamiltonianInputs(t=0.0, x=1.0, z=math.nan, grad_param=0.0,
-                                        hess_param=0.0, mixed=0.0))
+                spec, t=0.0, x=1.0, z=math.nan, grad_param=0.0,
+                hess_param=0.0, mixed=0.0)
 
     def test_nonpositive_vol_raises(self):
         spec = lqr_model(LqrParams())
         broken = ModelSpec(**{**spec.__dict__, "vol": lambda t, x: 0.0 * np.asarray(x)})
         with pytest.raises(ConfigError, match="volatility"):
             extended_hamiltonian(
-                broken, HamiltonianInputs(t=0.0, x=1.0, z=0.0, grad_param=0.0,
-                                          hess_param=0.0, mixed=0.0))
-
-
-class TestActionGrid:
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            ActionGrid(lo=1.0, hi=0.0, count=5)
-        with pytest.raises(ConfigError):
-            ActionGrid(lo=0.0, hi=1.0, count=0)
-        with pytest.raises(ConfigError):
-            ActionGrid(lo=-math.inf, hi=1.0, count=5)
-
-    def test_actions_endpoints(self):
-        grid = ActionGrid(lo=-1.0, hi=3.0, count=9)
-        assert grid.actions[0] == -1.0 and grid.actions[-1] == 3.0
-        assert grid.actions.size == 9
+                broken, t=0.0, x=1.0, z=0.0, grad_param=0.0,
+                hess_param=0.0, mixed=0.0)
 
 
 class TestInconsistencyAdjustment:
@@ -282,7 +263,7 @@ class TestClockAugmentation:
         aug = augment_time_dependent(clock_model())
         samples = [(0.1, np.array([0.4, 0.9]), np.array([0.1, -1.3]), 0.7),
                    (0.8, np.array([-0.2, 0.0]), np.array([0.8, 2.0]), -0.3)]
-        assert check_derivatives(aug, samples) < 1e-5
+        assert _check_derivatives(aug, samples) < 1e-5
 
     def test_adjustment_reduces_to_clock_drift_term(self):
         # the clock has unit drift and no noise, and clock-anchored costs
