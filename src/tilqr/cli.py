@@ -23,6 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .errors import (
 from .evaluation import exact_cost, gamma_sweep
 from .hjbgrid import (
     GridSpec2,
+    _check_iteration_settings,
     diagonal_residual,
     extract_gain,
     solve_extended_hjb_picard,
@@ -110,7 +112,7 @@ class RunConfig:
     def pde_grid(self) -> GridSpec2:
         p = self.pde
         return GridSpec2(n_t=p.n_t, n_x=p.n_x, x_lo=p.x_lo, x_hi=p.x_hi,
-                         horizon=self.model.horizon, n_y=p.n_y)
+                         horizon=self.model.horizon)
 
     def gamma_values(self) -> np.ndarray:
         s = self.sweep
@@ -156,25 +158,13 @@ def _parse_str(text: str) -> str:
     return text
 
 
-_SECTION_TYPES = {
-    "model": LqrParams,
-    "numerics": NumericsSection,
-    "pde": PdeSection,
-    "sweep": SweepSection,
-    "output": OutputSection,
-}
+_PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float, str: _parse_str,
+            tuple: _parse_formats}
 
-_SCHEMA = {
-    "model": {k: _parse_float for k in ("a_bar", "b_bar", "sigma", "gamma", "horizon", "x0")},
-    "numerics": {"ode_steps": _parse_int, "sim_steps": _parse_int, "n_paths": _parse_int,
-                 "seed": _parse_int, "antithetic": _parse_bool},
-    "pde": {"n_t": _parse_int, "n_x": _parse_int, "n_y": _parse_int,
-            "x_lo": _parse_float, "x_hi": _parse_float,
-            "tol": _parse_float, "max_iter": _parse_int},
-    "sweep": {"gamma_min": _parse_float, "gamma_max": _parse_float,
-              "gamma_steps": _parse_int},
-    "output": {"directory": _parse_str, "formats": _parse_formats},
-}
+# section -> key -> parser, read off the RunConfig sections' fields; their
+# declaration order is the echo order
+_SCHEMA = {section: {key: _PARSERS[kind] for key, kind in get_type_hints(cls).items()}
+           for section, cls in get_type_hints(RunConfig).items()}
 
 
 def _validated(config: RunConfig) -> RunConfig:
@@ -184,11 +174,7 @@ def _validated(config: RunConfig) -> RunConfig:
     config.sim_config()
     config.ode_grid()
     config.pde_grid()
-    pde = config.pde
-    if not (math.isfinite(pde.tol) and pde.tol > 0):
-        raise ConfigError(f"tol must be positive and finite, got {pde.tol}")
-    if pde.max_iter < 2:
-        raise ConfigError(f"max_iter must be >= 2, got {pde.max_iter}")
+    _check_iteration_settings(config.pde.tol, config.pde.max_iter)
     sw = config.sweep
     if sw.gamma_steps < 1:
         raise ConfigError(f"gamma_steps must be >= 1, got {sw.gamma_steps}")
@@ -208,7 +194,7 @@ def default_config() -> RunConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse INI-style configuration text; see :func:`parse_config`."""
-    values = {}
+    values = {name: {} for name in _SCHEMA}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -232,18 +218,16 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA[section]:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{section}]")
-        if (section, key) in values:
+        if key in values[section]:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in [{section}]")
         try:
-            values[(section, key)] = _SCHEMA[section][key](value)
+            values[section][key] = _SCHEMA[section][key](value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from None
-    sections = {
-        name: _SECTION_TYPES[name](**{key: values[(name, key)]
-                                      for key in _SCHEMA[name] if (name, key) in values})
-        for name in _SCHEMA
-    }
-    return _validated(RunConfig(**sections))
+    defaults = RunConfig()
+    return _validated(RunConfig(**{
+        name: dataclasses.replace(getattr(defaults, name), **given)
+        for name, given in values.items()}))
 
 
 def parse_config(path) -> RunConfig:
@@ -475,6 +459,10 @@ def _cmd_pde(config: RunConfig, args, out_dir: Path) -> int:
     params = config.model
     model = lqr_model(params)
     grid = config.pde_grid()
+    # the parameter grid is the state grid
+    if config.pde.n_y != grid.n_x:
+        raise ConfigError("diagonal sampling needs identical x and y grids "
+                          f"(got n_x = {grid.n_x}, n_y = {config.pde.n_y})")
     if args.mode == "picard":
         sol = solve_extended_hjb_picard(model, grid, tol=config.pde.tol,
                                         max_iter=config.pde.max_iter)
@@ -484,8 +472,8 @@ def _cmd_pde(config: RunConfig, args, out_dir: Path) -> int:
     residual = diagonal_residual(sol)
     rep = sol.report
     comments = [f"report: mode = {rep.mode}",
-                f"report: dt = {rep.dt!r}",
-                f"report: dx = {rep.dx!r}",
+                f"report: dt = {grid.dt!r}",
+                f"report: dx = {grid.dx!r}",
                 f"report: sigma_max = {rep.sigma_max!r}",
                 f"report: stability_ratio = {rep.stability_ratio!r}",
                 f"report: iterations = {rep.iterations}",

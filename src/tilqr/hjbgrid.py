@@ -1,13 +1,14 @@
 """Explicit finite-difference solver for the coupled value system.
 
-Backward in time, the equilibrium value field and the parameter-indexed cost
-field advance together: each step first reads the parameter-coupling
-derivatives of the indexed field on the diagonal, optimizes the control
-through the corrected Hamiltonian, then updates the value field and every
-parameter line of the indexed field with that control. Two modes share the
-stepping core: a single backward sweep (coupling read from the slice just
-computed) and a Picard fixed-point iteration (coupling frozen from the
-previous iterate, repeated to a tolerance).
+The preference parameter ranges over the state space, so one grid indexes
+both: a time slice of the indexed field ``J(t, x, y)`` has ``(n_x+1)^2``
+nodes, and the value field is its diagonal ``V(t, x) = J(t, x, x)``.
+Backward in time the two fields advance together: each step reads the
+parameter-coupling derivatives of the indexed field on the diagonal,
+optimizes the control through the corrected Hamiltonian, then updates both
+fields with that control. One backward pass serves both modes, with the
+coupling read from the current iterate (a single sweep) or from the
+previous one (Picard fixed-point passes, repeated to a tolerance).
 
 The scheme is explicit, so a diffusion stability bound on the time step is
 enforced up front. Boundaries close with quadratic extrapolation, which is
@@ -33,9 +34,9 @@ from .riccati import GainLabel, GainSchedule, TimeGrid
 class GridSpec2:
     """Space-time grid for the coupled solve.
 
-    The parameter grid spans the state bounds ``[x_lo, x_hi]`` with ``n_y``
-    cells (default ``n_x``); diagonal sampling and gain extraction require
-    ``n_y == n_x``, so that the two grids coincide exactly.
+    ``n_x`` cells on ``[x_lo, x_hi]`` index both the state and the
+    preference parameter, which ranges over the state space; each time slice
+    of the indexed field holds ``(n_x+1)^2`` nodes.
     """
 
     n_t: int
@@ -43,14 +44,11 @@ class GridSpec2:
     x_lo: float
     x_hi: float
     horizon: float
-    n_y: Optional[int] = None
 
     def __post_init__(self):
-        if self.n_y is None:
-            object.__setattr__(self, "n_y", self.n_x)
         if self.n_t < 1:
             raise ConfigError(f"n_t must be >= 1, got {self.n_t}")
-        if self.n_x < 4 or self.n_y < 4:
+        if self.n_x < 4:
             raise ConfigError("need at least 4 space nodes in each direction")
         if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
             raise ConfigError(f"x_lo and x_hi must be finite, got [{self.x_lo}, {self.x_hi}]")
@@ -69,24 +67,17 @@ class GridSpec2:
         return np.linspace(self.x_lo, self.x_hi, self.n_x + 1)
 
     @property
-    def ys(self) -> np.ndarray:
-        return np.linspace(self.x_lo, self.x_hi, self.n_y + 1)
+    def n_y(self) -> int:
+        """Cells of the parameter grid, which is the state grid."""
+        return self.n_x
 
     @property
     def dx(self) -> float:
         return (self.x_hi - self.x_lo) / self.n_x
 
     @property
-    def dy(self) -> float:
-        return (self.x_hi - self.x_lo) / self.n_y
-
-    @property
     def dt(self) -> float:
         return self.horizon / self.n_t
-
-    @property
-    def aligned(self) -> bool:
-        return self.n_y == self.n_x
 
 
 @dataclass(frozen=True)
@@ -109,8 +100,6 @@ class SchemeReport:
     """Bookkeeping of one solve: mode, stability margin, iteration trace."""
 
     mode: str
-    dt: float
-    dx: float
     sigma_max: float
     stability_ratio: float   # sigma_max^2 dt / dx^2, < 1 by the CFL check
     iterations: int
@@ -123,7 +112,7 @@ class GridSolution:
 
     grid: GridSpec2
     v: np.ndarray        # (n_t+1) x (n_x+1)
-    j: np.ndarray        # (n_t+1) x (n_x+1) x (n_y+1)
+    j: np.ndarray        # (n_t+1) x (n_x+1)^2, state then parameter
     alpha: np.ndarray    # (n_t+1) x (n_x+1)
     report: SchemeReport
 
@@ -161,7 +150,7 @@ def _check_cfl(model: ModelSpec, grid: GridSpec2) -> tuple:
     return sigma_max, sigma_max ** 2 * grid.dt / grid.dx ** 2
 
 
-def _diag_fields(jslice: np.ndarray, dx: float, dy: float):
+def _diag_fields(jslice: np.ndarray, dx: float):
     """Parameter-coupling derivatives on the diagonal at interior state nodes."""
     # diagonals as views: mid[i] = jslice[i, i]; at interior node i, entry
     # i - 1 of up, down, diagonal(-2) and diagonal(2) is jslice[i, i + 1],
@@ -169,9 +158,9 @@ def _diag_fields(jslice: np.ndarray, dx: float, dy: float):
     mid = jslice.diagonal()
     up = jslice.diagonal(1)[1:]
     down = jslice.diagonal(-1)[:-1]
-    d_y = (up - down) / (2.0 * dy)
-    d_yy = (up - 2.0 * mid[1:-1] + down) / dy ** 2
-    d_xy = (mid[2:] - jslice.diagonal(-2) - jslice.diagonal(2) + mid[:-2]) / (4.0 * dx * dy)
+    d_y = (up - down) / (2.0 * dx)
+    d_yy = (up - 2.0 * mid[1:-1] + down) / dx ** 2
+    d_xy = (mid[2:] - jslice.diagonal(-2) - jslice.diagonal(2) + mid[:-2]) / (4.0 * dx * dx)
     return d_y, d_yy, d_xy
 
 
@@ -181,33 +170,31 @@ class _Stepper:
 
     model: ModelSpec
     xs: np.ndarray
-    ys: np.ndarray
     xi: np.ndarray       # interior state nodes
     dt: float
     dx: float
-    dy: float
-    scratch: np.ndarray  # (n_x+1) x (n_y+1)
+    scratch: np.ndarray  # (n_x+1)^2
 
 
 def _stepper(model: ModelSpec, grid: GridSpec2) -> _Stepper:
     xs = grid.xs
-    return _Stepper(model=model, xs=xs, ys=grid.ys, xi=xs[1:-1], dt=grid.dt,
-                    dx=grid.dx, dy=grid.dy,
-                    scratch=np.empty((grid.n_x + 1, grid.n_y + 1)))
+    return _Stepper(model=model, xs=xs, xi=xs[1:-1], dt=grid.dt, dx=grid.dx,
+                    scratch=np.empty((xs.size, xs.size)))
 
 
 def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
                    coupling_slice: np.ndarray, a_out: np.ndarray):
     """Optimize the control on one time slice and return the update pieces.
 
-    Returns (value_rate, a_interior): the corrected Hamiltonian value at
-    interior nodes and the optimizing control there. The control extended to
-    the boundary by extrapolation is written into ``a_out``.
+    Returns (value_rate, a_interior, sigma): the corrected Hamiltonian value
+    at interior nodes, the optimizing control there, and the volatility
+    there at ``t``. The control extended to the boundary by extrapolation is
+    written into ``a_out``.
     """
     xi = st.xi
     v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * st.dx)
     sigma = np.broadcast_to(np.asarray(st.model.vol(t, xi), dtype=float), xi.shape)
-    d_y, d_yy, d_xy = _diag_fields(coupling_slice, st.dx, st.dy)
+    d_y, d_yy, d_xy = _diag_fields(coupling_slice, st.dx)
     value_rate, a_int = extended_hamiltonian(
         st.model, t=t, x=xi, z=sigma * v_x, grad_param=d_y, hess_param=d_yy,
         mixed=sigma * d_xy)
@@ -215,32 +202,31 @@ def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
     a_int = np.broadcast_to(np.asarray(a_int, dtype=float), xi.shape)
     a_out[1:-1] = a_int
     _extrapolate_edges(a_out)
-    return value_rate, a_int
+    return value_rate, a_int, sigma
 
 
 def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
                    j_next: np.ndarray, value_rate: np.ndarray, a_int: np.ndarray,
-                   v_out: np.ndarray, j_out: np.ndarray):
-    """One explicit backward step of both fields given the slice control,
-    written into ``v_out`` and ``j_out``.
+                   sigma: np.ndarray, v_out: np.ndarray, j_out: np.ndarray):
+    """One explicit backward step of both fields given the slice control and
+    the volatility at ``t_next``, written into ``v_out`` and ``j_out``.
 
     The indexed field is updated in place, on ``j_out`` and the scratch, in
     the operation order of
     ``j_next + dt * (f + mu * j_x + 0.5 * sigma^2 * j_xx)``, so every value
     is bitwise that of the expression.
     """
-    model, xi, ys = st.model, st.xi, st.ys
+    model, xs, xi = st.model, st.xs, st.xi
     dt, dx = st.dt, st.dx
-    sigma = np.broadcast_to(np.asarray(model.vol(t_next, xi), dtype=float), xi.shape)
 
     v_xx = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / dx ** 2
     v_out[1:-1] = v_next[1:-1] + dt * (value_rate + 0.5 * sigma ** 2 * v_xx)
     _extrapolate_edges(v_out)
 
     mu = np.asarray(model.drift(t_next, xi, a_int), dtype=float)
-    f = np.asarray(model.running_cost(t_next, ys[None, :], xi[:, None],
+    f = np.asarray(model.running_cost(t_next, xs[None, :], xi[:, None],
                                       a_int[:, None]), dtype=float)
-    f = np.broadcast_to(f, (xi.size, ys.size))
+    f = np.broadcast_to(f, (xi.size, xs.size))
     up, mid, down = j_next[2:], j_next[1:-1], j_next[:-2]
     acc, j_xx = j_out[1:-1], st.scratch[1:-1]
     np.subtract(up, down, out=acc)
@@ -258,12 +244,16 @@ def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
     _extrapolate_edges(j_out)
 
 
-def _terminal_fields(st: _Stepper):
-    xs, ys = st.xs, st.ys
-    v_T = np.asarray(st.model.terminal_cost(xs, xs), dtype=float)
-    j_T = np.asarray(st.model.terminal_cost(ys[None, :], xs[:, None]), dtype=float)
-    j_T = np.broadcast_to(j_T, (xs.size, ys.size)).copy()
-    return np.broadcast_to(v_T, xs.shape).copy(), j_T
+def _terminal_fields(st: _Stepper, n_t: int) -> tuple:
+    """``(v, j, alpha)`` on ``n_t + 1`` time slices, with the terminal data in
+    the last slice of ``v`` and ``j``; every other entry is unset."""
+    xs, n = st.xs, st.xs.size
+    v, j, alpha = np.empty((n_t + 1, n)), np.empty((n_t + 1, n, n)), np.empty((n_t + 1, n))
+    # an overflow surfaces through the finiteness check of the first step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v[n_t] = st.model.terminal_cost(xs, xs)
+        j[n_t] = st.model.terminal_cost(xs[None, :], xs[:, None])
+    return v, j, alpha
 
 
 def _check_finite(name: str, arr: np.ndarray, k: int):
@@ -272,11 +262,46 @@ def _check_finite(name: str, arr: np.ndarray, k: int):
         raise NumericError(f"{name} blew up at time slice {k}, node {where}")
 
 
-def _require_aligned(grid: GridSpec2):
-    if not grid.aligned:
-        raise ConfigError(
-            "diagonal sampling needs identical x and y grids "
-            f"(got n_x = {grid.n_x}, n_y = {grid.n_y})")
+def _check_iteration_settings(tol: float, max_iter: int):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 2:
+        raise ConfigError(f"max_iter must be >= 2, got {max_iter}")
+
+
+def _backward(st: _Stepper, nodes: np.ndarray, lo: int, fields: tuple,
+              coupling: np.ndarray, prev: Optional[tuple] = None):
+    """Step ``fields = (v, j, alpha)`` from their last slice, which holds
+    terminal data, back to slice 0; slice ``k`` is time slice ``lo + k``.
+
+    Each step reads the coupling derivatives from ``coupling``: the sweep
+    passes the indexed field it computes, a Picard pass the previous
+    iterate's. Given that iterate ``prev = (v, j, alpha)``, the pass returns
+    the sup distance of the three fields from it, taking those of ``v`` and
+    ``j`` slice by slice while the slice is hot. Raises NumericError, naming
+    the slice, when a field loses finiteness.
+    """
+    v, j, alpha = fields
+    m = v.shape[0] - 1
+    dist = np.empty((2, m))  # the terminal slices coincide
+    # a blow-up surfaces through the finiteness check, not as a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(m - 1, -1, -1):
+            t1 = nodes[lo + k + 1]
+            rate, a_int, sigma = _slice_control(st, t1, v[k + 1], coupling[k + 1],
+                                                alpha[k + 1])
+            _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, sigma, v[k], j[k])
+            _check_finite("value field", v[k], lo + k)
+            _check_finite("indexed field", j[k], lo + k)
+            if prev is not None:
+                dist[0, k] = np.max(np.abs(v[k] - prev[0][k]))
+                diff = np.subtract(j[k], prev[1][k], out=st.scratch)
+                dist[1, k] = np.max(np.abs(diff, out=diff))
+        _slice_control(st, nodes[lo], v[0], coupling[0], alpha[0])
+        if prev is not None:
+            # the max of the slice maxima is the window's max, NaN included
+            return max(float(np.max(dist[0])), float(np.max(dist[1])),
+                       float(np.max(np.abs(alpha - prev[2]))))
 
 
 def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
@@ -289,75 +314,18 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     Raises
     ------
     ConfigError
-        Misaligned grids or a time step above the diffusion stability bound.
+        A time step above the diffusion stability bound.
     NumericError
         Non-finite field values, with the offending slice and node named.
     """
-    _require_aligned(grid)
     sigma_max, ratio = _check_cfl(model, grid)
     st = _stepper(model, grid)
-    n_t = grid.n_t
-    nodes = grid.horizon * np.linspace(0.0, 1.0, n_t + 1)
-
-    v = np.empty((n_t + 1, grid.n_x + 1))
-    j = np.empty((n_t + 1, grid.n_x + 1, grid.n_y + 1))
-    alpha = np.empty_like(v)
-
-    # a blow-up surfaces through the finiteness check, not as a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v[n_t], j[n_t] = _terminal_fields(st)
-        for k in range(n_t - 1, -1, -1):
-            t1 = nodes[k + 1]
-            rate, a_int = _slice_control(st, t1, v[k + 1], j[k + 1], alpha[k + 1])
-            _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, v[k], j[k])
-            _check_finite("value field", v[k], k)
-            _check_finite("indexed field", j[k], k)
-        _slice_control(st, nodes[0], v[0], j[0], alpha[0])
-    report = SchemeReport(mode="sweep", dt=grid.dt, dx=grid.dx,
-                          sigma_max=sigma_max, stability_ratio=ratio, iterations=1)
+    nodes = grid.horizon * np.linspace(0.0, 1.0, grid.n_t + 1)
+    v, j, alpha = _terminal_fields(st, grid.n_t)
+    _backward(st, nodes, 0, (v, j, alpha), coupling=j)
+    report = SchemeReport(mode="sweep", sigma_max=sigma_max, stability_ratio=ratio,
+                          iterations=1)
     return GridSolution(grid=grid, v=v, j=j, alpha=alpha, report=report)
-
-
-def _sup_distance(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
-    np.subtract(a, b, out=scratch)
-    return np.max(np.abs(scratch, out=scratch))
-
-
-def _window_pass(st: _Stepper, nodes: np.ndarray, lo: int,
-                 v_hi: np.ndarray, j_hi: np.ndarray, prev: tuple, cur: tuple):
-    """One application of the decoupled solve map on a window of slices.
-
-    ``prev`` and ``cur`` are ``(v, j, alpha)`` window buffers with
-    window-local slice indexing; the pass overwrites ``cur``. The coupling
-    derivatives at each slice are frozen from the previous iterate's indexed
-    field ``prev[1]``; the value field and control re-optimize against them,
-    and the indexed field advances with this pass's control. The last slice
-    is the window's fixed terminal data ``(v_hi, j_hi)``, and slice ``k`` of
-    the window is time slice ``lo + k``.
-
-    Returns the sup distances of the value and the indexed field from
-    ``prev``, each taken slice by slice as the slice is computed.
-    """
-    v_prev, j_prev, _ = prev
-    v, j, alpha = cur
-    m = v.shape[0] - 1
-    dist_v, dist_j = np.empty(m + 1), np.empty(m + 1)
-    v[m], j[m] = v_hi, j_hi
-    dist_v[m] = np.max(np.abs(v[m] - v_prev[m]))
-    dist_j[m] = _sup_distance(j[m], j_prev[m], st.scratch)
-    for k in range(m - 1, -1, -1):
-        t1 = nodes[lo + k + 1]
-        rate, a_int = _slice_control(st, t1, v[k + 1], j_prev[k + 1], alpha[k + 1])
-        _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, v[k], j[k])
-        _check_finite("value field", v[k], lo + k)
-        _check_finite("indexed field", j[k], lo + k)
-        dist_v[k] = np.max(np.abs(v[k] - v_prev[k]))
-        dist_j[k] = _sup_distance(j[k], j_prev[k], st.scratch)
-    # control on the window's lowest slice, for the iterate distance only;
-    # the assembled solution recomputes it from converged fields
-    _slice_control(st, nodes[lo], v[0], j_prev[0], alpha[0])
-    # the max of the slice maxima is the window's max, NaN included
-    return float(np.max(dist_v)), float(np.max(dist_j))
 
 
 def _iterate_window(st: _Stepper, nodes: np.ndarray, lo: int, hi: int,
@@ -376,29 +344,30 @@ def _iterate_window(st: _Stepper, nodes: np.ndarray, lo: int, hi: int,
     shapes = ((m + 1,) + v_hi.shape, (m + 1,) + j_hi.shape, (m + 1,) + v_hi.shape)
     prev = tuple(np.empty(shape) for shape in shapes)
     cur = tuple(np.empty(shape) for shape in shapes)
+    v_prev, j_prev, alpha_prev = prev
+    v_prev[:] = v_hi
+    j_prev[:] = j_hi
+    # no pass writes the terminal slice of v or j
+    cur[0][m], cur[1][m] = v_hi, j_hi
     # expected transient blow-ups abort the window; silence their warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v_prev, j_prev, alpha_prev = prev
-        v_prev[:] = v_hi
-        j_prev[:] = j_hi
         _slice_control(st, nodes[hi], v_hi, j_hi, alpha_prev[m])
-        alpha_prev[:m] = alpha_prev[m]
+    alpha_prev[:m] = alpha_prev[m]
 
-        distances = []
-        for _ in range(max_iter):
-            try:
-                dist_v, dist_j = _window_pass(st, nodes, lo, v_hi, j_hi, prev, cur)
-            except NumericError:
-                return "blowup", None, distances
-            dist = max(dist_v, dist_j, float(np.max(np.abs(cur[2] - prev[2]))))
-            distances.append(dist)
-            prev, cur = cur, prev
-            if dist <= tol:
-                return "ok", prev, distances
-            # contraction check from the second distance on; the first pass
-            # only measures how far the constant extension sits from one solve
-            if len(distances) >= 3 and distances[-1] >= distances[-2]:
-                return "grow", None, distances
+    distances = []
+    for _ in range(max_iter):
+        try:
+            dist = _backward(st, nodes, lo, cur, prev[1], prev)
+        except NumericError:
+            return "blowup", None, distances
+        distances.append(dist)
+        prev, cur = cur, prev
+        if dist <= tol:
+            return "ok", prev, distances
+        # contraction check from the second distance on; the first pass
+        # only measures how far the constant extension sits from one solve
+        if len(distances) >= 3 and distances[-1] >= distances[-2]:
+            return "grow", None, distances
     return "maxiter", None, distances
 
 
@@ -428,22 +397,19 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
 
     Raises
     ------
+    ConfigError
+        A tolerance that is not positive and finite, ``max_iter < 2``, or a
+        time step above the diffusion stability bound.
     PicardError
         If a single-step window still fails to converge; carries the full
         distance trace for diagnosis.
     """
-    _require_aligned(grid)
-    if tol <= 0 or max_iter < 2:
-        raise ConfigError(f"need tol > 0 and max_iter >= 2, got {tol}, {max_iter}")
+    _check_iteration_settings(tol, max_iter)
     sigma_max, ratio = _check_cfl(model, grid)
     st = _stepper(model, grid)
     n_t = grid.n_t
     nodes = grid.horizon * np.linspace(0.0, 1.0, n_t + 1)
-
-    v = np.empty((n_t + 1, grid.n_x + 1))
-    j = np.empty((n_t + 1, grid.n_x + 1, grid.n_y + 1))
-    alpha = np.empty_like(v)
-    v[n_t], j[n_t] = _terminal_fields(st)
+    v, j, alpha = _terminal_fields(st, n_t)
 
     trace = []
     pending = [(0, n_t)]
@@ -472,13 +438,10 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     # converged everywhere: initial-slice control from the final fields, as
     # in the sweep
     _slice_control(st, nodes[0], v[0], j[0], alpha[0])
-    report = SchemeReport(mode="picard", dt=grid.dt, dx=grid.dx,
-                          sigma_max=sigma_max, stability_ratio=ratio,
+    report = SchemeReport(mode="picard", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=sum(len(w.distances) for w in trace),
                           trace=tuple(trace))
     return GridSolution(grid=grid, v=v, j=j, alpha=alpha, report=report)
-
-
 def extract_gain(sol: GridSolution, params: LqrParams) -> GainSchedule:
     """Least-squares affine fit of the control field, slice by slice.
 
@@ -518,7 +481,6 @@ def diagonal_residual(sol: GridSolution) -> float:
     rest shrinks under refinement if the two fields discretize the same
     diagonal identity.
     """
-    _require_aligned(sol.grid)
     n_x = sol.grid.n_x
     lo, hi = n_x // 4, n_x - n_x // 4
     i = np.arange(lo, hi + 1)

@@ -292,31 +292,3 @@ def closed_form_p(params: LqrParams, t):
         raise NumericError(f"riccati coefficient blows up at t = {bad.flat[0]:.6g}")
     val = num / den
     return float(val) if np.ndim(t) == 0 else val
-
-
-def naive_q_quadrature(params: LqrParams, grid: TimeGrid, p_nodes=None) -> np.ndarray:
-    """Linear companion ``q`` by exponential of a cumulative integral.
-
-    ``q(t) = -gamma * exp(int_t^T (a_bar - 2 b_bar^2 p) du)`` with the
-    integral accumulated right-to-left by Simpson pairs; the odd leftover
-    interval next to the horizon uses the three-point half-interval rule.
-    Needs at least two steps.
-
-    ``p_nodes`` defaults to the closed form, which keeps this route
-    independent of the backward integrator.
-    """
-    n = grid.n_steps
-    if n < 2:
-        raise ConfigError("quadrature route needs n_steps >= 2")
-    if p_nodes is None:
-        p_nodes = closed_form_p(params, grid.nodes)
-    psi = params.a_bar - 2.0 * params.b_bar ** 2 * np.asarray(p_nodes, dtype=float)
-    if psi.shape != (n + 1,):
-        raise ConfigError(f"p_nodes must have shape ({n + 1},), got {psi.shape}")
-    h = grid.dt
-    cum = np.empty(n + 1)
-    cum[n] = 0.0
-    cum[n - 1] = (h / 12.0) * (-psi[n - 2] + 8.0 * psi[n - 1] + 5.0 * psi[n])
-    for i in range(n - 2, -1, -1):
-        cum[i] = cum[i + 2] + (h / 3.0) * (psi[i] + 4.0 * psi[i + 1] + psi[i + 2])
-    return -params.gamma * np.exp(cum)

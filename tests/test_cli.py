@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -56,6 +57,15 @@ def small_config(tmp_path):
 
 def run_cli(args, config, out):
     return main([*args, "--config", str(config), "--out", str(out)])
+
+
+def run_module(*args):
+    """``python -m tilqr`` in a child interpreter that imports the package
+    under test, whether or not it is installed."""
+    path = [str(Path(tilqr.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-m", "tilqr", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def read_csv(path):
@@ -417,6 +427,21 @@ class TestMainEntry:
         assert json.loads(lines[0])["error"] == "config"
 
     @pytest.mark.parametrize("mode", ["sweep", "picard"])
+    def test_misaligned_pde_grids_exit_config_with_one_record(self, capsys, tmp_path, mode):
+        # the parameter grid is the state grid, so [pde] n_y must equal n_x
+        config = tmp_path / "run.ini"
+        config.write_text("[pde]\nn_x = 8\nn_y = 16\n", encoding="utf-8")
+        rc = main(["pde", "--mode", mode, "--config", str(config),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "config",
+            "message": "diagonal sampling needs identical x and y grids "
+                       "(got n_x = 8, n_y = 16)"}
+
+    @pytest.mark.parametrize("mode", ["sweep", "picard"])
     def test_overflowing_volatility_square_exits_config_before_any_output(
             self, capsys, tmp_path, mode):
         config = tmp_path / "run.ini"
@@ -468,13 +493,11 @@ class TestMainEntry:
         assert "all 1 checks passed" in capsys.readouterr().out
 
     def test_module_invocation_prints_help(self):
-        proc = subprocess.run([sys.executable, "-m", "tilqr", "--help"],
-                              capture_output=True, text=True)
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "SUBCOMMAND" in proc.stdout
 
     def test_module_invocation_without_arguments_fails_cleanly(self):
-        proc = subprocess.run([sys.executable, "-m", "tilqr"],
-                              capture_output=True, text=True)
+        proc = run_module()
         assert proc.returncode == EXIT_CONFIG
         assert json.loads(proc.stderr)["error"] == "config"

@@ -73,21 +73,21 @@ def hopeless_model():
                    maximizer=lambda grad: 1e200 + 0.0 * np.asarray(grad, dtype=float))
 
 
-def one_sided_diag_fields(jslice, dx, dy):
+def one_sided_diag_fields(jslice, dx):
     """Diagonal coupling derivatives with second-order forward differences in
     the parameter direction where the stencil fits, centered elsewhere."""
     n_x = jslice.shape[0] - 1
     i = np.arange(1, n_x)
-    d_y = (jslice[i, i + 1] - jslice[i, i - 1]) / (2.0 * dy)
-    d_yy = (jslice[i, i + 1] - 2.0 * jslice[i, i] + jslice[i, i - 1]) / dy ** 2
+    d_y = (jslice[i, i + 1] - jslice[i, i - 1]) / (2.0 * dx)
+    d_yy = (jslice[i, i + 1] - 2.0 * jslice[i, i] + jslice[i, i - 1]) / dx ** 2
     d_xy = (jslice[i + 1, i + 1] - jslice[i + 1, i - 1]
-            - jslice[i - 1, i + 1] + jslice[i - 1, i - 1]) / (4.0 * dx * dy)
+            - jslice[i - 1, i + 1] + jslice[i - 1, i - 1]) / (4.0 * dx * dx)
     ok = i <= n_x - 3
     s = i[ok]
-    fwd = lambda r: (-3.0 * jslice[r, s] + 4.0 * jslice[r, s + 1] - jslice[r, s + 2]) / (2.0 * dy)
+    fwd = lambda r: (-3.0 * jslice[r, s] + 4.0 * jslice[r, s + 1] - jslice[r, s + 2]) / (2.0 * dx)
     d_y[ok] = fwd(s)
     d_yy[ok] = (2.0 * jslice[s, s] - 5.0 * jslice[s, s + 1]
-                + 4.0 * jslice[s, s + 2] - jslice[s, s + 3]) / dy ** 2
+                + 4.0 * jslice[s, s + 2] - jslice[s, s + 3]) / dx ** 2
     d_xy[ok] = (fwd(s + 1) - fwd(s - 1)) / (2.0 * dx)
     return d_y, d_yy, d_xy
 
@@ -96,7 +96,6 @@ class TestGridSpec2:
     def test_parameter_grid_defaults_to_the_state_grid(self):
         grid = GridSpec2(n_t=10, n_x=8, x_lo=-1.0, x_hi=3.0, horizon=1.0)
         assert grid.n_y == 8
-        assert grid.aligned
 
     def test_node_arrays_and_spacings(self):
         grid = GridSpec2(n_t=4, n_x=8, x_lo=-1.0, x_hi=3.0, horizon=2.0)
@@ -105,7 +104,6 @@ class TestGridSpec2:
         assert grid.xs.size == 9
         assert grid.dx == 0.5
         assert grid.dt == 0.5
-        assert np.array_equal(grid.ys, grid.xs)
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(n_t=0), "n_t"),
@@ -126,12 +124,6 @@ class TestGridSpec2:
         base.update(kwargs)
         with pytest.raises(ConfigError, match=match):
             GridSpec2(**base)
-
-    def test_misaligned_grids_rejected_by_the_solver(self):
-        grid = GridSpec2(n_t=10, n_x=8, x_lo=-1.0, x_hi=3.0, horizon=1.0, n_y=16)
-        assert not grid.aligned
-        with pytest.raises(ConfigError, match="identical x and y grids"):
-            solve_extended_hjb_sweep(MODEL, grid)
 
 
 class TestStability:
@@ -188,7 +180,7 @@ class TestSweep:
     def test_dropping_the_coupling_terms_removes_the_gain(self, monkeypatch):
         # the anchored terminal cost vanishes on the diagonal, so without the
         # parameter-coupling correction the optimal control collapses to zero
-        def no_coupling(jslice, dx, dy):
+        def no_coupling(jslice, dx):
             zeros = np.zeros(jslice.shape[0] - 2)
             return zeros, zeros, zeros
 
@@ -235,6 +227,24 @@ class TestSweep:
 SOLVED_100X80_SHA256 = "1a56d1170d9062fcabf4c20338ff04dd1517581cf2922d17599bb28d620d163d"
 
 
+# The same digest for the 25 x 40 solutions under a volatility that depends
+# on both t and x, so that it also pins at which time and nodes each step
+# evaluates the volatility; the constant benchmark volatility cannot.
+SOLVED_VARYING_VOL_25X40_SHA256 = (
+    "5e340372a00d1aca3480f8cb186b8bd56fbfb01a903d4508df9ae564dbce7f48")
+
+
+def solutions_sha256(sweep, picard) -> str:
+    h = hashlib.sha256()
+    for sol in (sweep, picard):
+        for field in (sol.v, sol.j, sol.alpha):
+            h.update(np.ascontiguousarray(field, dtype=np.float64).tobytes())
+    for window in picard.report.trace:
+        h.update(np.array([window.k_lo, window.k_hi], dtype=np.int64).tobytes())
+        h.update(np.array(window.distances, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def solved_100x80():
     """Sweep and Picard solutions of the benchmark on one 100 x 80 grid."""
@@ -268,14 +278,14 @@ class TestPicard:
             assert all(d[i + 1] < d[i] for i in range(1, len(d) - 1))
 
     def test_fields_and_distances_are_bitwise_the_recorded_ones(self, solved_100x80):
-        h = hashlib.sha256()
-        for sol in solved_100x80:
-            for field in (sol.v, sol.j, sol.alpha):
-                h.update(np.ascontiguousarray(field, dtype=np.float64).tobytes())
-        for window in solved_100x80[1].report.trace:
-            h.update(np.array([window.k_lo, window.k_hi], dtype=np.int64).tobytes())
-            h.update(np.array(window.distances, dtype=np.float64).tobytes())
-        assert h.hexdigest() == SOLVED_100X80_SHA256
+        assert solutions_sha256(*solved_100x80) == SOLVED_100X80_SHA256
+
+    def test_state_and_time_dependent_volatility_is_bitwise_the_recorded_one(self):
+        model = replace(MODEL, vol=lambda t, x: 0.5 * (1.0 + 0.2 * t) * (1.0 + 0.1 * np.tanh(x)))
+        grid = benchmark_grid(25, 40)
+        sweep = solve_extended_hjb_sweep(model, grid)
+        picard = solve_extended_hjb_picard(model, grid)
+        assert solutions_sha256(sweep, picard) == SOLVED_VARYING_VOL_25X40_SHA256
 
     def test_time_consistent_model_stops_after_two_passes(self):
         # without coupling the second pass reproduces the first bitwise
@@ -296,6 +306,13 @@ class TestPicard:
             solve_extended_hjb_picard(MODEL, grid, tol=0.0)
         with pytest.raises(ConfigError, match="max_iter"):
             solve_extended_hjb_picard(MODEL, grid, max_iter=1)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
+        # an infinite tolerance would accept the first pass of every window,
+        # and a NaN one would never accept any
+        with pytest.raises(ConfigError, match="tol must be positive and finite"):
+            solve_extended_hjb_picard(MODEL, benchmark_grid(25, 40), tol=tol)
 
     def test_persistent_blowup_raises_with_the_window_trace(self):
         grid = GridSpec2(n_t=2, n_x=8, x_lo=-1.0, x_hi=1.0, horizon=0.1)
@@ -322,7 +339,7 @@ def peak_traced_bytes(solve) -> int:
 
 
 class TestMemory:
-    # the unit is one indexed field j, (n_t+1) x (n_x+1) x (n_y+1) floats
+    # the unit is one indexed field j, (n_t+1) x (n_x+1)^2 floats
     GRID = benchmark_grid(25, 40)
     FIELD_BYTES = 26 * 41 * 41 * 8
 
@@ -366,8 +383,8 @@ class TestExtractGain:
         alpha = -(0.7 * grid.xs[None, :] + 0.2) * np.ones((4, 1))
         sol = GridSolution(
             grid=grid, v=np.zeros((4, 17)), j=np.zeros((4, 17, 17)), alpha=alpha,
-            report=SchemeReport(mode="sweep", dt=grid.dt, dx=grid.dx,
-                                sigma_max=1.0, stability_ratio=0.5, iterations=1))
+            report=SchemeReport(mode="sweep", sigma_max=1.0, stability_ratio=0.5,
+                                iterations=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gain = extract_gain(sol, PARAMS)
@@ -381,7 +398,7 @@ class TestExtractGain:
         alpha = (grid.xs[None, :] ** 2) * np.ones((4, 1))
         sol = GridSolution(
             grid=grid, v=np.zeros((4, 17)), j=np.zeros((4, 17, 17)), alpha=alpha,
-            report=SchemeReport(mode="sweep", dt=grid.dt, dx=grid.dx,
-                                sigma_max=1.0, stability_ratio=0.5, iterations=1))
+            report=SchemeReport(mode="sweep", sigma_max=1.0, stability_ratio=0.5,
+                                iterations=1))
         with pytest.warns(UserWarning, match="not affine"):
             extract_gain(sol, PARAMS)

@@ -16,7 +16,6 @@ from tilqr import (
     equilibrium_gain,
     equilibrium_value,
     naive_gain,
-    naive_q_quadrature,
     precommitted_policy,
     rk4_backward,
     solve_equilibrium_riccati,
@@ -42,6 +41,28 @@ EQ_VALUE_0 = 0.8352952283380903   # (a + b + c) x0^2 + h at t=0
 
 def grid(n=1000) -> TimeGrid:
     return TimeGrid(n_steps=n, horizon=1.0)
+
+
+def naive_q_quadrature(params: LqrParams, g: TimeGrid) -> np.ndarray:
+    """Linear companion ``q`` by exponential of a cumulative integral, the
+    reference for ``solve_naive``'s ``q``.
+
+    ``q(t) = -gamma * exp(int_t^T (a_bar - 2 b_bar^2 p) du)`` with ``p`` in
+    closed form, which keeps this route independent of the backward
+    integrator. The integral is accumulated right-to-left by Simpson pairs;
+    the odd leftover interval next to the horizon uses the three-point
+    half-interval rule. Needs at least two steps.
+    """
+    n = g.n_steps
+    assert n >= 2
+    psi = params.a_bar - 2.0 * params.b_bar ** 2 * closed_form_p(params, g.nodes)
+    h = g.dt
+    cum = np.empty(n + 1)
+    cum[n] = 0.0
+    cum[n - 1] = (h / 12.0) * (-psi[n - 2] + 8.0 * psi[n - 1] + 5.0 * psi[n])
+    for i in range(n - 2, -1, -1):
+        cum[i] = cum[i + 2] + (h / 3.0) * (psi[i] + 4.0 * psi[i + 1] + psi[i + 2])
+    return -params.gamma * np.exp(cum)
 
 
 class TestTimeGrid:
