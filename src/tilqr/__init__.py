@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, NumericError, PicardError, ToolkitError
 from .model import (
-    AdjustmentInputs,
     LqrParams,
     ModelSpec,
-    TimeDependentModel,
     augment_time_dependent,
     extended_hamiltonian,
     inconsistency_adjustment,
@@ -42,7 +40,6 @@ from .evaluation import (
     gamma_sweep,
     simpson_uniform,
     solve_moments,
-    strategy_costs,
 )
 from .montecarlo import (
     CostEstimate,
@@ -70,7 +67,6 @@ from .svgplot import PlotStyle, Series, render_svg
 from .validation import CheckResult, run_all
 
 __all__ = [
-    "AdjustmentInputs",
     "CheckResult",
     "ConfigError",
     "CostEstimate",
@@ -93,7 +89,6 @@ __all__ = [
     "SimConfig",
     "StrategyComparison",
     "SweepTable",
-    "TimeDependentModel",
     "TimeGrid",
     "ToolkitError",
     "TrajectoryBatch",
@@ -125,6 +120,5 @@ __all__ = [
     "solve_extended_hjb_sweep",
     "solve_moments",
     "solve_naive",
-    "strategy_costs",
     "strategy_gains",
 ]

@@ -15,8 +15,3 @@ def readonly(a) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
-
-def first_bad_index(a) -> tuple:
-    # index of the first non-finite entry, in C order
-    flat = np.argmax(~np.isfinite(a))
-    return np.unravel_index(int(flat), np.shape(a))

@@ -399,7 +399,7 @@ def _cmd_simulate(config: RunConfig, args, out_dir: Path) -> int:
     label = GainLabel(args.strategy)
     (gain,) = strategy_gains(params, config.sim_grid(), [label]).values()
     batch = simulate_paths(gain, params, sim)
-    est = estimate_cost(batch, params)
+    est = estimate_cost(batch)
     # reference cost on the ODE grid, so an odd sim step count stays usable
     if config.ode_grid() != config.sim_grid():
         (gain,) = strategy_gains(params, config.ode_grid(), [label]).values()

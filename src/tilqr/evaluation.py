@@ -144,11 +144,6 @@ class SweepTable:
             raise ConfigError("sweep notes must have one entry per gamma")
 
 
-def strategy_costs(params: LqrParams, grid: TimeGrid) -> dict:
-    """Exact costs of the three laws at one parameter set, keyed by label."""
-    return {label: exact_cost(g, params) for label, g in strategy_gains(params, grid).items()}
-
-
 def gamma_sweep(params: LqrParams, gammas, grid: TimeGrid) -> SweepTable:
     """Exact costs of the three laws for each terminal weight in ``gammas``.
 
@@ -158,19 +153,17 @@ def gamma_sweep(params: LqrParams, gammas, grid: TimeGrid) -> SweepTable:
     gs = np.asarray(gammas, dtype=float)
     if gs.ndim != 1 or gs.size == 0:
         raise ConfigError("gammas must be a nonempty 1-d sequence")
-    j_eq = np.full(gs.size, np.nan)
-    j_nv = np.full(gs.size, np.nan)
-    j_pre = np.full(gs.size, np.nan)
+    # one row per law, in the equilibrium, naive, precommitted order that
+    # strategy_gains returns them in
+    costs = np.full((3, gs.size), np.nan)
     notes = []
     for i, g in enumerate(gs):
         row_params = replace(params, gamma=float(g))
         try:
-            costs = strategy_costs(row_params, grid)
-            j_eq[i] = costs[GainLabel.EQUILIBRIUM].total
-            j_nv[i] = costs[GainLabel.NAIVE].total
-            j_pre[i] = costs[GainLabel.PRECOMMITTED].total
+            costs[:, i] = [exact_cost(gain, row_params).total
+                           for gain in strategy_gains(row_params, grid).values()]
             notes.append("")
         except NumericError as e:
             notes.append(f"gamma={g!r}: {e}")
-    return SweepTable(gammas=gs, j_equilibrium=j_eq, j_naive=j_nv,
-                      j_precommitted=j_pre, notes=tuple(notes))
+    return SweepTable(gammas=gs, j_equilibrium=costs[0], j_naive=costs[1],
+                      j_precommitted=costs[2], notes=tuple(notes))

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._util import first_bad_index, readonly
+from ._util import readonly
 from .errors import ConfigError, NumericError, PicardError
 from .model import LqrParams, ModelSpec, extended_hamiltonian
 from .riccati import GainLabel, GainSchedule, TimeGrid
@@ -246,19 +246,23 @@ def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
 
 def _terminal_fields(st: _Stepper, n_t: int) -> tuple:
     """``(v, j, alpha)`` on ``n_t + 1`` time slices, with the terminal data in
-    the last slice of ``v`` and ``j``; every other entry is unset."""
+    the last slice of ``v`` and ``j``; every other entry is unset. Raises
+    NumericError, naming slice ``n_t``, when the terminal data is not finite."""
     xs, n = st.xs, st.xs.size
     v, j, alpha = np.empty((n_t + 1, n)), np.empty((n_t + 1, n, n)), np.empty((n_t + 1, n))
-    # an overflow surfaces through the finiteness check of the first step
+    # an overflow surfaces through the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v[n_t] = st.model.terminal_cost(xs, xs)
         j[n_t] = st.model.terminal_cost(xs[None, :], xs[:, None])
+    _check_finite("value field", v[n_t], n_t)
+    _check_finite("indexed field", j[n_t], n_t)
     return v, j, alpha
 
 
 def _check_finite(name: str, arr: np.ndarray, k: int):
     if not np.all(np.isfinite(arr)):
-        where = first_bad_index(arr)
+        flat = int(np.argmax(~np.isfinite(arr)))  # first in C order
+        where = tuple(int(i) for i in np.unravel_index(flat, arr.shape))
         raise NumericError(f"{name} blew up at time slice {k}, node {where}")
 
 
@@ -400,8 +404,9 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     ConfigError
         A tolerance that is not positive and finite, ``max_iter < 2``, or a
         time step above the diffusion stability bound.
-    PicardError
-        If a single-step window still fails to converge; carries the full
+    NumericError
+        Non-finite terminal data, with the node named; as ``PicardError`` if
+        a single-step window still fails to converge, carrying the full
         distance trace for diagnosis.
     """
     _check_iteration_settings(tol, max_iter)
@@ -442,6 +447,8 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
                           iterations=sum(len(w.distances) for w in trace),
                           trace=tuple(trace))
     return GridSolution(grid=grid, v=v, j=j, alpha=alpha, report=report)
+
+
 def extract_gain(sol: GridSolution, params: LqrParams) -> GainSchedule:
     """Least-squares affine fit of the control field, slice by slice.
 

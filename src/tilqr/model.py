@@ -1,16 +1,17 @@
 """Model abstractions for time-inconsistent stochastic control.
 
-A :class:`ModelSpec` bundles the coefficient functions of a controlled
-diffusion together with a parameter-indexed cost family: the running and
-terminal costs take an extra *parameter* slot (the state value, or the clock,
-at which preferences were anchored), and the spec also carries the cost
-derivatives in that slot, which is what the equilibrium correction terms
-consume.
+:class:`ModelSpec`, the one model record, bundles the coefficient functions
+of a controlled diffusion with a parameter-indexed cost family: the running
+and terminal costs take an extra *parameter* slot (the state value, or the
+clock, at which preferences were anchored), and the spec also carries the
+cost derivatives in that slot, which is what the equilibrium correction
+terms consume.
 
 Two concrete constructions are provided: the linear-quadratic family with a
 quadratic move-penalty anchored at the parameter (:func:`lqr_model`), and the
-clock augmentation that turns a model with time-dependent preferences into a
-state-anchored one on an extended state (:func:`augment_time_dependent`).
+clock augmentation (:func:`augment_time_dependent`), which turns a spec whose
+parameter is the issuance time into a state-anchored one on the extended
+state (clock, space).
 """
 
 from __future__ import annotations
@@ -214,31 +215,8 @@ def extended_hamiltonian(model: ModelSpec, *, t, x, z, grad_param, hess_param,
     return np.asarray(value, dtype=float), np.asarray(a_opt, dtype=float)
 
 
-@dataclass(frozen=True)
-class AdjustmentInputs:
-    """Slots of the time-inconsistency correction at one evaluation point.
-
-    ``drift_vec`` is the state drift as it appears in the dynamics (length
-    n), ``sigma_mat`` the n-by-d volatility matrix, ``grad_y`` the parameter
-    gradient of the coupled field, ``hess_yy`` and ``hess_xy`` its
-    parameter/mixed Hessians (n-by-n).
-    """
-
-    drift_vec: object
-    sigma_mat: object
-    grad_y: object
-    hess_yy: object
-    hess_xy: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "drift_vec", np.atleast_1d(np.asarray(self.drift_vec, dtype=float)))
-        object.__setattr__(self, "sigma_mat", np.atleast_2d(np.asarray(self.sigma_mat, dtype=float)))
-        object.__setattr__(self, "grad_y", np.atleast_1d(np.asarray(self.grad_y, dtype=float)))
-        object.__setattr__(self, "hess_yy", np.atleast_2d(np.asarray(self.hess_yy, dtype=float)))
-        object.__setattr__(self, "hess_xy", np.atleast_2d(np.asarray(self.hess_xy, dtype=float)))
-
-
-def inconsistency_adjustment(inp: AdjustmentInputs) -> float:
+def inconsistency_adjustment(*, drift_vec, sigma_mat, grad_y, hess_yy,
+                             hess_xy) -> float:
     """Drift-and-trace correction separating the coupled PDE from a classical one.
 
     Computes ``drift_vec . grad_y + Tr[(hess_yy/2 + hess_xy) sigma sigma^T]``.
@@ -247,6 +225,11 @@ def inconsistency_adjustment(inp: AdjustmentInputs) -> float:
     problem. The grid solver carries it through the diagonal derivatives of
     the indexed field; zeroing those collapses the benchmark gain to zero.
 
+    The keyword slots: ``drift_vec`` is the state drift as it appears in the
+    dynamics (length n), ``sigma_mat`` the n-by-d volatility matrix,
+    ``grad_y`` the parameter gradient of the coupled field, ``hess_yy`` and
+    ``hess_xy`` its parameter/mixed Hessians (n-by-n). Scalars are promoted.
+
     Raises
     ------
     ConfigError
@@ -254,8 +237,9 @@ def inconsistency_adjustment(inp: AdjustmentInputs) -> float:
     NumericError
         If any slot contains non-finite values.
     """
-    b, s = inp.drift_vec, inp.sigma_mat
-    gy, hyy, hxy = inp.grad_y, inp.hess_yy, inp.hess_xy
+    b, gy = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (drift_vec, grad_y))
+    s, hyy, hxy = (np.atleast_2d(np.asarray(v, dtype=float))
+                   for v in (sigma_mat, hess_yy, hess_xy))
     n = b.shape[0]
     if b.ndim != 1 or gy.shape != (n,):
         raise ConfigError(f"drift_vec and grad_y must be vectors of equal length, got {b.shape} and {gy.shape}")
@@ -271,28 +255,12 @@ def inconsistency_adjustment(inp: AdjustmentInputs) -> float:
     return float(b @ gy + np.trace((0.5 * hyy + hxy) @ cov))
 
 
-@dataclass(frozen=True)
-class TimeDependentModel:
-    """Scalar diffusion whose costs depend on the time the control was issued.
-
-    ``running_cost(t, pref, x, a)`` and ``terminal_cost(pref, x)`` take the
-    issuance time ``pref`` as their preference slot; the ``dpref*`` evaluators
-    are the corresponding first and second derivatives in ``pref``.
-    """
-
-    drift: Callable
-    vol: Callable
-    running_cost: Callable
-    terminal_cost: Callable
-    dpref_running: Callable
-    dpref2_running: Callable
-    dpref_terminal: Callable
-    dpref2_terminal: Callable
-    maximizer: Callable
-
-
-def augment_time_dependent(td: TimeDependentModel) -> ModelSpec:
+def augment_time_dependent(td: ModelSpec) -> ModelSpec:
     """Recast time-dependent preferences as state-anchored ones.
+
+    ``td`` is a scalar-state spec whose parameter slot is the issuance time
+    ``pref``: ``running_cost(t, pref, x, a)``, ``terminal_cost(pref, x)``, and
+    their ``dy*``/``dyy*`` derivatives in ``pref``.
 
     The state is extended to (clock, space): the clock component has unit
     drift and no noise, so anchoring costs at the extended *state* value seen
@@ -318,17 +286,17 @@ def augment_time_dependent(td: TimeDependentModel) -> ModelSpec:
         return td.terminal_cost(yv[0], xv[1])
 
     def dy_running(t, yv, xv, a):
-        return np.array([td.dpref_running(t, yv[0], xv[1], a), 0.0])
+        return np.array([td.dy_running(t, yv[0], xv[1], a), 0.0])
 
     def dyy_running(t, yv, xv, a):
-        return np.array([[td.dpref2_running(t, yv[0], xv[1], a), 0.0],
+        return np.array([[td.dyy_running(t, yv[0], xv[1], a), 0.0],
                          [0.0, 0.0]])
 
     def dy_terminal(yv, xv):
-        return np.array([td.dpref_terminal(yv[0], xv[1]), 0.0])
+        return np.array([td.dy_terminal(yv[0], xv[1]), 0.0])
 
     def dyy_terminal(yv, xv):
-        return np.array([[td.dpref2_terminal(yv[0], xv[1]), 0.0],
+        return np.array([[td.dyy_terminal(yv[0], xv[1]), 0.0],
                          [0.0, 0.0]])
 
     return ModelSpec(

@@ -268,18 +268,19 @@ def simulate_paths(gain: GainSchedule, params: LqrParams, config: SimConfig,
     return _simulate_batches([gain], params, config, workers)[0]
 
 
-def estimate_cost(batch: TrajectoryBatch, params: LqrParams) -> CostEstimate:
+def estimate_cost(batch: TrajectoryBatch) -> CostEstimate:
     """Time-zero cost estimate ``sum_i a_i^2 dt / 2 + gamma/2 (X_T - x0)^2``.
 
-    Uses the left-endpoint running-cost rule matching the Euler drift. Paths
+    ``dt``, ``gamma`` and ``x0`` come from the batch's own parameters. Uses
+    the left-endpoint running-cost rule matching the Euler drift. Paths
     flagged non-finite are excluded (the simulator already capped them at
     0.1%); in antithetic mode a pair with a bad member is dropped whole.
     """
     if batch.config.n_paths == 0 or batch.states.size == 0:
         raise ConfigError("cannot estimate cost from an empty batch")
     dt = batch.params.horizon / batch.config.n_steps
-    miss = batch.states[:, -1] - params.x0
-    costs = 0.5 * dt * np.sum(batch.controls ** 2, axis=1) + 0.5 * params.gamma * miss * miss
+    miss = batch.states[:, -1] - batch.params.x0
+    costs = 0.5 * dt * np.sum(batch.controls ** 2, axis=1) + 0.5 * batch.params.gamma * miss * miss
     return _estimate(costs, batch.valid_mask, batch.config.antithetic)
 
 

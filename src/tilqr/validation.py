@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,14 +29,14 @@ from .hjbgrid import (
     solve_extended_hjb_sweep,
 )
 from .model import (
-    AdjustmentInputs,
     LqrParams,
-    TimeDependentModel,
+    ModelSpec,
     augment_time_dependent,
     inconsistency_adjustment,
     lqr_model,
 )
-from .montecarlo import SimConfig, _streaming_estimates, estimate_cost_streaming, simulate_paths
+from .montecarlo import (_CHUNK, SimConfig, _streaming_estimates, estimate_cost_streaming,
+                         simulate_paths)
 from .riccati import (
     GainLabel,
     GainSchedule,
@@ -250,7 +250,7 @@ def _check_diagonal_identity() -> CheckResult:
     return CheckResult(10, "diagonal-identity", passed, detail)
 
 
-def _clock_preference_model(rng: np.random.Generator) -> TimeDependentModel:
+def _clock_preference_model(rng: np.random.Generator) -> ModelSpec:
     c = rng.normal(size=8)
 
     def drift(t, x, a):
@@ -265,13 +265,13 @@ def _clock_preference_model(rng: np.random.Generator) -> TimeDependentModel:
     def terminal_cost(pref, x):
         return c[4] * (x - c[5] * pref) ** 2
 
-    return TimeDependentModel(
+    return ModelSpec(
         drift=drift, vol=vol,
         running_cost=running_cost, terminal_cost=terminal_cost,
-        dpref_running=lambda t, pref, x, a: c[3] * x,
-        dpref2_running=lambda t, pref, x, a: 0.0,
-        dpref_terminal=lambda pref, x: -2.0 * c[4] * c[5] * (x - c[5] * pref),
-        dpref2_terminal=lambda pref, x: 2.0 * c[4] * c[5] ** 2,
+        dy_running=lambda t, pref, x, a: c[3] * x,
+        dyy_running=lambda t, pref, x, a: 0.0,
+        dy_terminal=lambda pref, x: -2.0 * c[4] * c[5] * (x - c[5] * pref),
+        dyy_terminal=lambda pref, x: 2.0 * c[4] * c[5] ** 2,
         maximizer=lambda g: -c[1] * g,
     )
 
@@ -285,14 +285,14 @@ def _check_clock_augmentation() -> CheckResult:
         g_clock, h_clock, m_clock = rng.normal(size=3)
         # preferences read only the clock slot, so every anchor-slot
         # derivative is zero while the clock slots stay arbitrary
-        inp = AdjustmentInputs(
+        adjustment = inconsistency_adjustment(
             drift_vec=[1.0, mu],
             sigma_mat=[[0.0], [sig]],
             grad_y=[g_clock, 0.0],
             hess_yy=[[h_clock, 0.0], [0.0, 0.0]],
             hess_xy=[[m_clock, rng.normal()], [0.0, 0.0]],
         )
-        worst = max(worst, abs(inconsistency_adjustment(inp) - g_clock))
+        worst = max(worst, abs(adjustment - g_clock))
 
         aug = augment_time_dependent(_clock_preference_model(rng))
         t, pref, x, a = rng.normal(size=4)
@@ -319,8 +319,10 @@ def _check_determinism() -> CheckResult:
     b2 = simulate_paths(gain, p, config)
     rerun_equal = bool(np.array_equal(b1.states, b2.states)
                        and np.array_equal(b1.controls, b2.controls))
-    e1 = estimate_cost_streaming(gain, p, config, workers=1)
-    e4 = estimate_cost_streaming(gain, p, config, workers=4)
+    # the worker half needs more than one chunk, or both runs are serial
+    pooled = replace(config, n_paths=2 * _CHUNK + 6)
+    e1 = estimate_cost_streaming(gain, p, pooled, workers=1)
+    e4 = estimate_cost_streaming(gain, p, pooled, workers=4)
     workers_equal = e1.mean == e4.mean and e1.stderr == e4.stderr
     passed = rerun_equal and workers_equal
     detail = (f"rerun bitwise equal: {rerun_equal}; "

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tilqr import validation
+from tilqr import montecarlo, validation
 from tilqr.cli import main
 
 # seconds allowed per check, measured around the library call
@@ -104,6 +104,22 @@ def test_criterion_12_determinism(suite):
     # rerunning a simulation and changing the worker count both leave the
     # results bitwise unchanged
     check(suite, 12)
+
+
+def test_criterion_12_worker_comparison_starts_a_pool(monkeypatch):
+    # one chunk runs serially whatever the worker count, so the 4-worker
+    # half of the check compares pooled against serial only on >1 chunk
+    pools = []
+    real = montecarlo.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", counting)
+    result = validation._check_determinism()
+    assert result.passed, result.detail
+    assert pools == [{"max_workers": 4}]
 
 
 def _tree(root: Path) -> dict:

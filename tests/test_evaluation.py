@@ -20,7 +20,7 @@ from tilqr import (
     simpson_uniform,
     solve_equilibrium_riccati,
     solve_moments,
-    strategy_costs,
+    strategy_gains,
 )
 
 # Zero-control cost at the benchmark parameters, in closed form: under
@@ -131,7 +131,8 @@ class TestExactCost:
 
 class TestStrategyCosts:
     def test_keys_and_ordering(self, benchmark_params):
-        costs = strategy_costs(benchmark_params, TimeGrid(1000, 1.0))
+        costs = {label: exact_cost(g, benchmark_params) for label, g
+                 in strategy_gains(benchmark_params, TimeGrid(1000, 1.0)).items()}
         assert set(costs) == {GainLabel.EQUILIBRIUM, GainLabel.NAIVE,
                               GainLabel.PRECOMMITTED}
         assert costs[GainLabel.EQUILIBRIUM].total <= costs[GainLabel.NAIVE].total + 1e-9
@@ -139,7 +140,8 @@ class TestStrategyCosts:
     def test_precommitted_beats_equilibrium_here(self, benchmark_params):
         # the precommitted law optimizes the time-zero criterion outright,
         # so no admissible feedback law can undercut it
-        costs = strategy_costs(benchmark_params, TimeGrid(1000, 1.0))
+        costs = {label: exact_cost(g, benchmark_params) for label, g
+                 in strategy_gains(benchmark_params, TimeGrid(1000, 1.0)).items()}
         assert costs[GainLabel.PRECOMMITTED].total <= \
             costs[GainLabel.EQUILIBRIUM].total + 1e-9
 
@@ -161,14 +163,14 @@ class TestGammaSweep:
         assert np.all(np.diff(table.j_naive) > 0)
 
     def test_failed_row_gets_nan_and_note(self, benchmark_params, monkeypatch):
-        real = evaluation.strategy_costs
+        real = evaluation.strategy_gains
 
         def flaky(params, grid):
             if abs(params.gamma - 5.0) < 1e-12:
                 raise NumericError("synthetic blow-up")
             return real(params, grid)
 
-        monkeypatch.setattr(evaluation, "strategy_costs", flaky)
+        monkeypatch.setattr(evaluation, "strategy_gains", flaky)
         table = gamma_sweep(benchmark_params, np.array([1.0, 5.0, 9.0]),
                             TimeGrid(200, 1.0))
         assert math.isnan(table.j_equilibrium[1])

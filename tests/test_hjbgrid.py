@@ -216,8 +216,22 @@ class TestSweep:
 
     def test_blowup_names_the_slice(self):
         grid = GridSpec2(n_t=2, n_x=8, x_lo=-1.0, x_hi=1.0, horizon=0.1)
-        with pytest.raises(NumericError, match="blew up at time slice"):
+        # the value field fails first here, so the node has one index or two;
+        # either way it prints as plain ints
+        with pytest.raises(NumericError,
+                           match=r"blew up at time slice \d+, node \(\d+,( \d+)?\)"):
             solve_extended_hjb_sweep(hopeless_model(), grid)
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_overflowing_terminal_data_names_the_last_slice(self, solve):
+        # the terminal penalty's square overflows at the corners of the
+        # indexed field; both modes name it before any step
+        grid = GridSpec2(n_t=10, n_x=160, x_lo=-1e154, x_hi=1e154, horizon=PARAMS.horizon)
+        with pytest.raises(NumericError,
+                           match=r"^indexed field blew up at time slice 10, node \(\d+, \d+\)$") as info:
+            solve(MODEL, grid)
+        assert not isinstance(info.value, PicardError)
 
 
 # SHA-256 of the 100 x 80 solutions: the float64 bytes of v, j and alpha of

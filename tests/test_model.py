@@ -7,12 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tilqr import (
-    AdjustmentInputs,
     ConfigError,
     LqrParams,
     ModelSpec,
     NumericError,
-    TimeDependentModel,
     augment_time_dependent,
     extended_hamiltonian,
     inconsistency_adjustment,
@@ -81,16 +79,17 @@ def _check_derivatives(model: ModelSpec, samples: Sequence, step: float = 1e-5,
 
 
 def clock_model(c1=0.7, c3=0.4, c4=1.3, c5=0.6):
-    """Time-dependent-preference model with hand-written pref derivatives."""
-    return TimeDependentModel(
+    """Time-dependent-preference model: the parameter slot is the issuance
+    time ``pref``, with hand-written derivatives in it."""
+    return ModelSpec(
         drift=lambda t, x, a: 0.2 * x + c1 * a,
         vol=lambda t, x: 1.0 + 0.1 * math.tanh(x),
         running_cost=lambda t, pref, x, a: 0.5 * a * a + c3 * pref * x,
         terminal_cost=lambda pref, x: c4 * (x - c5 * pref) ** 2,
-        dpref_running=lambda t, pref, x, a: c3 * x,
-        dpref2_running=lambda t, pref, x, a: 0.0,
-        dpref_terminal=lambda pref, x: -2.0 * c4 * c5 * (x - c5 * pref),
-        dpref2_terminal=lambda pref, x: 2.0 * c4 * c5 * c5,
+        dy_running=lambda t, pref, x, a: c3 * x,
+        dyy_running=lambda t, pref, x, a: 0.0,
+        dy_terminal=lambda pref, x: -2.0 * c4 * c5 * (x - c5 * pref),
+        dyy_terminal=lambda pref, x: 2.0 * c4 * c5 * c5,
         maximizer=lambda g: -c1 * g,
     )
 
@@ -199,16 +198,16 @@ class TestInconsistencyAdjustment:
         gy = rng.normal(size=3)
         hyy = rng.normal(size=(3, 3))
         hxy = rng.normal(size=(3, 3))
-        got = inconsistency_adjustment(AdjustmentInputs(b, s, gy, hyy, hxy))
+        got = inconsistency_adjustment(drift_vec=b, sigma_mat=s, grad_y=gy,
+                                       hess_yy=hyy, hess_xy=hxy)
         cov = s @ s.T
         want = float(b @ gy + np.trace((0.5 * hyy + hxy) @ cov))
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_scalar_instance(self):
         # 1-d: b*gy + (hyy/2 + hxy) * s^2
-        got = inconsistency_adjustment(
-            AdjustmentInputs(drift_vec=2.0, sigma_mat=0.5, grad_y=3.0,
-                             hess_yy=4.0, hess_xy=1.0))
+        got = inconsistency_adjustment(drift_vec=2.0, sigma_mat=0.5, grad_y=3.0,
+                                       hess_yy=4.0, hess_xy=1.0)
         assert got == pytest.approx(2.0 * 3.0 + (2.0 + 1.0) * 0.25, rel=1e-14)
 
     @given(scale=st.floats(-3, 3))
@@ -218,26 +217,35 @@ class TestInconsistencyAdjustment:
         gy = np.array([0.2, 1.1])
         hyy = np.array([[1.0, 0.2], [0.2, -0.5]])
         hxy = np.array([[0.4, 0.0], [0.7, 0.1]])
-        base = inconsistency_adjustment(AdjustmentInputs(b, s, gy, hyy, hxy))
-        scaled = inconsistency_adjustment(
-            AdjustmentInputs(b, s, scale * gy, scale * hyy, scale * hxy))
+        base = inconsistency_adjustment(drift_vec=b, sigma_mat=s, grad_y=gy,
+                                        hess_yy=hyy, hess_xy=hxy)
+        scaled = inconsistency_adjustment(drift_vec=b, sigma_mat=s, grad_y=scale * gy,
+                                          hess_yy=scale * hyy, hess_xy=scale * hxy)
         assert scaled == pytest.approx(scale * base, rel=1e-12, abs=1e-12)
 
     def test_dimension_errors(self):
         with pytest.raises(ConfigError):
-            inconsistency_adjustment(AdjustmentInputs(
-                [1.0, 2.0], [[1.0], [1.0]], [1.0], np.eye(2), np.eye(2)))
+            inconsistency_adjustment(
+                drift_vec=[1.0, 2.0], sigma_mat=[[1.0], [1.0]], grad_y=[1.0],
+                hess_yy=np.eye(2), hess_xy=np.eye(2))
         with pytest.raises(ConfigError):
-            inconsistency_adjustment(AdjustmentInputs(
-                [1.0, 2.0], [[1.0]], [1.0, 2.0], np.eye(2), np.eye(2)))
+            inconsistency_adjustment(
+                drift_vec=[1.0, 2.0], sigma_mat=[[1.0]], grad_y=[1.0, 2.0],
+                hess_yy=np.eye(2), hess_xy=np.eye(2))
         with pytest.raises(ConfigError):
-            inconsistency_adjustment(AdjustmentInputs(
-                [1.0, 2.0], [[1.0], [1.0]], [1.0, 2.0], np.eye(3), np.eye(2)))
+            inconsistency_adjustment(
+                drift_vec=[1.0, 2.0], sigma_mat=[[1.0], [1.0]], grad_y=[1.0, 2.0],
+                hess_yy=np.eye(3), hess_xy=np.eye(2))
 
     def test_non_finite_raises(self):
         with pytest.raises(NumericError, match="grad_y"):
-            inconsistency_adjustment(AdjustmentInputs(
-                [1.0], [[1.0]], [math.inf], [[0.0]], [[0.0]]))
+            inconsistency_adjustment(
+                drift_vec=[1.0], sigma_mat=[[1.0]], grad_y=[math.inf],
+                hess_yy=[[0.0]], hess_xy=[[0.0]])
+
+    def test_slots_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            inconsistency_adjustment([1.0], [[1.0]], [1.0], [[0.0]], [[0.0]])
 
 
 class TestClockAugmentation:
@@ -274,7 +282,7 @@ class TestClockAugmentation:
         mu = aug.drift(0.4, xv, 0.2)
         sig = aug.vol(0.4, xv)
         g_clock = 0.83
-        got = inconsistency_adjustment(AdjustmentInputs(
+        got = inconsistency_adjustment(
             drift_vec=mu, sigma_mat=sig, grad_y=[g_clock, 0.0],
-            hess_yy=[[0.31, 0.0], [0.0, 0.0]], hess_xy=[[-0.2, 0.5], [0.0, 0.0]]))
+            hess_yy=[[0.31, 0.0], [0.0, 0.0]], hess_xy=[[-0.2, 0.5], [0.0, 0.0]])
         assert got == g_clock

@@ -283,7 +283,7 @@ def hand_built_batch(states, controls, antithetic=False):
 
 class TestEstimateCost:
     def test_left_endpoint_rule_and_sample_statistics(self):
-        params = LqrParams()  # horizon 1, gamma 5, x0 = 1
+        # the batch holds the defaults: horizon 1, gamma 5, x0 = 1
         batch = hand_built_batch(
             states=[[1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
             controls=[[0.5, -1.0], [2.0, 0.0], [0.0, 0.0]])
@@ -293,36 +293,48 @@ class TestEstimateCost:
             0.5 * dt * 4.0,
             0.0,
         ])
-        est = estimate_cost(batch, params)
+        est = estimate_cost(batch)
         assert est.mean == pytest.approx(per_path.mean(), abs=1e-15)
         assert est.stderr == pytest.approx(per_path.std(ddof=1) / np.sqrt(3), abs=1e-15)
         assert est.n_paths == 3
 
+    def test_reads_gamma_x0_and_horizon_from_the_batch(self):
+        # none of the three is the default, so a default read shows
+        params = LqrParams(gamma=2.0, horizon=4.0, x0=-1.0)
+        batch = TrajectoryBatch(params=params, config=SimConfig(n_paths=2, n_steps=2, seed=0),
+                                states=[[-1.0, 0.0, 1.0], [-1.0, -1.0, -1.0]],
+                                controls=[[0.5, -1.0], [0.0, 0.0]],
+                                strategy_label=GainLabel.CUSTOM)
+        dt = 2.0
+        per_path = np.array([0.5 * dt * (0.25 + 1.0) + 0.5 * 2.0 * 2.0 ** 2, 0.0])
+        est = estimate_cost(batch)
+        assert est.mean == pytest.approx(per_path.mean(), abs=1e-15)
+        assert est.stderr == pytest.approx(per_path.std(ddof=1) / np.sqrt(2), abs=1e-15)
+
     def test_cost_estimate_defaults_to_nothing_dropped(self):
         est = CostEstimate(1.0, 0.1, 5)
         assert est.n_dropped == 0
-        assert estimate_cost(hand_built_batch([[1.0, 1.0]], [[0.3]]), LqrParams()).n_dropped == 0
+        assert estimate_cost(hand_built_batch([[1.0, 1.0]], [[0.3]])).n_dropped == 0
 
     def test_single_path_has_zero_stderr(self):
         batch = hand_built_batch([[1.0, 1.0]], [[0.3]])
-        est = estimate_cost(batch, LqrParams())
+        est = estimate_cost(batch)
         assert est.stderr == 0.0
         assert est.n_paths == 1
 
     def test_non_finite_paths_are_excluded(self):
         states = np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 2.0, 1.0]])
         controls = np.array([[0.1, 0.1], [0.1, 0.1], [0.2, 0.2]])
-        est = estimate_cost(hand_built_batch(states, controls), LqrParams())
+        est = estimate_cost(hand_built_batch(states, controls))
         good = hand_built_batch(states[[0, 2]], controls[[0, 2]])
-        assert est.mean == estimate_cost(good, LqrParams()).mean
+        assert est.mean == estimate_cost(good).mean
         assert est.n_paths == 2
         assert est.n_dropped == 1
 
     def test_antithetic_mode_drops_pairs_whole(self):
         states = np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 2.0], [1.0, 0.0]])
         controls = np.array([[0.1], [0.1], [0.4], [-0.4]])
-        est = estimate_cost(hand_built_batch(states, controls, antithetic=True),
-                            LqrParams())
+        est = estimate_cost(hand_built_batch(states, controls, antithetic=True))
         # pair (0, 1) has a bad member, so only the (2, 3) pair survives;
         # both its members cost 0.5*dt*0.16 + 2.5*1 with dt = 1
         pair_mean = 0.5 * 0.16 + 2.5
@@ -334,14 +346,14 @@ class TestEstimateCost:
     def test_no_finite_paths_is_an_error(self):
         batch = hand_built_batch([[1.0, np.nan]], [[0.1]])
         with pytest.raises(ConfigError, match="no finite paths"):
-            estimate_cost(batch, LqrParams())
+            estimate_cost(batch)
 
     def test_agrees_with_the_quadrature_reference(self):
         params = LqrParams()
         grid = TimeGrid(200, params.horizon)
         gain = equilibrium_gain(solve_equilibrium_riccati(params, grid), params)
         batch = simulate_paths(gain, params, SimConfig(n_paths=20_000, n_steps=200, seed=42))
-        est = estimate_cost(batch, params)
+        est = estimate_cost(batch)
         reference = exact_cost(gain, params).total
         assert est.stderr > 0.0
         assert abs(est.mean - reference) <= 3.0 * est.stderr
@@ -355,7 +367,7 @@ class TestStreamingEstimate:
         grid = TimeGrid(100, params.horizon)
         gain = naive_gain(solve_naive(params, grid), params)
         config = SimConfig(n_paths=10_000, n_steps=100, seed=9)
-        batch_est = estimate_cost(simulate_paths(gain, params, config), params)
+        batch_est = estimate_cost(simulate_paths(gain, params, config))
         stream_est = estimate_cost_streaming(gain, params, config)
         assert stream_est.n_paths == batch_est.n_paths
         assert stream_est.mean == pytest.approx(batch_est.mean, rel=1e-12)
@@ -440,11 +452,10 @@ class TestNonFinitePolicy:
         poison(monkeypatch, [17])
         batch = simulate_paths(self.gain, self.params, config)
         assert np.flatnonzero(~batch.valid_mask).tolist() == [17]
-        from_batch = estimate_cost(batch, self.params)
+        from_batch = estimate_cost(batch)
         streamed = estimate_cost_streaming(self.gain, self.params, config)
         keep = np.arange(1000) != 17
-        expected = estimate_cost(hand_built_batch(clean.states[keep], clean.controls[keep]),
-                                 self.params)
+        expected = estimate_cost(hand_built_batch(clean.states[keep], clean.controls[keep]))
         for est in (from_batch, streamed):
             assert (est.n_paths, est.n_dropped) == (999, 1)
             assert est.mean == pytest.approx(expected.mean, rel=1e-12)
