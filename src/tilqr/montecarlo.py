@@ -26,10 +26,17 @@ from .riccati import GainLabel, GainSchedule
 
 _MASK256 = (1 << 256) - 1
 
-# Paths are simulated in fixed-size chunks; chunk boundaries are part of no
-# contract (results per path depend only on seed and stream index), but a
-# fixed size keeps the reduction order identical for any worker count.
+# Paths are simulated in fixed-size chunks. Per-path values depend only on seed
+# and stream index, never on chunk boundaries, and both sizes are even, so a
+# mirrored antithetic pair never straddles two chunks. The streaming route
+# keeps 8192: at 1024 the mc_stream benchmark ran ~11% slower. The retaining
+# routes (simulate_paths, compare_strategies, the CLI's simulate) reduce each
+# chunk as it is simulated, so their peak memory is one chunk buffer per
+# worker: ~50 MB of states and controls at 1024 paths, three gains and 1000
+# steps. On the mc_paths benchmark 1024 was no slower than 2048 or 8192 and
+# faster than 512.
 _CHUNK = 8192
+_RETAIN_CHUNK = 1024
 # Steps buffered before a copy into path-major trajectories (one strided write each)
 _BLOCK = 32
 
@@ -161,9 +168,9 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
                  states=None, controls=None):
     """Advance K gains as one (K, m) state over paths ``[lo, hi)`` on one noise chunk.
 
-    Writes the trajectories into ``states``/``controls`` (K x n_paths x ...)
-    when given; otherwise returns the (K, m) path costs, with the squared
-    controls summed step by step.
+    Writes the trajectories into ``states``/``controls`` (K x m x ...) when
+    given; otherwise returns the (K, m) path costs, with the squared controls
+    summed step by step.
     """
     m, n_steps = hi - lo, config.n_steps
     dt = params.horizon / n_steps
@@ -175,6 +182,8 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
         dw = normal_stream(config.seed, lo, m, n_steps).T
     dw *= params.sigma * math.sqrt(dt)
     x = np.full((k.shape[1], m), params.x0)
+    if states is not None:
+        states[:, :, 0] = x
     run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
     a_buf, x_buf = np.empty((2, _BLOCK) + x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -195,19 +204,26 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
                 for a in a_buf[:n]:
                     run += a * a
             else:
-                controls[:, lo:hi, i0:i0 + n] = a_buf[:n].transpose(1, 2, 0)
-                states[:, lo:hi, i0 + 1:i0 + n + 1] = x_buf[:n].transpose(1, 2, 0)
+                controls[:, :, i0:i0 + n] = a_buf[:n].transpose(1, 2, 0)
+                states[:, :, i0 + 1:i0 + n + 1] = x_buf[:n].transpose(1, 2, 0)
         if states is None:
             return 0.5 * dt * run + 0.5 * params.gamma * (x - params.x0) ** 2
 
 
-def _over_chunks(fn, n_paths: int, workers: int) -> list:
-    # _CHUNK is even, so mirrored pairs never straddle chunk boundaries
-    bounds = [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda b: fn(*b), bounds))
-    return [fn(*b) for b in bounds]
+def _over_chunks(fn, n_paths: int, chunk: int, workers: int):
+    """``fn(lo, hi)`` over path chunks of size ``chunk``, yielded in path order.
+
+    At most ``workers`` calls run at once, and the next group starts only
+    after the caller has taken the last result of this one, so a caller may
+    give each of ``workers`` buffers to every ``workers``-th chunk.
+    """
+    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    if workers < 2 or len(bounds) < 2:
+        yield from (fn(*b) for b in bounds)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for i in range(0, len(bounds), workers):
+            yield from pool.map(lambda b: fn(*b), bounds[i:i + workers])
 
 
 def _checked(good: np.ndarray) -> np.ndarray:
@@ -233,20 +249,93 @@ def _estimate(costs: np.ndarray, good: np.ndarray, antithetic: bool) -> CostEsti
                         n_dropped=good.size - kept.size)
 
 
-def _simulate_batches(gains, params: LqrParams, config: SimConfig, workers: int) -> tuple:
-    """One retained batch per gain, all advanced on one noise pass."""
+@dataclass(frozen=True)
+class _Reduction:
+    """What the retaining routes keep of K gains' paths."""
+
+    config: SimConfig
+    costs: np.ndarray             # K x n_paths, by estimate_cost's formula
+    good: np.ndarray              # K x n_paths, True where a path stayed finite
+    mean_state: np.ndarray        # K x (n_steps + 1), over the good paths
+    mean_abs_control: np.ndarray  # K x n_steps, over the good paths
+    states: np.ndarray            # K x keep x (n_steps + 1), the first paths
+    controls: np.ndarray          # K x keep x n_steps
+
+    def estimate(self, j: int = 0) -> CostEstimate:
+        return _estimate(self.costs[j], self.good[j], self.config.antithetic)
+
+
+def _add_rows(total, started, buf, m: int, ok) -> None:
+    """Add the rows ``buf[:, 1:m + 1]`` that ``ok`` marks to ``total``, in row order.
+
+    ``buf[:, 0]`` is the slot of the running total, so one ``np.add.reduce``
+    per gain and chunk adds rows in the order ``rows[ok].sum(axis=0)`` takes
+    over the whole batch (adding per-chunk sums would not be bitwise equal).
+    A gain's total starts at its first valid row, as that reduction does,
+    not at a row of zeros.
+    """
+    for j, valid in enumerate(ok):
+        first = 0 if started[j] else 1
+        buf[j, 0] = total[j]
+        rows = buf[j, first:m + 1]
+        if not valid.all():  # compress only in a chunk with a bad row
+            rows = rows[np.concatenate([[True], valid])[first:]]
+        if len(rows):
+            np.add.reduce(rows, axis=0, out=total[j])
+
+
+def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int,
+                  workers: int = 1) -> _Reduction:
+    """Simulate K gains on shared noise, reducing each chunk as it is simulated.
+
+    For each chunk, in path order: per-path costs and finite masks, running
+    sums of the valid states and |controls|, and a copy of the paths below
+    ``keep``. Only ``workers`` chunk buffers exist, and results are bitwise
+    the same for any ``workers``. More than 0.1% non-finite paths in any
+    gain raise ``NumericError``.
+    """
     k, c = _sim_gains(gains, params, config.n_steps)
-    states = np.empty((len(gains), config.n_paths, config.n_steps + 1))
-    controls = np.empty((len(gains), config.n_paths, config.n_steps))
-    states[:, :, 0] = params.x0
-    _over_chunks(lambda lo, hi: _euler_chunk(k, c, params, config, lo, hi, states, controls),
-                 config.n_paths, workers)
-    batches = tuple(TrajectoryBatch(params=params, config=config, states=s, controls=u,
-                                    strategy_label=g.label)
-                    for g, s, u in zip(gains, states, controls))
-    for batch in batches:
-        _checked(batch.valid_mask)
-    return batches
+    n_gains, n_paths, n_steps = len(gains), config.n_paths, config.n_steps
+    dt = params.horizon / n_steps
+    width = min(_RETAIN_CHUNK, n_paths)
+    # one spare leading row per buffer holds the running sums
+    bufs = [(np.empty((n_gains, width + 1, n_steps + 1)), np.empty((n_gains, width + 1, n_steps)))
+            for _ in range(min(workers, -(-n_paths // width)))]
+    costs = np.empty((n_gains, n_paths))
+    good = np.empty((n_gains, n_paths), dtype=bool)
+    states = np.empty((n_gains, keep, n_steps + 1))
+    controls = np.empty((n_gains, keep, n_steps))
+    sum_x, sum_u = np.empty((n_gains, n_steps + 1)), np.empty((n_gains, n_steps))
+    started = np.zeros(n_gains, dtype=bool)
+
+    def simulate(lo, hi):
+        x, u = bufs[lo // width % len(bufs)]
+        _euler_chunk(k, c, params, config, lo, hi, x[:, 1:hi - lo + 1], u[:, 1:hi - lo + 1])
+        return lo, hi, x, u
+
+    for lo, hi, x, u in _over_chunks(simulate, n_paths, width, workers):
+        m = hi - lo
+        xs, us = x[:, 1:m + 1], u[:, 1:m + 1]
+        if lo < keep:
+            states[:, lo:hi] = xs[:, :keep - lo]
+            controls[:, lo:hi] = us[:, :keep - lo]
+        ok = good[:, lo:hi]
+        np.isfinite(xs).all(axis=2, out=ok)
+        ok &= np.isfinite(us).all(axis=2)
+        np.abs(us, out=us)
+        _add_rows(sum_x, started, x, m, ok)
+        _add_rows(sum_u, started, u, m, ok)
+        started |= ok.any(axis=1)
+        # |u| * |u| is u * u bit for bit, so the squares reuse the buffer
+        with np.errstate(over="ignore", invalid="ignore"):  # bad paths are dropped
+            miss = xs[:, :, -1] - params.x0
+            us *= us
+            costs[:, lo:hi] = 0.5 * dt * np.sum(us, axis=2) + 0.5 * params.gamma * miss * miss
+    for row in good:
+        _checked(row)
+    n_good = np.count_nonzero(good, axis=1)[:, None]
+    return _Reduction(config=config, costs=costs, good=good, mean_state=sum_x / n_good,
+                      mean_abs_control=sum_u / n_good, states=states, controls=controls)
 
 
 def simulate_paths(gain: GainSchedule, params: LqrParams, config: SimConfig,
@@ -265,7 +354,9 @@ def simulate_paths(gain: GainSchedule, params: LqrParams, config: SimConfig,
     NumericError
         If more than 0.1% of paths go non-finite (explosive gains).
     """
-    return _simulate_batches([gain], params, config, workers)[0]
+    run = _reduce_paths([gain], params, config, config.n_paths, workers)
+    return TrajectoryBatch(params=params, config=config, states=run.states[0],
+                           controls=run.controls[0], strategy_label=gain.label)
 
 
 def estimate_cost(batch: TrajectoryBatch) -> CostEstimate:
@@ -288,8 +379,8 @@ def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
                          workers: int = 1) -> list:
     """``estimate_cost_streaming`` for every gain, all advanced on one noise pass."""
     k, c = _sim_gains(gains, params, config.n_steps)
-    parts = _over_chunks(lambda lo, hi: _euler_chunk(k, c, params, config, lo, hi),
-                         config.n_paths, workers)
+    parts = list(_over_chunks(lambda lo, hi: _euler_chunk(k, c, params, config, lo, hi),
+                              config.n_paths, _CHUNK, workers))
     return [_estimate(costs, _checked(np.isfinite(costs)), config.antithetic)
             for costs in np.concatenate(parts, axis=1)]
 
@@ -309,12 +400,11 @@ def estimate_cost_streaming(gain: GainSchedule, params: LqrParams, config: SimCo
 
 @dataclass(frozen=True)
 class StrategyComparison:
-    """Per-strategy batches under common noise, with mean-path summaries."""
+    """Mean paths of several strategies simulated under common noise."""
 
     params: LqrParams
     config: SimConfig
     labels: tuple
-    batches: tuple
     times: np.ndarray
     mean_state: np.ndarray       # n_strategies x (n_steps + 1)
     mean_abs_control: np.ndarray  # n_strategies x n_steps
@@ -330,18 +420,17 @@ def compare_strategies(params: LqrParams, config: SimConfig,
     """Simulate every strategy on identical noise and average across paths.
 
     Common random numbers are automatic: each noise chunk is drawn once and
-    drives every strategy, and each batch equals ``simulate_paths`` for its
-    gain bit for bit. Duplicate labels get an ordinal suffix so downstream
-    columns stay distinguishable.
+    drives every strategy. Each chunk is reduced as it is simulated, so no
+    trajectory is kept, yet each row equals the mean of ``simulate_paths``
+    for its gain over its valid paths bit for bit. Duplicate labels get an
+    ordinal suffix so downstream columns stay distinguishable.
     """
     strategies = list(strategies)
     if len(strategies) < 2:
         raise ConfigError("comparison needs at least two strategies")
-    batches = _simulate_batches(strategies, params, config, workers)
+    run = _reduce_paths(strategies, params, config, 0, workers)
     labels = [g.label.value if sum(s.label is g.label for s in strategies) == 1
               else f"{g.label.value}_{i}" for i, g in enumerate(strategies)]
-    mean_state = np.stack([b.states[b.valid_mask].mean(axis=0) for b in batches])
-    mean_abs = np.stack([np.abs(b.controls[b.valid_mask]).mean(axis=0) for b in batches])
     return StrategyComparison(params=params, config=config, labels=tuple(labels),
-                              batches=batches, times=batches[0].times,
-                              mean_state=mean_state, mean_abs_control=mean_abs)
+                              times=np.linspace(0.0, params.horizon, config.n_steps + 1),
+                              mean_state=run.mean_state, mean_abs_control=run.mean_abs_control)

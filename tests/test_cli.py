@@ -371,6 +371,60 @@ def test_output_tree_matches_the_recorded_digests(command, tmp_path, monkeypatch
     assert digests == GOLDEN_SHA256[command]
 
 
+MULTI_CHUNK_CONFIG = """\
+[numerics]
+ode_steps = 50
+sim_steps = 50
+n_paths = 2500
+"""
+
+# as GOLDEN_SHA256, at 2500 paths: three chunks of the retaining Monte Carlo
+# routes (1024, 1024 and a ragged 452), so the chunk-by-chunk reduction of
+# simulate and compare is pinned across chunk boundaries
+MULTI_CHUNK_SHA256 = {
+    ("plain", "simulate --strategy naive"): {
+        "simulate.csv": "5718e403696038cd902bf0a7ddd93686e2f5716daba85ffcafd4faa1c1564c19",
+        "simulate.json": "c8ab748bf138c487180a06770033aeddfdd043a24daf55c158114fb2752b0c56",
+        "simulate_paths.csv": "3309373cb83964d2fab01fd0b5c89eaa60738752534b4e31601015a048752ffd",
+        "simulate_paths.json": "19bfdd05243a74024f01cec7c43b503ce7abf130a811e9957a013afd51f29e95",
+        "stdout": "1b68e61d93d4d498f83feeaceee88935df2df025334ea5a673abe78af54bf585",
+    },
+    ("antithetic", "simulate --strategy naive"): {
+        "simulate.csv": "5b3157e5827d69fac42311feeb163a5369b924b38dfb0dfa632a8f6747f2f9e1",
+        "simulate.json": "cd1e61af1f53c71d68412b0e22fce3c3d8c9eb1f8b5ecbf0b495a40a4a52c4d8",
+        "simulate_paths.csv": "dc623a1b218d0af199f802067616baf7eb4f533eb4d0a3ff545ec7afb92af060",
+        "simulate_paths.json": "17693cad996d459e8ea256c2fd1ebec31926e1df769ef3535caba0288d24d77b",
+        "stdout": "f0bc865cbce223c76160bff1be9ba9cdcaa57dfa3f42a369441cd361b54dbfc3",
+    },
+    ("plain", "compare"): {
+        "compare.csv": "37ed8b2d16eb13796aaf4f53e74216ddf272624767b1cdf735df0b2da9af8830",
+        "compare.json": "2e053fa209cc37a77db107c8fec2699e2a006bb3538939a19f1ee6355a47946c",
+        "compare.svg": "d91e9f4a2dad0ae916d1bb67b10657a465665279b3292985d1a1d4b6d4d58618",
+        "stdout": "ae514ef5c6805738ad0490184dfab9525e9289c20242215ea3deb5b9cfe628ac",
+    },
+    ("antithetic", "compare"): {
+        "compare.csv": "9a5a6e4ea168c85623bd53d9ccd607f00d691ad4c1fee3cbbe2cbadcc4b43550",
+        "compare.json": "e9e67775f10a73edc1cb190d204b23c9e91b020b532b61c762dfd860ba75e06a",
+        "compare.svg": "3eea1d80487449c0c670e4c646c80f53d87fe2c9fe92b5e18c07fa7a1ac18ab3",
+        "stdout": "ae514ef5c6805738ad0490184dfab9525e9289c20242215ea3deb5b9cfe628ac",
+    },
+}
+
+
+@pytest.mark.parametrize("mode, command", list(MULTI_CHUNK_SHA256))
+def test_multi_chunk_output_tree_matches_the_recorded_digests(mode, command, tmp_path,
+                                                             monkeypatch, capsys):
+    extra = "antithetic = true\n" if mode == "antithetic" else ""
+    text = MULTI_CHUNK_CONFIG + extra + "\n[output]\nformats = csv,json\n"
+    (tmp_path / "run.ini").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([*command.split(), "--config", "run.ini", "--out", "out"]) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in Path("out").iterdir()}
+    digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == MULTI_CHUNK_SHA256[mode, command]
+
+
 class TestMainEntry:
     def test_seed_override_works_in_both_flag_positions(self, small_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,7 @@
 """Tests for the counter-based noise generator and the Euler cost machinery."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,7 +31,10 @@ from tilqr import (
     solve_naive,
 )
 from tilqr import montecarlo
-from tilqr.montecarlo import _CHUNK, _gain_on_sim_grid, _streaming_estimates
+from tilqr.montecarlo import (_CHUNK, _RETAIN_CHUNK, _gain_on_sim_grid, _reduce_paths,
+                              _streaming_estimates)
+
+from test_hjbgrid import peak_traced_bytes
 
 
 def constant_gain(k: float, c: float, n_steps: int, horizon: float = 1.0) -> GainSchedule:
@@ -474,15 +479,56 @@ class TestNonFinitePolicy:
         with pytest.raises(NumericError, match="2 of 1000 paths went non-finite"):
             route(self.gain, self.params, SimConfig(n_paths=1000, n_steps=10, seed=6))
 
+    def test_more_than_a_thousandth_raises_in_a_comparison(self, monkeypatch):
+        poison(monkeypatch, [3, 900])
+        with pytest.raises(NumericError, match="2 of 1000 paths went non-finite"):
+            compare_strategies(self.params, SimConfig(n_paths=1000, n_steps=10, seed=6),
+                               [self.gain, constant_gain(1.1, -0.2, 10)])
+
+    # path 0 makes each total start at a later row; a chunk of 2 leaves the
+    # whole first chunk bad, and 1500 is a bad row inside a later chunk
+    @pytest.mark.parametrize("chunk, bad, n_paths", [(_RETAIN_CHUNK, [0, 1500], 3000),
+                                                     (2, [0, 1], 2000)])
+    def test_comparison_means_skip_bad_paths_bitwise(self, chunk, bad, n_paths, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_RETAIN_CHUNK", chunk)
+        poison(monkeypatch, bad)
+        gains = [self.gain, constant_gain(1.1, -0.2, 10)]
+        config = SimConfig(n_paths=n_paths, n_steps=10, seed=6)
+        result = compare_strategies(self.params, config, gains)
+        for j, gain in enumerate(gains):
+            batch = simulate_paths(gain, self.params, config)
+            valid = batch.valid_mask
+            assert np.flatnonzero(~valid).tolist() == bad
+            assert np.array_equal(result.mean_state[j], batch.states[valid].mean(axis=0))
+            assert np.array_equal(result.mean_abs_control[j],
+                                  np.abs(batch.controls[valid]).mean(axis=0))
+
+    @pytest.mark.parametrize("antithetic, bad", [(False, [17]), (True, [40])])
+    def test_cli_simulate_route_estimates_like_the_batch(self, antithetic, bad, monkeypatch):
+        # the CLI's simulate keeps 8 paths and reduces the rest chunk by chunk
+        poison(monkeypatch, bad)
+        config = SimConfig(n_paths=2000, n_steps=10, seed=6, antithetic=antithetic)
+        run = _reduce_paths([self.gain], self.params, config, 8)
+        batch = simulate_paths(self.gain, self.params, config)
+        est = estimate_cost(batch)
+        assert est.n_dropped == (2 if antithetic else 1)
+        assert run.estimate() == est
+        assert np.array_equal(run.states[0], batch.states[:8])
+        assert np.array_equal(run.controls[0], batch.controls[:8])
+
 
 class TestCompareStrategies:
     def test_equal_gains_under_common_noise_are_identical(self):
         params = LqrParams()
         gain = constant_gain(0.4, 0.1, 30)
-        result = compare_strategies(params, SimConfig(n_paths=64, n_steps=30, seed=2),
-                                    [gain, gain])
+        config = SimConfig(n_paths=64, n_steps=30, seed=2)
+        result = compare_strategies(params, config, [gain, gain])
         assert result.labels == ("custom_0", "custom_1")
-        assert np.array_equal(result.batches[0].states, result.batches[1].states)
+        alone = simulate_paths(gain, params, config)
+        for j in range(2):
+            assert np.array_equal(result.mean_state[j], alone.states.mean(axis=0))
+            assert np.array_equal(result.mean_abs_control[j],
+                                  np.abs(alone.controls).mean(axis=0))
         assert np.array_equal(result.mean_state[0], result.mean_state[1])
 
     def test_distinct_labels_pass_through_unchanged(self):
@@ -505,10 +551,15 @@ class TestCompareStrategies:
                  naive_gain(solve_naive(params, grid), params), constant_gain(0.0, 0.0, 20)]
         config = SimConfig(n_paths=2 * _CHUNK + 6, n_steps=20, seed=4, antithetic=antithetic)
         result = compare_strategies(params, config, gains)
-        for gain, batch in zip(gains, result.batches):
+        shared = _reduce_paths(gains, params, config, config.n_paths)
+        for j, gain in enumerate(gains):
             alone = simulate_paths(gain, params, config)
-            assert np.array_equal(batch.states, alone.states)
-            assert np.array_equal(batch.controls, alone.controls)
+            assert np.array_equal(shared.states[j], alone.states)
+            assert np.array_equal(shared.controls[j], alone.controls)
+            assert shared.estimate(j) == estimate_cost(alone)
+            assert np.array_equal(result.mean_state[j], alone.states.mean(axis=0))
+            assert np.array_equal(result.mean_abs_control[j],
+                                  np.abs(alone.controls).mean(axis=0))
 
     def test_draws_each_noise_chunk_once_for_all_gains(self, monkeypatch):
         calls = []
@@ -520,14 +571,75 @@ class TestCompareStrategies:
 
         monkeypatch.setattr(montecarlo, "normal_stream", counted)
         gains = [constant_gain(k, 0.0, 20) for k in (0.2, 0.5, 0.9)]
-        compare_strategies(LqrParams(), SimConfig(n_paths=2 * _CHUNK + 6, n_steps=20, seed=4),
-                           gains)
-        assert calls == [(0, _CHUNK), (_CHUNK, _CHUNK), (2 * _CHUNK, 6)]
+        compare_strategies(LqrParams(),
+                           SimConfig(n_paths=2 * _RETAIN_CHUNK + 6, n_steps=20, seed=4), gains)
+        assert calls == [(0, _RETAIN_CHUNK), (_RETAIN_CHUNK, _RETAIN_CHUNK),
+                         (2 * _RETAIN_CHUNK, 6)]
 
     def test_needs_at_least_two_strategies(self):
         gain = constant_gain(0.1, 0.0, 8)
         with pytest.raises(ConfigError, match="two strategies"):
             compare_strategies(LqrParams(), SimConfig(n_paths=4, n_steps=8, seed=0), [gain])
+
+
+class TestChunking:
+    """Chunk sizes are part of no contract: per-path values depend only on
+    (seed, stream), and every reduction adds paths in path order."""
+
+    def test_chunk_sizes_are_even_so_mirrored_pairs_never_straddle(self):
+        assert _CHUNK % 2 == 0
+        assert _RETAIN_CHUNK % 2 == 0
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_results_do_not_depend_on_the_chunk_sizes(self, antithetic, monkeypatch):
+        params = LqrParams()
+        gains = [constant_gain(0.4, 0.1, 20), constant_gain(1.2, -0.3, 20),
+                 constant_gain(0.0, 0.0, 20)]
+        config = SimConfig(n_paths=46, n_steps=20, seed=3, antithetic=antithetic)
+
+        def run(workers):
+            batch = simulate_paths(gains[0], params, config, workers=workers)
+            comp = compare_strategies(params, config, gains, workers=workers)
+            est = estimate_cost_streaming(gains[1], params, config, workers=workers)
+            return batch, comp, est
+
+        whole = run(1)
+        # 46 paths make ragged last chunks: 11 x 4 + 2 and 7 x 6 + 4; three
+        # workers, switching threads often, take turns on the chunk buffers
+        monkeypatch.setattr(montecarlo, "_RETAIN_CHUNK", 4)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 6)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            chunked = [run(workers) for workers in (1, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for batch, comp, est in chunked:
+            assert np.array_equal(batch.states, whole[0].states)
+            assert np.array_equal(batch.controls, whole[0].controls)
+            assert np.array_equal(comp.mean_state, whole[1].mean_state)
+            assert np.array_equal(comp.mean_abs_control, whole[1].mean_abs_control)
+            assert est == whole[2]
+
+
+class TestMemory:
+    # the unit is one chunk buffer: K x m x (2 n_steps + 1) floats of states
+    # and controls
+    N_STEPS = 50
+    CHUNK_BYTES = 3 * _RETAIN_CHUNK * (2 * N_STEPS + 1) * 8
+
+    def compare_peak(self, n_chunks: int) -> int:
+        gains = [constant_gain(k, 0.0, self.N_STEPS) for k in (0.2, 0.5, 0.9)]
+        config = SimConfig(n_paths=n_chunks * _RETAIN_CHUNK, n_steps=self.N_STEPS, seed=1)
+        return peak_traced_bytes(lambda: compare_strategies(LqrParams(), config, gains))
+
+    def test_compare_holds_one_chunk_whatever_the_path_count(self):
+        two, eight = self.compare_peak(2), self.compare_peak(8)
+        assert eight <= 1.2 * two
+        # one chunk buffer, one chunk's noise, the Euler kernel's 32-step
+        # blocks and the per-path costs (~1.95 here); retaining every path
+        # would need 8 buffers' worth
+        assert eight <= 2.5 * self.CHUNK_BYTES
 
 
 class TestEulerConvergence:
