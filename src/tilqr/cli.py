@@ -370,6 +370,10 @@ def _cmd_cost(config: RunConfig, args, out_dir: Path) -> int:
 
 def _cmd_sweep(config: RunConfig, args, out_dir: Path) -> int:
     table = gamma_sweep(config.model, config.gamma_values(), config.ode_grid())
+    if all(table.notes):
+        # nothing to tabulate or plot; fail before writing a partial tree
+        raise NumericError(f"all {len(table.notes)} sweep rows failed numerically; "
+                           f"first: {table.notes[0]}")
     rows = zip(table.gammas, table.j_equilibrium, table.j_naive, table.j_precommitted)
     comments = [f"note: {n}" for n in table.notes if n]
     paths = _emit_table(config, out_dir, "sweep",

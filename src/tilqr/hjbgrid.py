@@ -171,6 +171,7 @@ class _Stepper:
     model: ModelSpec
     xs: np.ndarray
     xi: np.ndarray       # interior state nodes
+    nodes: np.ndarray    # time nodes, n_t + 1
     dt: float
     dx: float
     scratch: np.ndarray  # (n_x+1)^2
@@ -178,8 +179,9 @@ class _Stepper:
 
 def _stepper(model: ModelSpec, grid: GridSpec2) -> _Stepper:
     xs = grid.xs
-    return _Stepper(model=model, xs=xs, xi=xs[1:-1], dt=grid.dt, dx=grid.dx,
-                    scratch=np.empty((xs.size, xs.size)))
+    return _Stepper(model=model, xs=xs, xi=xs[1:-1],
+                    nodes=grid.horizon * np.linspace(0.0, 1.0, grid.n_t + 1),
+                    dt=grid.dt, dx=grid.dx, scratch=np.empty((xs.size, xs.size)))
 
 
 def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
@@ -198,8 +200,6 @@ def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
     value_rate, a_int = extended_hamiltonian(
         st.model, t=t, x=xi, z=sigma * v_x, grad_param=d_y, hess_param=d_yy,
         mixed=sigma * d_xy)
-    value_rate = np.asarray(value_rate, dtype=float)
-    a_int = np.broadcast_to(np.asarray(a_int, dtype=float), xi.shape)
     a_out[1:-1] = a_int
     _extrapolate_edges(a_out)
     return value_rate, a_int, sigma
@@ -273,8 +273,8 @@ def _check_iteration_settings(tol: float, max_iter: int):
         raise ConfigError(f"max_iter must be >= 2, got {max_iter}")
 
 
-def _backward(st: _Stepper, nodes: np.ndarray, lo: int, fields: tuple,
-              coupling: np.ndarray, prev: Optional[tuple] = None):
+def _backward(st: _Stepper, lo: int, fields: tuple, coupling: np.ndarray,
+              prev: Optional[tuple] = None):
     """Step ``fields = (v, j, alpha)`` from their last slice, which holds
     terminal data, back to slice 0; slice ``k`` is time slice ``lo + k``.
 
@@ -291,7 +291,7 @@ def _backward(st: _Stepper, nodes: np.ndarray, lo: int, fields: tuple,
     # a blow-up surfaces through the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(m - 1, -1, -1):
-            t1 = nodes[lo + k + 1]
+            t1 = st.nodes[lo + k + 1]
             rate, a_int, sigma = _slice_control(st, t1, v[k + 1], coupling[k + 1],
                                                 alpha[k + 1])
             _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, sigma, v[k], j[k])
@@ -301,7 +301,7 @@ def _backward(st: _Stepper, nodes: np.ndarray, lo: int, fields: tuple,
                 dist[0, k] = np.max(np.abs(v[k] - prev[0][k]))
                 diff = np.subtract(j[k], prev[1][k], out=st.scratch)
                 dist[1, k] = np.max(np.abs(diff, out=diff))
-        _slice_control(st, nodes[lo], v[0], coupling[0], alpha[0])
+        _slice_control(st, st.nodes[lo], v[0], coupling[0], alpha[0])
         if prev is not None:
             # the max of the slice maxima is the window's max, NaN included
             return max(float(np.max(dist[0])), float(np.max(dist[1])),
@@ -324,55 +324,55 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     """
     sigma_max, ratio = _check_cfl(model, grid)
     st = _stepper(model, grid)
-    nodes = grid.horizon * np.linspace(0.0, 1.0, grid.n_t + 1)
     v, j, alpha = _terminal_fields(st, grid.n_t)
-    _backward(st, nodes, 0, (v, j, alpha), coupling=j)
+    _backward(st, 0, (v, j, alpha), coupling=j)
     report = SchemeReport(mode="sweep", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=1)
     return GridSolution(grid=grid, v=v, j=j, alpha=alpha, report=report)
 
 
-def _iterate_window(st: _Stepper, nodes: np.ndarray, lo: int, hi: int,
-                    v_hi: np.ndarray, j_hi: np.ndarray, tol: float, max_iter: int):
-    """Fixed-point iteration on one window, from its terminal data extended
-    constantly. Returns ``(status, fields, distances)`` where status is
-    ``"ok"`` (converged; ``fields`` is the last iterate's ``(v, j, alpha)``),
-    ``"grow"`` (distances stopped decreasing: the map does not contract at
-    this window length), ``"blowup"`` (a pass lost finiteness), or
-    ``"maxiter"``; ``fields`` is None unless the window converged.
+def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, spare: tuple,
+                    tol: float, max_iter: int):
+    """Fixed-point iteration on slices ``lo .. hi`` of ``fields = (v, j, alpha)``,
+    from the terminal data in slice ``hi`` extended constantly. Returns
+    ``(status, distances)`` where status is ``"ok"`` (converged, with the
+    last iterate in ``fields``), ``"grow"`` (distances stopped decreasing:
+    the map does not contract at this window length), ``"blowup"`` (a pass
+    lost finiteness), or ``"maxiter"``; other than on ``"ok"``, slices
+    ``lo .. hi - 1`` hold no usable data.
 
-    Two buffer sets are allocated once; each pass writes one set while
-    reading the previous iterate from the other, and the sets swap roles.
+    Passes alternate between the window of ``fields`` and the same window of
+    ``spare``, a same-shaped scratch set: each writes one while reading the
+    previous iterate from the other. No pass writes slice ``hi`` of ``v`` or
+    ``j``.
     """
-    m = hi - lo
-    shapes = ((m + 1,) + v_hi.shape, (m + 1,) + j_hi.shape, (m + 1,) + v_hi.shape)
-    prev = tuple(np.empty(shape) for shape in shapes)
-    cur = tuple(np.empty(shape) for shape in shapes)
-    v_prev, j_prev, alpha_prev = prev
-    v_prev[:] = v_hi
-    j_prev[:] = j_hi
-    # no pass writes the terminal slice of v or j
-    cur[0][m], cur[1][m] = v_hi, j_hi
+    out = tuple(f[lo:hi + 1] for f in fields)
+    cur, prev = out, tuple(f[lo:hi + 1] for f in spare)
+    v_hi, j_hi = out[0][-1], out[1][-1]
+    prev[0][:], prev[1][:] = v_hi, j_hi
     # expected transient blow-ups abort the window; silence their warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _slice_control(st, nodes[hi], v_hi, j_hi, alpha_prev[m])
-    alpha_prev[:m] = alpha_prev[m]
+        _slice_control(st, st.nodes[hi], v_hi, j_hi, prev[2][-1])
+    prev[2][:-1] = prev[2][-1]
 
     distances = []
     for _ in range(max_iter):
         try:
-            dist = _backward(st, nodes, lo, cur, prev[1], prev)
+            dist = _backward(st, lo, cur, prev[1], prev)
         except NumericError:
-            return "blowup", None, distances
+            return "blowup", distances
         distances.append(dist)
         prev, cur = cur, prev
         if dist <= tol:
-            return "ok", prev, distances
+            if prev is not out:  # the last pass wrote the scratch
+                for dst, src in zip(out, prev):
+                    dst[:] = src
+            return "ok", distances
         # contraction check from the second distance on; the first pass
         # only measures how far the constant extension sits from one solve
         if len(distances) >= 3 and distances[-1] >= distances[-2]:
-            return "grow", None, distances
-    return "maxiter", None, distances
+            return "grow", distances
+    return "maxiter", distances
 
 
 def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
@@ -396,8 +396,9 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     converged window; within each, distances after the first decrease
     strictly.
 
-    Memory: the output fields plus two window-sized ``(v, j, alpha)`` buffer
-    sets, allocated once per window and reused by every pass.
+    Memory: the output fields plus one same-shaped ``(v, j, alpha)`` scratch
+    set, allocated once per solve; every window iterates in the output and
+    the matching slices of the scratch.
 
     Raises
     ------
@@ -412,22 +413,16 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     _check_iteration_settings(tol, max_iter)
     sigma_max, ratio = _check_cfl(model, grid)
     st = _stepper(model, grid)
-    n_t = grid.n_t
-    nodes = grid.horizon * np.linspace(0.0, 1.0, n_t + 1)
-    v, j, alpha = _terminal_fields(st, n_t)
+    fields = _terminal_fields(st, grid.n_t)
+    spare = tuple(np.empty_like(f) for f in fields)
 
     trace = []
-    pending = [(0, n_t)]
+    pending = [(0, grid.n_t)]
     while pending:
         lo, hi = pending.pop()
-        status, fields, distances = _iterate_window(
-            st, nodes, lo, hi, v[hi], j[hi], tol, max_iter)
+        status, distances = _iterate_window(st, lo, hi, fields, spare, tol, max_iter)
         if status == "ok":
             trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
-            v_w, j_w, a_w = fields
-            v[lo:hi] = v_w[:-1]
-            j[lo:hi] = j_w[:-1]
-            alpha[lo + 1:hi + 1] = a_w[1:]
             continue
         if hi - lo < 2:
             trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
@@ -440,9 +435,11 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
         pending.append((lo, mid))
         pending.append((mid, hi))
 
-    # converged everywhere: initial-slice control from the final fields, as
-    # in the sweep
-    _slice_control(st, nodes[0], v[0], j[0], alpha[0])
+    # converged everywhere: each window's first control slice was rewritten
+    # by the window ending there; slice 0 takes its control from the final
+    # fields, as in the sweep
+    v, j, alpha = fields
+    _slice_control(st, st.nodes[0], v[0], j[0], alpha[0])
     report = SchemeReport(mode="picard", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=sum(len(w.distances) for w in trace),
                           trace=tuple(trace))

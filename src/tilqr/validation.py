@@ -53,6 +53,11 @@ from .riccati import (
 
 BENCHMARK = LqrParams()
 
+# refinement ladder of checks 9 and 10: each level has four times the time
+# slices and twice the space cells, so dt / dx^2 stays fixed
+_LADDER = tuple(GridSpec2(n_t=n_t, n_x=n_x, x_lo=-3.0, x_hi=5.0, horizon=BENCHMARK.horizon)
+                for n_t, n_x in ((25, 40), (100, 80), (400, 160)))
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -201,11 +206,10 @@ def _check_grid_vs_riccati() -> CheckResult:
     p = BENCHMARK
     model = lqr_model(p)
     errs = []
-    for n_t, n_x in ((25, 40), (100, 80), (400, 160)):
-        grid = GridSpec2(n_t=n_t, n_x=n_x, x_lo=-3.0, x_hi=5.0, horizon=p.horizon)
+    for grid in _LADDER:
         sweep = solve_extended_hjb_sweep(model, grid)
         fitted = extract_gain(sweep, p)
-        ref = equilibrium_gain(solve_equilibrium_riccati(p, TimeGrid(n_t, p.horizon)), p)
+        ref = equilibrium_gain(solve_equilibrium_riccati(p, TimeGrid(grid.n_t, p.horizon)), p)
         errs.append(float(np.max(np.abs(fitted.k_state - ref.k_state))))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
 
@@ -230,8 +234,7 @@ def _check_diagonal_identity() -> CheckResult:
     p = BENCHMARK
     model = lqr_model(p)
     residuals, terminal_exact = [], True
-    for n_t, n_x in ((25, 40), (100, 80), (400, 160)):
-        grid = GridSpec2(n_t=n_t, n_x=n_x, x_lo=-3.0, x_hi=5.0, horizon=p.horizon)
+    for grid in _LADDER:
         sol = solve_extended_hjb_sweep(model, grid)
         residuals.append(diagonal_residual(sol))
         diag = sol.j[-1][np.arange(grid.n_x + 1), np.arange(grid.n_x + 1)]

@@ -1,9 +1,10 @@
 # Acceptance gate: one test per numbered benchmark check, each asserting the
-# check passed at its contracted tolerance. The suite runs once per module;
-# `tilqr validate` executes the same checks, so this file and the CLI cannot
-# drift apart. Wall-clock budgets are asserted where a check carries one.
+# check passed at its contracted tolerance. The suite runs once per module,
+# through `tilqr validate`, so this file and the CLI cannot drift apart.
+# Wall-clock budgets are asserted where a check carries one.
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,10 +15,38 @@ from tilqr.cli import main
 BUDGET = {1: 1.0, 3: 1.0, 4: 1.0, 5: 1.0, 6: 60.0, 7: 5.0, 9: 60.0}
 
 
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.fixture(scope="module")
-def suite():
-    results, timings = validation.run_all()
-    return {r.criterion: r for r in results}, timings
+def first_validate(tmp_path_factory):
+    """One CLI `validate` run: its argv, output directory, exit code and
+    output tree, with the results and timings of the `run_all` call in it."""
+    root = tmp_path_factory.mktemp("validate")
+    config = root / "bench.ini"
+    config.write_text("[output]\nformats = csv,json\n", encoding="utf-8")
+    out = root / "bench"
+    argv = ["validate", "--config", str(config), "--out", str(out)]
+    calls = []
+    real = validation.run_all
+
+    def recording():
+        calls.append(real())
+        return calls[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validation, "run_all", recording)
+        rc = main(argv)
+    ((results, timings),) = calls
+    return SimpleNamespace(argv=argv, out=out, rc=rc, tree=_tree(out),
+                           results=results, timings=timings)
+
+
+@pytest.fixture(scope="module")
+def suite(first_validate):
+    return {r.criterion: r for r in first_validate.results}, first_validate.timings
 
 
 def check(suite, criterion: int):
@@ -122,22 +151,13 @@ def test_criterion_12_worker_comparison_starts_a_pool(monkeypatch):
     assert pools == [{"max_workers": 4}]
 
 
-def _tree(root: Path) -> dict:
-    return {p.relative_to(root).as_posix(): p.read_bytes()
-            for p in root.rglob("*") if p.is_file()}
-
-
-def test_criterion_12_repeat_validate_byte_identical(tmp_path):
+def test_criterion_12_repeat_validate_byte_identical(first_validate):
     # the other half of the determinism contract: two `validate` runs into
     # the same directory write byte-identical output trees
-    config = tmp_path / "bench.ini"
-    config.write_text("[output]\nformats = csv,json\n", encoding="utf-8")
-    out = tmp_path / "bench"
-    argv = ["validate", "--config", str(config), "--out", str(out)]
-    assert main(argv) == 0
-    first = _tree(out)
-    assert main(argv) == 0
-    second = _tree(out)
+    assert first_validate.rc == 0
+    first = first_validate.tree
+    assert main(first_validate.argv) == 0
+    second = _tree(first_validate.out)
     assert sorted(first) == sorted(second)
     for name in first:
         assert first[name] == second[name], f"{name} differs between runs"

@@ -469,6 +469,35 @@ class TestMainEntry:
         assert rc == EXIT_NUMERIC
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
+    def test_sweep_with_every_row_failed_exits_three_before_any_output(self, capsys,
+                                                                       tmp_path):
+        # penalty weights near the float ceiling overflow every row
+        config = tmp_path / "run.ini"
+        config.write_text("[sweep]\ngamma_min = 1e307\ngamma_max = 1.7e308\n"
+                          "gamma_steps = 3\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["sweep", "--config", str(config), "--out", str(out)])
+        assert rc == EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "numeric"
+        assert record["message"].startswith("all 3 sweep rows failed numerically; "
+                                            "first: gamma=")
+        assert not list(out.glob("sweep.*"))
+
+    def test_sweep_with_some_rows_failed_writes_every_file(self, capsys, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text("[sweep]\ngamma_min = 0\ngamma_max = 1.7e308\n"
+                          "gamma_steps = 3\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert "(2 rows failed numerically)" in capsys.readouterr().out
+        assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.svg"]
+        assert (out / "sweep.csv").read_text(encoding="utf-8").count("# note: gamma=") == 2
+
     @pytest.mark.parametrize("x_hi", ["1e308", "inf"])
     def test_unusable_pde_bounds_exit_config_with_one_record(self, capsys, tmp_path, x_hi):
         config = tmp_path / "run.ini"
