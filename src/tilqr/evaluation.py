@@ -164,6 +164,6 @@ def gamma_sweep(params: LqrParams, gammas, grid: TimeGrid) -> SweepTable:
                            for gain in strategy_gains(row_params, grid).values()]
             notes.append("")
         except NumericError as e:
-            notes.append(f"gamma={g!r}: {e}")
+            notes.append(f"gamma={float(g)!r}: {e}")
     return SweepTable(gammas=gs, j_equilibrium=costs[0], j_naive=costs[1],
                       j_precommitted=costs[2], notes=tuple(notes))

@@ -29,8 +29,9 @@ _MASK256 = (1 << 256) - 1
 # Paths are simulated in fixed-size chunks. Per-path values depend only on seed
 # and stream index, never on chunk boundaries, and both sizes are even, so a
 # mirrored antithetic pair never straddles two chunks. The streaming route
-# keeps 8192: at 1024 the mc_stream benchmark ran ~11% slower. The retaining
-# routes (simulate_paths, compare_strategies, the CLI's simulate) reduce each
+# keeps 8192: at 1024 the mc_stream benchmark ran ~11% slower. Its chunk's
+# noise is one 65 MB float64 array at 1000 steps. The retaining routes
+# (simulate_paths, compare_strategies, the CLI's simulate) reduce each
 # chunk as it is simulated, so their peak memory is one chunk buffer per
 # worker: ~50 MB of states and controls at 1024 paths, three gains and 1000
 # steps. On the mc_paths benchmark 1024 was no slower than 2048 or 8192 and
@@ -39,6 +40,8 @@ _CHUNK = 8192
 _RETAIN_CHUNK = 1024
 # Steps buffered before a copy into path-major trajectories (one strided write each)
 _BLOCK = 32
+# Streams whose Philox words normal_stream holds at once (64 x 1000 draws: 0.5 MB)
+_STREAM_BLOCK = 64
 
 
 def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
@@ -67,13 +70,19 @@ def normal_stream(seed: int, first_stream: int, n_streams: int, n_draws: int) ->
 
     Uniforms take the top 53 bits of each word, offset by half a spacing, so
     they stay strictly inside (0, 1) and the inverse CDF stays finite. Stored
-    draw-major, so ``.T`` is C-contiguous.
+    draw-major, so ``.T`` is C-contiguous. One float64 array of the output's
+    size is the only chunk-sized allocation: words are drawn ``_STREAM_BLOCK``
+    streams at a time and cast into it column block by column block, as
+    exact 53-bit integers.
     """
     blocks = (n_draws + 3) // 4
-    streams = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
-    words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
-    np.right_shift(words, np.uint64(11), out=words)
-    u = words.T.astype(np.float64, order="C")
+    u = np.empty((n_draws, n_streams))
+    for s0 in range(0, n_streams, _STREAM_BLOCK):
+        streams = np.arange(first_stream + s0, first_stream + min(s0 + _STREAM_BLOCK, n_streams),
+                            dtype=np.uint64)
+        words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
+        np.right_shift(words, np.uint64(11), out=words)
+        u[:, s0:s0 + len(streams)] = words.T
     u += 0.5
     u *= 2.0 ** -53
     return ndtri(u, out=u).T
@@ -176,8 +185,9 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
     dt = params.horizon / n_steps
     if config.antithetic:
         # one stream per mirrored pair; odd members negate it
-        base = normal_stream(config.seed, lo // 2, m // 2, n_steps).T
-        dw = np.stack([base, -base], axis=-1).reshape(n_steps, m)
+        dw = np.empty((n_steps, m))
+        dw[:, 0::2] = normal_stream(config.seed, lo // 2, m // 2, n_steps).T
+        np.negative(dw[:, 0::2], out=dw[:, 1::2])
     else:
         dw = normal_stream(config.seed, lo, m, n_steps).T
     dw *= params.sigma * math.sqrt(dt)
@@ -199,7 +209,8 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
                 drift *= dt
                 x += drift
                 x += dw[i0 + j]
-                x_buf[j] = x
+                if states is not None:
+                    x_buf[j] = x
             if states is None:
                 for a in a_buf[:n]:
                     run += a * a

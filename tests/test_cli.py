@@ -485,7 +485,7 @@ class TestMainEntry:
         record = json.loads(lines[0])
         assert record["error"] == "numeric"
         assert record["message"].startswith("all 3 sweep rows failed numerically; "
-                                            "first: gamma=")
+                                            "first: gamma=1e+307: ")
         assert not list(out.glob("sweep.*"))
 
     def test_sweep_with_some_rows_failed_writes_every_file(self, capsys, tmp_path):

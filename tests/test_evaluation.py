@@ -174,6 +174,7 @@ class TestGammaSweep:
         table = gamma_sweep(benchmark_params, np.array([1.0, 5.0, 9.0]),
                             TimeGrid(200, 1.0))
         assert math.isnan(table.j_equilibrium[1])
+        assert table.notes[1].startswith("gamma=5.0: ")
         assert "synthetic blow-up" in table.notes[1]
         assert table.notes[0] == "" and table.notes[2] == ""
         assert np.isfinite(table.j_equilibrium[[0, 2]]).all()

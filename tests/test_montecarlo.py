@@ -135,6 +135,13 @@ class TestNormalStream:
                 u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
                 assert np.array_equal(got[stream], ndtri(u))
 
+    def test_rows_match_single_stream_calls_across_stream_block_edges(self):
+        # starts unaligned, crosses the 64- and 128-stream block edges and
+        # draws a count that is not a multiple of four
+        wide = normal_stream(7, 61, 200, 21)
+        for i, row in enumerate(wide):
+            assert np.array_equal(row, normal_stream(7, 61 + i, 1, 21)[0])
+
     def test_draws_are_finite_with_plausible_moments(self):
         z = normal_stream(1, 0, 200, 500)
         assert np.isfinite(z).all()
@@ -640,6 +647,21 @@ class TestMemory:
         # blocks and the per-path costs (~1.95 here); retaining every path
         # would need 8 buffers' worth
         assert eight <= 2.5 * self.CHUNK_BYTES
+
+    def test_noise_holds_one_copy_of_its_output(self):
+        # words are drawn a block of streams at a time straight into the
+        # float output, so no chunk-sized word array or transposed copy exists
+        out_bytes = 4096 * 200 * 8
+        assert peak_traced_bytes(lambda: normal_stream(5, 0, 4096, 200)) <= 1.25 * out_bytes
+
+    def test_antithetic_chunk_mirrors_its_noise_in_place(self):
+        # the half-size draw and the mirrored chunk it is copied into (1.5),
+        # with no negated copy or stacked pair beside them
+        n_steps = 200
+        config = SimConfig(n_paths=_CHUNK, n_steps=n_steps, seed=2, antithetic=True)
+        gain = constant_gain(0.5, 0.0, n_steps)
+        peak = peak_traced_bytes(lambda: estimate_cost_streaming(gain, LqrParams(), config))
+        assert peak <= 1.75 * _CHUNK * n_steps * 8
 
 
 class TestEulerConvergence:
