@@ -63,7 +63,8 @@ def solve_moments(gain: GainSchedule, params: LqrParams) -> MomentPath:
     ``mean' = (a_bar - b_bar k) mean - b_bar c`` and
     ``second' = 2 (a_bar - b_bar k) second - 2 b_bar c mean + sigma^2``,
     started exactly at ``(x0, x0^2)``. Gains are interpolated linearly, so
-    the half-step values the integrator needs are plain midpoints.
+    the half-step values the integrator needs are plain midpoints. Raises
+    NumericError, naming ``x0``, when ``x0^2`` overflows.
     """
     grid = gain.grid
     if abs(grid.horizon - params.horizon) > 1e-12:
@@ -77,7 +78,10 @@ def solve_moments(gain: GainSchedule, params: LqrParams) -> MomentPath:
     m = np.empty(n + 1)
     s = np.empty(n + 1)
     m[0] = params.x0
-    s[0] = params.x0 ** 2
+    try:
+        s[0] = params.x0 ** 2
+    except OverflowError:
+        raise NumericError(f"x0 = {params.x0!r} has a square that overflows") from None
 
     def rhs(ki, ci, mv, sv):
         lam = ab - bb * ki

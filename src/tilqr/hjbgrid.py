@@ -26,7 +26,8 @@ import numpy as np
 
 from ._util import readonly
 from .errors import ConfigError, NumericError, PicardError
-from .model import LqrParams, ModelSpec, extended_hamiltonian
+from .model import (LqrParams, ModelSpec, _hamiltonian, _require_finite,
+                    _require_positive_vol)
 from .riccati import GainLabel, GainSchedule, TimeGrid
 
 
@@ -189,20 +190,25 @@ def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
     """Optimize the control on one time slice and return the update pieces.
 
     Returns (value_rate, a_interior, sigma): the corrected Hamiltonian value
-    at interior nodes, the optimizing control there, and the volatility
-    there at ``t``. The control extended to the boundary by extrapolation is
-    written into ``a_out``.
+    at interior nodes, the optimizing control there (a view of ``a_out``),
+    and the volatility there at ``t``. The control extended to the boundary
+    by extrapolation is written into ``a_out``.
+
+    The volatility is evaluated once; the Hamiltonian slots are checked in
+    the order of :func:`extended_hamiltonian`, whose core this calls. ``t``
+    and the nodes are grid constants, finite by construction.
     """
     xi = st.xi
     v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * st.dx)
-    sigma = np.broadcast_to(np.asarray(st.model.vol(t, xi), dtype=float), xi.shape)
+    sigma = np.asarray(st.model.vol(t, xi), dtype=float)
     d_y, d_yy, d_xy = _diag_fields(coupling_slice, st.dx)
-    value_rate, a_int = extended_hamiltonian(
-        st.model, t=t, x=xi, z=sigma * v_x, grad_param=d_y, hess_param=d_yy,
-        mixed=sigma * d_xy)
+    z, mixed = sigma * v_x, sigma * d_xy
+    _require_finite(z=z, grad_param=d_y, hess_param=d_yy, mixed=mixed)
+    _require_positive_vol(sigma)
+    value_rate, a_int = _hamiltonian(st.model, t, xi, sigma, z, d_y, d_yy, mixed)
     a_out[1:-1] = a_int
     _extrapolate_edges(a_out)
-    return value_rate, a_int, sigma
+    return value_rate, a_out[1:-1], sigma
 
 
 def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
@@ -226,7 +232,6 @@ def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
     mu = np.asarray(model.drift(t_next, xi, a_int), dtype=float)
     f = np.asarray(model.running_cost(t_next, xs[None, :], xi[:, None],
                                       a_int[:, None]), dtype=float)
-    f = np.broadcast_to(f, (xi.size, xs.size))
     up, mid, down = j_next[2:], j_next[1:-1], j_next[:-2]
     acc, j_xx = j_out[1:-1], st.scratch[1:-1]
     np.subtract(up, down, out=acc)
@@ -237,7 +242,7 @@ def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
     np.subtract(up, j_xx, out=j_xx)
     np.add(j_xx, down, out=j_xx)
     np.divide(j_xx, dx ** 2, out=j_xx)                  # j_xx
-    np.multiply(0.5 * (sigma ** 2)[:, None], j_xx, out=j_xx)
+    np.multiply(0.5 * np.reshape(sigma ** 2, (-1, 1)), j_xx, out=j_xx)
     np.add(acc, j_xx, out=acc)
     np.multiply(dt, acc, out=acc)
     np.add(mid, acc, out=acc)
@@ -280,10 +285,14 @@ def _backward(st: _Stepper, lo: int, fields: tuple, coupling: np.ndarray,
 
     Each step reads the coupling derivatives from ``coupling``: the sweep
     passes the indexed field it computes, a Picard pass the previous
-    iterate's. Given that iterate ``prev = (v, j, alpha)``, the pass returns
-    the sup distance of the three fields from it, taking those of ``v`` and
-    ``j`` slice by slice while the slice is hot. Raises NumericError, naming
-    the slice, when a field loses finiteness.
+    iterate's. Given that iterate ``prev = (v, j, alpha)``, which is finite,
+    the pass returns ``(distance, settled)``: the sup distance of the three
+    fields from it, with those of ``v`` and ``j`` taken slice by slice while
+    the slice is hot, and the number of slices, counted down from the last
+    stepped one, whose ``v`` and ``j`` distances are exactly 0. Raises
+    NumericError, naming the slice, when a field loses finiteness; a Picard
+    pass scans a slice for that only when one of its distances is not
+    finite, which a non-finite slice always makes it.
     """
     v, j, alpha = fields
     m = v.shape[0] - 1
@@ -295,17 +304,24 @@ def _backward(st: _Stepper, lo: int, fields: tuple, coupling: np.ndarray,
             rate, a_int, sigma = _slice_control(st, t1, v[k + 1], coupling[k + 1],
                                                 alpha[k + 1])
             _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, sigma, v[k], j[k])
-            _check_finite("value field", v[k], lo + k)
-            _check_finite("indexed field", j[k], lo + k)
             if prev is not None:
                 dist[0, k] = np.max(np.abs(v[k] - prev[0][k]))
                 diff = np.subtract(j[k], prev[1][k], out=st.scratch)
-                dist[1, k] = np.max(np.abs(diff, out=diff))
+                # + 0.0 turns a -0.0 maximum into 0.0, as abs would
+                dist[1, k] = max(diff.max(), -diff.min()) + 0.0
+                if math.isfinite(dist[0, k]) and math.isfinite(dist[1, k]):
+                    continue
+            _check_finite("value field", v[k], lo + k)
+            _check_finite("indexed field", j[k], lo + k)
         _slice_control(st, st.nodes[lo], v[0], coupling[0], alpha[0])
         if prev is not None:
-            # the max of the slice maxima is the window's max, NaN included
-            return max(float(np.max(dist[0])), float(np.max(dist[1])),
-                       float(np.max(np.abs(alpha - prev[2]))))
+            moved = np.flatnonzero(dist.any(axis=0))
+            settled = m - 1 - int(moved[-1]) if moved.size else m
+            # the max of the slice maxima is the window's max, NaN included;
+            # a pass that copies every slice steps none
+            return max(float(np.max(dist[0], initial=0.0)),
+                       float(np.max(dist[1], initial=0.0)),
+                       float(np.max(np.abs(alpha - prev[2])))), settled
 
 
 def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
@@ -345,6 +361,18 @@ def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, spare: tuple,
     ``spare``, a same-shaped scratch set: each writes one while reading the
     previous iterate from the other. No pass writes slice ``hi`` of ``v`` or
     ``j``.
+
+    A pass copies from the previous iterate, rather than steps, the slices
+    whose result it already knows. If the last ``Z`` slices below ``hi``
+    all had ``v`` and ``j`` distance exactly 0 in one pass, the next pass
+    would step those slices and the one below them from the inputs the
+    pass before used: the slice above, just reproduced, and the previous
+    iterate's indexed field there as coupling, which the zero distance says
+    did not move. So the next pass copies these ``Z + 1`` slices of ``v``
+    and ``j``, and the controls on the ``Z + 1`` slices up to ``hi``, and
+    steps only the slices below; the copied slices' distance is exactly 0.
+    The controls come from the previous iterate because the buffer being
+    written may hold an older pass's.
     """
     out = tuple(f[lo:hi + 1] for f in fields)
     cur, prev = out, tuple(f[lo:hi + 1] for f in spare)
@@ -356,11 +384,16 @@ def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, spare: tuple,
     prev[2][:-1] = prev[2][-1]
 
     distances = []
+    top = hi - lo  # a pass copies slices top .. hi - lo - 1 and steps the rest
     for _ in range(max_iter):
+        for dst, src in zip(cur, prev):
+            dst[top:] = src[top:]
         try:
-            dist = _backward(st, lo, cur, prev[1], prev)
+            dist, settled = _backward(st, lo, tuple(f[:top + 1] for f in cur),
+                                      prev[1][:top + 1], tuple(f[:top + 1] for f in prev))
         except NumericError:
             return "blowup", distances
+        top = max(top - settled - 1, 0)
         distances.append(dist)
         prev, cur = cur, prev
         if dist <= tol:
@@ -395,6 +428,14 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     full-horizon window. The report's trace holds one ``PicardWindow`` per
     converged window; within each, distances after the first decrease
     strictly.
+
+    A pass skips work whose result it already knows bit for bit. Slices
+    below a window's terminal slice that the pass before reproduced exactly
+    (``v`` and ``j`` distance 0), and the slice below them, are copied from
+    the previous iterate instead of stepped; and a new slice is scanned for
+    non-finite values only when its distance is not finite, which any
+    non-finite value in it makes it. Pass counts, distances and fields are
+    those of stepping and scanning every slice.
 
     Memory: the output fields plus one same-shaped ``(v, j, alpha)`` scratch
     set, allocated once per solve; every window iterates in the output and

@@ -163,6 +163,21 @@ def _require_finite(**slots):
             raise NumericError(f"non-finite value in Hamiltonian slot '{name}'")
 
 
+def _require_positive_vol(sigma):
+    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
+        raise ConfigError("model volatility must be positive and finite")
+
+
+def _hamiltonian(model: ModelSpec, t, x, sigma, z, grad_param, hess_param, mixed):
+    """The corrected Hamiltonian and its optimal action, given the volatility
+    ``sigma`` at ``(t, x)``, with no slot checked; see
+    :func:`extended_hamiltonian`."""
+    g = z / sigma - grad_param
+    a_opt = model.maximizer(g)
+    inner = model.running_cost(t, x, x, a_opt) + model.drift(t, x, a_opt) * g
+    return inner - 0.5 * sigma * sigma * hess_param - sigma * mixed, a_opt
+
+
 def extended_hamiltonian(model: ModelSpec, *, t, x, z, grad_param, hess_param,
                          mixed):
     """Evaluate the corrected Hamiltonian and its optimal action.
@@ -201,13 +216,9 @@ def extended_hamiltonian(model: ModelSpec, *, t, x, z, grad_param, hess_param,
     _require_finite(t=t, x=x, z=z, grad_param=grad_param,
                     hess_param=hess_param, mixed=mixed)
     sigma = np.asarray(model.vol(t, x), dtype=float)
-    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-        raise ConfigError("model volatility must be positive and finite")
-
-    g = np.asarray(z, dtype=float) / sigma - grad_param
-    a_opt = model.maximizer(g)
-    inner = model.running_cost(t, x, x, a_opt) + model.drift(t, x, a_opt) * g
-    value = inner - 0.5 * sigma * sigma * hess_param - sigma * mixed
+    _require_positive_vol(sigma)
+    value, a_opt = _hamiltonian(model, t, x, sigma, np.asarray(z, dtype=float),
+                                grad_param, hess_param, mixed)
 
     if np.ndim(value) == 0 and np.ndim(a_opt) == 0:
         return float(value), float(a_opt)

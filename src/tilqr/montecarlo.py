@@ -192,10 +192,11 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
         dw = normal_stream(config.seed, lo, m, n_steps).T
     dw *= params.sigma * math.sqrt(dt)
     x = np.full((k.shape[1], m), params.x0)
+    run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
+    a_buf = np.empty((_BLOCK,) + x.shape)
     if states is not None:
         states[:, :, 0] = x
-    run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
-    a_buf, x_buf = np.empty((2, _BLOCK) + x.shape)
+        x_buf = np.empty_like(a_buf)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_steps, _BLOCK):
             n = min(_BLOCK, n_steps - i0)

@@ -226,9 +226,15 @@ def precommitted_policy(sol: NaiveSolution, params: LqrParams) -> GainSchedule:
 
     Affine with a state-independent offset anchored at the initial state;
     the offset is negative for positive anchors (q < 0 for gamma > 0).
+    Raises NumericError, naming ``x0``, when the offset overflows.
     """
     k = 2.0 * params.b_bar * sol.p
-    c = params.b_bar * sol.q * params.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = params.b_bar * sol.q * params.x0
+    if not np.all(np.isfinite(c)):
+        t = sol.grid.nodes[np.argmax(~np.isfinite(c))]
+        raise NumericError(f"precommitted offset b_bar * q * x0 overflows at t = {t:.6g} "
+                           f"for x0 = {params.x0!r}")
     return GainSchedule(grid=sol.grid, k_state=k, c_offset=c,
                         label=GainLabel.PRECOMMITTED)
 

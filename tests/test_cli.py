@@ -498,6 +498,39 @@ class TestMainEntry:
         assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.svg"]
         assert (out / "sweep.csv").read_text(encoding="utf-8").count("# note: gamma=") == 2
 
+    @pytest.mark.parametrize("command", [["cost", "--strategy", "equilibrium"],
+                                         ["simulate", "--strategy", "naive"], ["sweep"]],
+                             ids=["cost", "simulate", "sweep"])
+    def test_initial_state_with_an_overflowing_square_exits_three(self, capsys, tmp_path,
+                                                                  command):
+        config = tmp_path / "run.ini"
+        config.write_text("[model]\nx0 = 1e300\n[numerics]\node_steps = 4\n"
+                          "sim_steps = 4\nn_paths = 10\n[sweep]\ngamma_steps = 3\n",
+                          encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([*command, "--config", str(config), "--out", str(out)]) == EXIT_NUMERIC
+        record = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert record["error"] == "numeric"
+        assert record["message"].endswith("x0 = 1e+300 has a square that overflows")
+        if command == ["sweep"]:
+            assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["gains", "compare"])
+    def test_overflowing_precommitted_offset_exits_three_with_one_record(self, tmp_path,
+                                                                         command):
+        # a child interpreter, so that a numpy warning would reach stderr
+        config = tmp_path / "run.ini"
+        config.write_text("[model]\nx0 = 1.7e308\n[numerics]\node_steps = 4\n"
+                          "sim_steps = 4\nn_paths = 10\n", encoding="utf-8")
+        proc = run_module(command, "--config", str(config), "--out", str(tmp_path / "o"))
+        assert proc.returncode == EXIT_NUMERIC
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "numeric"
+        assert record["message"].startswith("precommitted offset b_bar * q * x0 overflows")
+
     @pytest.mark.parametrize("x_hi", ["1e308", "inf"])
     def test_unusable_pde_bounds_exit_config_with_one_record(self, capsys, tmp_path, x_hi):
         config = tmp_path / "run.ini"

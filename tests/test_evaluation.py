@@ -90,6 +90,11 @@ class TestMoments:
         with pytest.raises(NumericError, match="blew up"):
             solve_moments(huge, benchmark_params)
 
+    def test_initial_state_with_an_overflowing_square_raises(self):
+        params = LqrParams(x0=1e300)
+        with pytest.raises(NumericError, match=r"^x0 = 1e\+300 has a square that overflows$"):
+            solve_moments(zero_gain(), params)
+
 
 class TestExactCost:
     def test_zero_control_matches_closed_form(self, benchmark_params):

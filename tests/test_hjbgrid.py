@@ -301,6 +301,56 @@ class TestPicard:
         picard = solve_extended_hjb_picard(model, grid)
         assert solutions_sha256(sweep, picard) == SOLVED_VARYING_VOL_25X40_SHA256
 
+    def test_settled_slices_are_copied_not_stepped(self, monkeypatch):
+        # 2150 slice steps when every pass steps every slice of its window,
+        # 1834 when a pass copies only the slices that had distance 0 in the
+        # pass before, and 1797 when it also copies the one below them
+        steps = 0
+        advance = hjbgrid._advance_slice
+
+        def counted(*args):
+            nonlocal steps
+            steps += 1
+            return advance(*args)
+
+        monkeypatch.setattr(hjbgrid, "_advance_slice", counted)
+        solve_extended_hjb_picard(MODEL, benchmark_grid(100, 80))
+        assert steps == 1797
+
+    def test_no_distance_is_a_negative_zero(self, solved_100x80):
+        _, picard = solved_100x80
+        for window in picard.report.trace:
+            assert all(math.copysign(1.0, d) == 1.0 for d in window.distances)
+
+    def test_volatility_is_evaluated_once_per_slice_control(self, monkeypatch):
+        vol_calls = controls = 0
+        grid = benchmark_grid(25, 40)
+
+        def vol(t, x):
+            nonlocal vol_calls
+            vol_calls += 1
+            return MODEL.vol(t, x)
+
+        slice_control = hjbgrid._slice_control
+
+        def counted(*args):
+            nonlocal controls
+            controls += 1
+            return slice_control(*args)
+
+        monkeypatch.setattr(hjbgrid, "_slice_control", counted)
+        solve_extended_hjb_picard(replace(MODEL, vol=vol), grid)
+        assert vol_calls == controls + min(grid.n_t, 32) + 1  # plus the stability bound's
+
+    def test_scalar_volatility_gives_the_broadcast_one_bitwise(self):
+        grid = benchmark_grid(25, 40)
+        scalar = replace(MODEL, vol=lambda t, x: PARAMS.sigma)
+        for solve in (solve_extended_hjb_sweep, solve_extended_hjb_picard):
+            ref, sol = solve(MODEL, grid), solve(scalar, grid)
+            for name in ("v", "j", "alpha"):
+                assert np.array_equal(getattr(ref, name), getattr(sol, name))
+            assert sol.report == ref.report
+
     def test_time_consistent_model_stops_after_two_passes(self):
         # without coupling the second pass reproduces the first bitwise
         grid = GridSpec2(n_t=50, n_x=40, x_lo=-3.0, x_hi=5.0, horizon=1.0)
@@ -310,6 +360,7 @@ class TestPicard:
         assert (trace[0].k_lo, trace[0].k_hi) == (0, 50)
         assert len(trace[0].distances) == 2
         assert trace[0].distances[1] == 0.0
+        assert math.copysign(1.0, trace[0].distances[1]) == 1.0
         sweep = solve_extended_hjb_sweep(time_consistent_model(), grid)
         assert np.array_equal(sweep.v, picard.v)
         assert np.array_equal(sweep.alpha, picard.alpha)
@@ -333,6 +384,20 @@ class TestPicard:
         with pytest.raises(PicardError, match="no convergence on slices") as exc:
             solve_extended_hjb_picard(hopeless_model(), grid)
         assert len(exc.value.trace) >= 1
+
+    def test_blowup_away_from_the_diagonal_aborts_the_window(self):
+        # an infinite running cost three cells or more off the diagonal is
+        # beyond the diagonal stencils' reach, so no Hamiltonian slot sees
+        # it, only the scan of the indexed field; a Picard pass runs that
+        # scan on the infinite distance the slice gives
+        model = replace(MODEL, running_cost=lambda t, y, x, a: (
+            0.5 * a * a + np.where(np.abs(y - x) > 0.6, np.inf, 0.0)))
+        grid = GridSpec2(n_t=2, n_x=8, x_lo=-1.0, x_hi=1.0, horizon=0.1)
+        with pytest.raises(NumericError, match=r"^indexed field blew up at time slice 1, "):
+            solve_extended_hjb_sweep(model, grid)
+        with pytest.raises(PicardError, match=r"^no convergence on slices \[1, 2\] "
+                                              r"\(blowup after 0 passes"):
+            solve_extended_hjb_picard(model, grid)
 
 
 def peak_traced_bytes(solve) -> int:

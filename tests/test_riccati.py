@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,14 @@ class TestNaiveSystem:
         assert gain.k_state[0] == pytest.approx(K_PRE_STATE_0, abs=1e-9)
         assert gain.c_offset[0] == pytest.approx(C_PRE_OFFSET_0, abs=1e-9)
         assert gain.label is GainLabel.PRECOMMITTED
+
+    def test_precommitted_offset_overflow_raises_without_a_warning(self, benchmark_params):
+        params = LqrParams(x0=1.7e308)
+        sol = solve_naive(params, grid(50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"precommitted offset .* x0 = 1\.7e\+308$"):
+                precommitted_policy(sol, params)
 
     def test_precommitted_terminal_row(self, benchmark_params):
         # k(T) = 2 b p(T) = gamma and c(T) = b q(T) x0 = -gamma
