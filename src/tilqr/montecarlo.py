@@ -7,11 +7,16 @@ words of the numpy-only emulation this replaced, so no noise byte changed. Each
 path's stream is a pure function of (seed, stream index, step): batches are
 bit-reproducible across runs, platforms, chunk sizes and thread counts, and one
 Euler kernel advances every gain of a call on each noise chunk (common random numbers).
+A noise call of more than 1024 streams maps the inverse CDF of its finished
+stream groups on one helper thread while it draws the next group; which thread
+maps a group changes no bit.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +47,9 @@ _RETAIN_CHUNK = 1024
 _BLOCK = 32
 # Streams whose Philox words normal_stream holds at once (64 x 1000 draws: 0.5 MB)
 _STREAM_BLOCK = 64
+# Streams per ndtri group: a helper thread maps each finished group while the
+# calling thread draws the next (an 8192-stream chunk is 8 groups)
+_GROUP = 16 * _STREAM_BLOCK
 
 
 def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
@@ -65,6 +73,19 @@ def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
     return out
 
 
+def _map_groups(pending, failed: list) -> None:
+    """Helper-thread body: ``ndtri`` in place on each queued group until ``None``.
+
+    The first error is kept in ``failed`` for the caller to raise, and ends
+    the thread; the caller's later puts never block.
+    """
+    try:
+        while (g := pending.get()) is not None:
+            ndtri(g, out=g)
+    except BaseException as exc:  # re-raised on the calling thread
+        failed.append(exc)
+
+
 def normal_stream(seed: int, first_stream: int, n_streams: int, n_draws: int) -> np.ndarray:
     """Standard normals, one row per stream, via inverse CDF of (0,1) uniforms.
 
@@ -74,18 +95,44 @@ def normal_stream(seed: int, first_stream: int, n_streams: int, n_draws: int) ->
     size is the only chunk-sized allocation: words are drawn ``_STREAM_BLOCK``
     streams at a time and cast into it column block by column block, as
     exact 53-bit integers.
+
+    Streams are filled ``_GROUP`` at a time. With more than one group, one
+    helper thread runs ``ndtri`` (which releases the GIL) in place on each
+    finished group while this thread draws the next; this thread maps the
+    last group itself and then joins the helper, so no thread outlives the
+    call and a helper's error is raised here. Every value is elementwise in
+    its own (seed, stream, draw), so the output is bitwise the same whichever
+    thread maps which group. A one-group call starts no thread.
     """
     blocks = (n_draws + 3) // 4
     u = np.empty((n_draws, n_streams))
-    for s0 in range(0, n_streams, _STREAM_BLOCK):
-        streams = np.arange(first_stream + s0, first_stream + min(s0 + _STREAM_BLOCK, n_streams),
-                            dtype=np.uint64)
-        words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
-        np.right_shift(words, np.uint64(11), out=words)
-        u[:, s0:s0 + len(streams)] = words.T
-    u += 0.5
-    u *= 2.0 ** -53
-    return ndtri(u, out=u).T
+    pending, failed, helper = queue.SimpleQueue(), [], None
+    if n_streams > _GROUP:
+        helper = threading.Thread(target=_map_groups, args=(pending, failed))
+        helper.start()
+    try:
+        for g0 in range(0, n_streams, _GROUP):
+            for s0 in range(g0, min(g0 + _GROUP, n_streams), _STREAM_BLOCK):
+                streams = np.arange(first_stream + s0,
+                                    first_stream + min(s0 + _STREAM_BLOCK, n_streams),
+                                    dtype=np.uint64)
+                words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
+                np.right_shift(words, np.uint64(11), out=words)
+                u[:, s0:s0 + len(streams)] = words.T
+            g = u[:, g0:g0 + _GROUP]
+            g += 0.5
+            g *= 2.0 ** -53
+            if g0 + _GROUP < n_streams:
+                pending.put(g)
+            else:
+                ndtri(g, out=g)
+    finally:
+        if helper is not None:
+            pending.put(None)
+            helper.join()
+    if failed:
+        raise failed[0]
+    return u.T
 
 
 @dataclass(frozen=True)
@@ -256,9 +303,12 @@ def _estimate(costs: np.ndarray, good: np.ndarray, antithetic: bool) -> CostEsti
     n = samples.size
     if n == 0:
         raise ConfigError("no finite paths left to average")
-    stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / math.sqrt(n))
-    return CostEstimate(mean=float(np.mean(samples)), stderr=stderr, n_paths=n,
-                        n_dropped=good.size - kept.size)
+    # finite costs near the float ceiling may sum to a non-finite estimate;
+    # it is returned as such, with no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / math.sqrt(n))
+        mean = float(np.mean(samples))
+    return CostEstimate(mean=mean, stderr=stderr, n_paths=n, n_dropped=good.size - kept.size)
 
 
 @dataclass(frozen=True)

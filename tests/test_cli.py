@@ -531,6 +531,22 @@ class TestMainEntry:
         assert record["error"] == "numeric"
         assert record["message"].startswith("precommitted offset b_bar * q * x0 overflows")
 
+    def test_overflowing_path_costs_exit_three_without_a_warning(self, tmp_path):
+        # a child interpreter, so that a numpy warning would reach stderr: the
+        # finite path costs near the float ceiling overflow the estimate's sums
+        config = tmp_path / "run.ini"
+        config.write_text("[model]\nx0 = 1e300\n[numerics]\node_steps = 4\n"
+                          "sim_steps = 4\nn_paths = 10\n", encoding="utf-8")
+        proc = run_module("simulate", "--strategy", "naive", "--config", str(config),
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == EXIT_NUMERIC
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "numeric"
+        assert record["message"].endswith("x0 = 1e+300 has a square that overflows")
+
     @pytest.mark.parametrize("x_hi", ["1e308", "inf"])
     def test_unusable_pde_bounds_exit_config_with_one_record(self, capsys, tmp_path, x_hi):
         config = tmp_path / "run.ini"

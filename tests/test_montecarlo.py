@@ -1,6 +1,9 @@
 """Tests for the counter-based noise generator and the Euler cost machinery."""
 
 import sys
+import threading
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,7 +34,7 @@ from tilqr import (
     solve_naive,
 )
 from tilqr import montecarlo
-from tilqr.montecarlo import (_CHUNK, _RETAIN_CHUNK, _gain_on_sim_grid, _reduce_paths,
+from tilqr.montecarlo import (_CHUNK, _GROUP, _RETAIN_CHUNK, _gain_on_sim_grid, _reduce_paths,
                               _streaming_estimates)
 
 from test_hjbgrid import peak_traced_bytes
@@ -147,6 +150,83 @@ class TestNormalStream:
         assert np.isfinite(z).all()
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
+
+    def test_rows_match_single_stream_calls_across_group_edges(self):
+        # starts unaligned, crosses two group edges into a ragged last group
+        # and draws a count that is not a multiple of four
+        wide = normal_stream(9, 1000, 2 * _GROUP + 77, 33)
+        for i, row in enumerate(wide):
+            assert np.array_equal(row, normal_stream(9, 1000 + i, 1, 33)[0])
+
+    def test_a_pipelined_chunk_equals_its_one_group_calls(self):
+        # one-group calls start no helper, so this pins the helper's groups
+        # against the serial path
+        whole = normal_stream(42, 0, _CHUNK, 1000)
+        parts = [normal_stream(42, lo, _GROUP, 1000) for lo in range(0, _CHUNK, _GROUP)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+
+class TestNoiseHelper:
+    """Past one group, one helper thread runs ``ndtri`` on every group but the last."""
+
+    @staticmethod
+    def record_ndtri(monkeypatch, error=None):
+        """Thread ids of the ``ndtri`` calls; calls off this thread raise ``error``."""
+        threads, real, caller = [], montecarlo.ndtri, threading.get_ident()
+
+        def recording(g, out):
+            threads.append(threading.get_ident())
+            if error is not None and threads[-1] != caller:
+                raise error
+            return real(g, out=out)
+
+        monkeypatch.setattr(montecarlo, "ndtri", recording)
+        return threads
+
+    def test_one_group_runs_on_the_calling_thread_alone(self, monkeypatch):
+        threads = self.record_ndtri(monkeypatch)
+        before = threading.active_count()
+        normal_stream(3, 5, _GROUP, 10)
+        assert threads == [threading.get_ident()]
+        assert threading.active_count() == before
+
+    def test_more_groups_use_one_helper_that_ends_with_the_call(self, monkeypatch):
+        threads = self.record_ndtri(monkeypatch)
+        before = threading.active_count()
+        got = normal_stream(3, 5, 3 * _GROUP + 5, 10)
+        assert threading.active_count() == before
+        # the caller maps the last group, the helper the three before it
+        assert sorted(threads.count(t) for t in set(threads)) == [1, 3]
+        assert threads.count(threading.get_ident()) == 1
+        monkeypatch.undo()
+        assert np.array_equal(got, normal_stream(3, 5, 3 * _GROUP + 5, 10))
+
+    def test_concurrent_calls_under_frequent_switches_stay_bitwise(self):
+        # three callers on two cores, each with its own helper, as in a pooled
+        # chunk map; one-group calls are the serial reference
+        n = 3 * _GROUP + 5
+        expected = [np.concatenate([normal_stream(seed, lo, min(_GROUP, n - lo), 20)
+                                    for lo in range(0, n, _GROUP)]) for seed in (1, 2, 3)]
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                got = list(pool.map(lambda seed: normal_stream(seed, 0, n, 20), (1, 2, 3)))
+        finally:
+            sys.setswitchinterval(interval)
+        for z, ref in zip(got, expected):
+            assert np.array_equal(z, ref)
+
+    def test_a_helper_error_is_raised_by_the_caller(self, monkeypatch):
+        # of two groups, the helper maps the first and raises on it
+        error = FloatingPointError("first group")
+        threads = self.record_ndtri(monkeypatch, error)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError) as info:
+            normal_stream(3, 0, 2 * _GROUP, 10)
+        assert info.value is error
+        assert len(set(threads)) == 2
+        assert threading.enumerate() == before
 
 
 class TestSimConfig:
@@ -354,6 +434,15 @@ class TestEstimateCost:
         assert est.n_dropped == 2
         assert est.mean == pytest.approx(pair_mean, abs=1e-15)
         assert est.stderr == 0.0
+
+    def test_costs_near_the_float_ceiling_overflow_without_a_warning(self):
+        # each path's cost is finite, their sum is not
+        batch = hand_built_batch([[1.0, 1.0]] * 3, [[1.3e154]] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_cost(batch)
+        assert est.mean == np.inf
+        assert est.n_dropped == 0
 
     def test_no_finite_paths_is_an_error(self):
         batch = hand_built_batch([[1.0, np.nan]], [[0.1]])
