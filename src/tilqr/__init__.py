@@ -45,13 +45,10 @@ from .montecarlo import (
     CostEstimate,
     SimConfig,
     StrategyComparison,
-    TrajectoryBatch,
     compare_strategies,
-    estimate_cost,
     estimate_cost_streaming,
     normal_stream,
     raw_blocks,
-    simulate_paths,
 )
 from .hjbgrid import (
     GridSolution,
@@ -91,14 +88,12 @@ __all__ = [
     "SweepTable",
     "TimeGrid",
     "ToolkitError",
-    "TrajectoryBatch",
     "augment_time_dependent",
     "closed_form_p",
     "compare_strategies",
     "diagonal_residual",
     "equilibrium_gain",
     "equilibrium_value",
-    "estimate_cost",
     "estimate_cost_streaming",
     "exact_cost",
     "extended_hamiltonian",
@@ -114,7 +109,6 @@ __all__ = [
     "rk4_backward",
     "run_all",
     "simpson_uniform",
-    "simulate_paths",
     "solve_equilibrium_riccati",
     "solve_extended_hjb_picard",
     "solve_extended_hjb_sweep",

@@ -374,11 +374,6 @@ def _cmd_sweep(config: RunConfig, args, out_dir: Path) -> int:
         # nothing to tabulate or plot; fail before writing a partial tree
         raise NumericError(f"all {len(table.notes)} sweep rows failed numerically; "
                            f"first: {table.notes[0]}")
-    rows = zip(table.gammas, table.j_equilibrium, table.j_naive, table.j_precommitted)
-    comments = [f"note: {n}" for n in table.notes if n]
-    paths = _emit_table(config, out_dir, "sweep",
-                        ("gamma", "j_equilibrium", "j_naive", "j_precommitted"),
-                        rows, comments)
     series = []
     for label, ys in (("equilibrium", table.j_equilibrium),
                       ("naive", table.j_naive),
@@ -386,9 +381,15 @@ def _cmd_sweep(config: RunConfig, args, out_dir: Path) -> int:
         mask = np.isfinite(ys)
         if mask.any():
             series.append(Series(label, table.gammas[mask], ys[mask]))
-    paths.append(_emit_svg(config, out_dir, "sweep", series,
-                           title="Time-zero cost against the terminal penalty weight",
-                           x_label="gamma", y_label="expected cost"))
+    # the plot goes first, so that one that cannot be drawn leaves no file
+    svg = _emit_svg(config, out_dir, "sweep", series,
+                    title="Time-zero cost against the terminal penalty weight",
+                    x_label="gamma", y_label="expected cost")
+    rows = zip(table.gammas, table.j_equilibrium, table.j_naive, table.j_precommitted)
+    comments = [f"note: {n}" for n in table.notes if n]
+    paths = _emit_table(config, out_dir, "sweep",
+                        ("gamma", "j_equilibrium", "j_naive", "j_precommitted"),
+                        rows, comments) + [svg]
     bad = sum(1 for n in table.notes if n)
     print(f"swept {table.gammas.size} penalty weights in "
           f"[{table.gammas[0]:g}, {table.gammas[-1]:g}]"
@@ -446,16 +447,17 @@ def _cmd_compare(config: RunConfig, args, out_dir: Path) -> int:
         row += [comp.mean_state[j, k] for j in range(len(comp.labels))]
         row += [comp.mean_abs_control[j, min(k, n - 1)] for j in range(len(comp.labels))]
         rows.append(row)
-    comments = ("note: strategies share one noise stream (common random numbers)",
-                "note: mean_abs_control columns repeat their last sample on the terminal row")
-    paths = _emit_table(config, out_dir, "compare", columns, rows, comments)
     series = [Series(f"mean state {lab}", comp.times, comp.mean_state[j])
               for j, lab in enumerate(comp.labels)]
     series += [Series(f"mean |control| {lab}", comp.times[:-1], comp.mean_abs_control[j])
                for j, lab in enumerate(comp.labels)]
-    paths.append(_emit_svg(config, out_dir, "compare", series,
-                           title="Sample averages under common random numbers",
-                           x_label="t", y_label="sample average"))
+    # the plot goes first, so that one that cannot be drawn leaves no file
+    svg = _emit_svg(config, out_dir, "compare", series,
+                    title="Sample averages under common random numbers",
+                    x_label="t", y_label="sample average")
+    comments = ("note: strategies share one noise stream (common random numbers)",
+                "note: mean_abs_control columns repeat their last sample on the terminal row")
+    paths = _emit_table(config, out_dir, "compare", columns, rows, comments) + [svg]
     print(f"compared {len(comp.labels)} strategies over {sim.n_paths} shared paths")
     _report_written(paths)
     return EXIT_OK

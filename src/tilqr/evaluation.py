@@ -108,7 +108,8 @@ def exact_cost(gain: GainSchedule, params: LqrParams) -> CostReport:
     Running part: Simpson quadrature of ``(k^2 s + 2 k c m + c^2) / 2``
     (that is, ``E[control^2]/2`` expanded in the moments). Terminal part:
     ``gamma/2 (s_T - 2 x0 m_T + x0^2)``, the expected quadratic miss of the
-    time-zero anchor. Requires an even step count for the quadrature.
+    time-zero anchor. Requires an even step count for the quadrature. Raises
+    NumericError, naming ``x0``, when the cost is not finite.
     """
     grid = gain.grid
     if grid.n_steps % 2 != 0:
@@ -117,10 +118,14 @@ def exact_cost(gain: GainSchedule, params: LqrParams) -> CostReport:
     k, c = gain.k_state, gain.c_offset
     phi = 0.5 * (k * k * mom.second_moment + 2.0 * k * c * mom.mean + c * c)
     running = simpson_uniform(phi, grid.dt)
-    terminal = 0.5 * params.gamma * (
-        mom.second_moment[-1] - 2.0 * params.x0 * mom.mean[-1] + params.x0 ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terminal = 0.5 * params.gamma * (
+            mom.second_moment[-1] - 2.0 * params.x0 * mom.mean[-1] + params.x0 ** 2)
+        total = running + terminal
+    if not np.isfinite(total):
+        raise NumericError(f"exact cost is not finite with x0 = {params.x0!r}")
     return CostReport(running_cost=running, terminal_cost=terminal,
-                      total=running + terminal, gain_label=gain.label)
+                      total=total, gain_label=gain.label)
 
 
 @dataclass(frozen=True)

@@ -480,7 +480,8 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     # by the window ending there; slice 0 takes its control from the final
     # fields, as in the sweep
     v, j, alpha = fields
-    _slice_control(st, st.nodes[0], v[0], j[0], alpha[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in _backward
+        _slice_control(st, st.nodes[0], v[0], j[0], alpha[0])
     report = SchemeReport(mode="picard", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=sum(len(w.distances) for w in trace),
                           trace=tuple(trace))

@@ -19,7 +19,6 @@ import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,7 +26,7 @@ from scipy.special import ndtri
 from ._util import readonly
 from .errors import ConfigError, NumericError
 from .model import LqrParams
-from .riccati import GainLabel, GainSchedule
+from .riccati import GainSchedule
 
 _MASK256 = (1 << 256) - 1
 
@@ -35,12 +34,11 @@ _MASK256 = (1 << 256) - 1
 # and stream index, never on chunk boundaries, and both sizes are even, so a
 # mirrored antithetic pair never straddles two chunks. The streaming route
 # keeps 8192: at 1024 the mc_stream benchmark ran ~11% slower. Its chunk's
-# noise is one 65 MB float64 array at 1000 steps. The retaining routes
-# (simulate_paths, compare_strategies, the CLI's simulate) reduce each
-# chunk as it is simulated, so their peak memory is one chunk buffer per
-# worker: ~50 MB of states and controls at 1024 paths, three gains and 1000
-# steps. On the mc_paths benchmark 1024 was no slower than 2048 or 8192 and
-# faster than 512.
+# noise is one 65 MB float64 array at 1000 steps. The retaining route
+# (compare_strategies, the CLI's simulate) reduces each chunk as it is
+# simulated, so its peak memory is one chunk buffer: ~50 MB of states and
+# controls at 1024 paths, three gains and 1000 steps. On the mc_paths
+# benchmark 1024 was no slower than 2048 or 8192 and faster than 512.
 _CHUNK = 8192
 _RETAIN_CHUNK = 1024
 # Steps buffered before a copy into path-major trajectories (one strided write each)
@@ -156,33 +154,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class TrajectoryBatch:
-    """Simulated states and applied controls for one feedback law."""
-
-    params: LqrParams
-    config: SimConfig
-    states: np.ndarray      # n_paths x (n_steps + 1)
-    controls: np.ndarray    # n_paths x n_steps
-    strategy_label: GainLabel
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", readonly(self.states))
-        object.__setattr__(self, "controls", readonly(self.controls))
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.params.horizon, self.config.n_steps + 1)
-
-    @cached_property
-    def valid_mask(self) -> np.ndarray:
-        """True for paths that stayed finite throughout."""
-        mask = (np.isfinite(self.states).all(axis=1)
-                & np.isfinite(self.controls).all(axis=1))
-        mask.setflags(write=False)
-        return mask
-
-
-@dataclass(frozen=True)
 class CostEstimate:
     """Monte Carlo cost with its standard error.
 
@@ -224,6 +195,7 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
                  states=None, controls=None):
     """Advance K gains as one (K, m) state over paths ``[lo, hi)`` on one noise chunk.
 
+    The scheme and path costs are those of ``estimate_cost_streaming``.
     Writes the trajectories into ``states``/``controls`` (K x m x ...) when
     given; otherwise returns the (K, m) path costs, with the squared controls
     summed step by step.
@@ -269,22 +241,6 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
             return 0.5 * dt * run + 0.5 * params.gamma * (x - params.x0) ** 2
 
 
-def _over_chunks(fn, n_paths: int, chunk: int, workers: int):
-    """``fn(lo, hi)`` over path chunks of size ``chunk``, yielded in path order.
-
-    At most ``workers`` calls run at once, and the next group starts only
-    after the caller has taken the last result of this one, so a caller may
-    give each of ``workers`` buffers to every ``workers``-th chunk.
-    """
-    bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    if workers < 2 or len(bounds) < 2:
-        yield from (fn(*b) for b in bounds)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i in range(0, len(bounds), workers):
-            yield from pool.map(lambda b: fn(*b), bounds[i:i + workers])
-
-
 def _checked(good: np.ndarray) -> np.ndarray:
     # every route tolerates at most 0.1% non-finite paths
     n_bad = good.size - int(np.count_nonzero(good))
@@ -295,17 +251,17 @@ def _checked(good: np.ndarray) -> np.ndarray:
 
 def _estimate(costs: np.ndarray, good: np.ndarray, antithetic: bool) -> CostEstimate:
     """Mean and standard error over the finite paths; a bad pair is dropped whole."""
-    if antithetic:
-        kept = costs.reshape(-1, 2)[good[0::2] & good[1::2]]
-        samples = 0.5 * (kept[:, 0] + kept[:, 1])
-    else:
-        kept = samples = costs[good]
-    n = samples.size
-    if n == 0:
-        raise ConfigError("no finite paths left to average")
     # finite costs near the float ceiling may sum to a non-finite estimate;
     # it is returned as such, with no numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        if antithetic:
+            kept = costs.reshape(-1, 2)[good[0::2] & good[1::2]]
+            samples = 0.5 * (kept[:, 0] + kept[:, 1])
+        else:
+            kept = samples = costs[good]
+        n = samples.size
+        if n == 0:
+            raise ConfigError("no finite paths left to average")
         stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / math.sqrt(n))
         mean = float(np.mean(samples))
     return CostEstimate(mean=mean, stderr=stderr, n_paths=n, n_dropped=good.size - kept.size)
@@ -313,10 +269,10 @@ def _estimate(costs: np.ndarray, good: np.ndarray, antithetic: bool) -> CostEsti
 
 @dataclass(frozen=True)
 class _Reduction:
-    """What the retaining routes keep of K gains' paths."""
+    """What the retaining route keeps of K gains' paths."""
 
     config: SimConfig
-    costs: np.ndarray             # K x n_paths, by estimate_cost's formula
+    costs: np.ndarray             # K x n_paths
     good: np.ndarray              # K x n_paths, True where a path stayed finite
     mean_state: np.ndarray        # K x (n_steps + 1), over the good paths
     mean_abs_control: np.ndarray  # K x n_steps, over the good paths
@@ -346,38 +302,31 @@ def _add_rows(total, started, buf, m: int, ok) -> None:
             np.add.reduce(rows, axis=0, out=total[j])
 
 
-def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int,
-                  workers: int = 1) -> _Reduction:
+def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Reduction:
     """Simulate K gains on shared noise, reducing each chunk as it is simulated.
 
     For each chunk, in path order: per-path costs and finite masks, running
     sums of the valid states and |controls|, and a copy of the paths below
-    ``keep``. Only ``workers`` chunk buffers exist, and results are bitwise
-    the same for any ``workers``. More than 0.1% non-finite paths in any
-    gain raise ``NumericError``.
+    ``keep``. One chunk buffer exists. More than 0.1% non-finite paths in
+    any gain raise ``NumericError``.
     """
     k, c = _sim_gains(gains, params, config.n_steps)
     n_gains, n_paths, n_steps = len(gains), config.n_paths, config.n_steps
     dt = params.horizon / n_steps
     width = min(_RETAIN_CHUNK, n_paths)
-    # one spare leading row per buffer holds the running sums
-    bufs = [(np.empty((n_gains, width + 1, n_steps + 1)), np.empty((n_gains, width + 1, n_steps)))
-            for _ in range(min(workers, -(-n_paths // width)))]
+    # one spare leading row holds the running sums
+    x, u = np.empty((n_gains, width + 1, n_steps + 1)), np.empty((n_gains, width + 1, n_steps))
     costs = np.empty((n_gains, n_paths))
     good = np.empty((n_gains, n_paths), dtype=bool)
     states = np.empty((n_gains, keep, n_steps + 1))
     controls = np.empty((n_gains, keep, n_steps))
     sum_x, sum_u = np.empty((n_gains, n_steps + 1)), np.empty((n_gains, n_steps))
     started = np.zeros(n_gains, dtype=bool)
-
-    def simulate(lo, hi):
-        x, u = bufs[lo // width % len(bufs)]
-        _euler_chunk(k, c, params, config, lo, hi, x[:, 1:hi - lo + 1], u[:, 1:hi - lo + 1])
-        return lo, hi, x, u
-
-    for lo, hi, x, u in _over_chunks(simulate, n_paths, width, workers):
+    for lo in range(0, n_paths, width):
+        hi = min(lo + width, n_paths)
         m = hi - lo
         xs, us = x[:, 1:m + 1], u[:, 1:m + 1]
+        _euler_chunk(k, c, params, config, lo, hi, xs, us)
         if lo < keep:
             states[:, lo:hi] = xs[:, :keep - lo]
             controls[:, lo:hi] = us[:, :keep - lo]
@@ -385,11 +334,13 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int,
         np.isfinite(xs).all(axis=2, out=ok)
         ok &= np.isfinite(us).all(axis=2)
         np.abs(us, out=us)
-        _add_rows(sum_x, started, x, m, ok)
-        _add_rows(sum_u, started, u, m, ok)
-        started |= ok.any(axis=1)
-        # |u| * |u| is u * u bit for bit, so the squares reuse the buffer
-        with np.errstate(over="ignore", invalid="ignore"):  # bad paths are dropped
+        # finite paths near the float ceiling may sum to non-finite means,
+        # kept as such; bad paths are dropped
+        with np.errstate(over="ignore", invalid="ignore"):
+            _add_rows(sum_x, started, x, m, ok)
+            _add_rows(sum_u, started, u, m, ok)
+            started |= ok.any(axis=1)
+            # |u| * |u| is u * u bit for bit, so the squares reuse the buffer
             miss = xs[:, :, -1] - params.x0
             us *= us
             costs[:, lo:hi] = 0.5 * dt * np.sum(us, axis=2) + 0.5 * params.gamma * miss * miss
@@ -400,62 +351,41 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int,
                       mean_abs_control=sum_u / n_good, states=states, controls=controls)
 
 
-def simulate_paths(gain: GainSchedule, params: LqrParams, config: SimConfig,
-                   workers: int = 1) -> TrajectoryBatch:
-    """Euler scheme ``X_{i+1} = X_i + (a_bar X_i + b_bar a_i) dt + sigma sqrt(dt) Z``.
-
-    The applied control is ``a_i = -k(t_i) X_i - c(t_i)`` with gains sampled
-    at the nearest ODE node (grids must be refinement-compatible). Per-path
-    noise depends only on (seed, stream index), so output is bit-identical
-    for any ``workers`` value.
-
-    Raises
-    ------
-    ConfigError
-        Horizon mismatch or incompatible grids.
-    NumericError
-        If more than 0.1% of paths go non-finite (explosive gains).
-    """
-    run = _reduce_paths([gain], params, config, config.n_paths, workers)
-    return TrajectoryBatch(params=params, config=config, states=run.states[0],
-                           controls=run.controls[0], strategy_label=gain.label)
-
-
-def estimate_cost(batch: TrajectoryBatch) -> CostEstimate:
-    """Time-zero cost estimate ``sum_i a_i^2 dt / 2 + gamma/2 (X_T - x0)^2``.
-
-    ``dt``, ``gamma`` and ``x0`` come from the batch's own parameters. Uses
-    the left-endpoint running-cost rule matching the Euler drift. Paths
-    flagged non-finite are excluded (the simulator already capped them at
-    0.1%); in antithetic mode a pair with a bad member is dropped whole.
-    """
-    if batch.config.n_paths == 0 or batch.states.size == 0:
-        raise ConfigError("cannot estimate cost from an empty batch")
-    dt = batch.params.horizon / batch.config.n_steps
-    miss = batch.states[:, -1] - batch.params.x0
-    costs = 0.5 * dt * np.sum(batch.controls ** 2, axis=1) + 0.5 * batch.params.gamma * miss * miss
-    return _estimate(costs, batch.valid_mask, batch.config.antithetic)
-
-
 def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
                          workers: int = 1) -> list:
-    """``estimate_cost_streaming`` for every gain, all advanced on one noise pass."""
+    """``estimate_cost_streaming`` for every gain, all advanced on one noise pass.
+
+    With ``workers`` > 1 and more than one chunk, at most ``workers`` chunks
+    run at once on a thread pool; their costs are joined in path order.
+    """
     k, c = _sim_gains(gains, params, config.n_steps)
-    parts = list(_over_chunks(lambda lo, hi: _euler_chunk(k, c, params, config, lo, hi),
-                              config.n_paths, _CHUNK, workers))
+
+    def chunk(lo):
+        return _euler_chunk(k, c, params, config, lo, min(lo + _CHUNK, config.n_paths))
+
+    los = range(0, config.n_paths, _CHUNK)
+    if workers < 2 or len(los) < 2:
+        parts = list(map(chunk, los))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, los))
     return [_estimate(costs, _checked(np.isfinite(costs)), config.antithetic)
             for costs in np.concatenate(parts, axis=1)]
 
 
 def estimate_cost_streaming(gain: GainSchedule, params: LqrParams, config: SimConfig,
                             workers: int = 1) -> CostEstimate:
-    """Cost estimate without retaining trajectories.
+    """Monte Carlo estimate of the time-zero cost, keeping no trajectory.
 
-    Same estimator as ``simulate_paths`` + ``estimate_cost``, but chunks are
-    reduced to per-path costs on the fly, so path counts in the millions fit
-    in memory. Reductions run in fixed chunk order regardless of ``workers``.
-    Non-finite paths follow the batch rule: more than 0.1% raises
-    ``NumericError``, fewer are left out and counted in ``n_dropped``.
+    Paths follow ``X_{i+1} = X_i + (a_bar X_i + b_bar a_i) dt + sigma sqrt(dt) Z``
+    under ``a_i = -k(t_i) X_i - c(t_i)``, with gains at the nearest ODE node
+    (the grids must be refinement-compatible), and each costs
+    ``sum_i a_i^2 dt / 2 + gamma/2 (X_T - x0)^2``: the left-endpoint rule
+    matching the Euler drift. Chunks are reduced to per-path costs on the
+    fly, so path counts in the millions fit in memory, and reductions run in
+    fixed chunk order regardless of ``workers``. More than 0.1% non-finite
+    paths raise ``NumericError``; fewer are left out and counted in
+    ``n_dropped``, a mirrored antithetic pair whole.
     """
     return _streaming_estimates([gain], params, config, workers)[0]
 
@@ -477,20 +407,19 @@ class StrategyComparison:
         object.__setattr__(self, "mean_abs_control", readonly(self.mean_abs_control))
 
 
-def compare_strategies(params: LqrParams, config: SimConfig,
-                       strategies, workers: int = 1) -> StrategyComparison:
+def compare_strategies(params: LqrParams, config: SimConfig, strategies) -> StrategyComparison:
     """Simulate every strategy on identical noise and average across paths.
 
     Common random numbers are automatic: each noise chunk is drawn once and
     drives every strategy. Each chunk is reduced as it is simulated, so no
-    trajectory is kept, yet each row equals the mean of ``simulate_paths``
-    for its gain over its valid paths bit for bit. Duplicate labels get an
+    trajectory is kept, yet each row equals the mean over the valid paths of
+    all that gain's trajectories bit for bit. Duplicate labels get an
     ordinal suffix so downstream columns stay distinguishable.
     """
     strategies = list(strategies)
     if len(strategies) < 2:
         raise ConfigError("comparison needs at least two strategies")
-    run = _reduce_paths(strategies, params, config, 0, workers)
+    run = _reduce_paths(strategies, params, config, 0)
     labels = [g.label.value if sum(s.label is g.label for s in strategies) == 1
               else f"{g.label.value}_{i}" for i, g in enumerate(strategies)]
     return StrategyComparison(params=params, config=config, labels=tuple(labels),

@@ -33,6 +33,9 @@ class TimeGrid:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.dt == 0.0:
+            raise ConfigError(f"horizon {self.horizon!r} over {self.n_steps} steps "
+                              "gives a zero time step")
 
     @property
     def dt(self) -> float:

@@ -73,16 +73,19 @@ def _axis_range(values) -> tuple:
 
 
 def _ticks(lo: float, hi: float, target: int = 6) -> list:
-    """Tick positions on the 1-2-5 ladder covering [lo, hi]."""
+    """Tick positions on the 1-2-5 ladder covering [lo, hi]; NumericError if no step fits."""
     raw = (hi - lo) / target
-    mag = 10.0 ** np.floor(np.log10(raw))
-    for m in (1.0, 2.0, 5.0, 10.0):
-        step = m * mag
-        if step >= raw:
-            break
-    k_lo = int(np.ceil(lo / step - 1e-9))
-    k_hi = int(np.floor(hi / step + 1e-9))
-    return [k * step for k in range(k_lo, k_hi + 1)]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mag = 10.0 ** np.floor(np.log10(raw))
+        for m in (1.0, 2.0, 5.0, 10.0):
+            step = m * mag
+            if step >= raw:
+                break
+        k_lo = np.ceil(lo / step - 1e-9)
+        k_hi = np.floor(hi / step + 1e-9)
+    if not (0.0 < step < np.inf and np.isfinite(k_lo) and np.isfinite(k_hi)):
+        raise NumericError(f"no tick step fits the axis range [{lo!r}, {hi!r}]")
+    return [k * step for k in range(int(k_lo), int(k_hi) + 1)]
 
 
 def _fmt(v: float) -> str:
@@ -110,7 +113,8 @@ def render_svg(series: Sequence[Series], style: PlotStyle = PlotStyle()) -> str:
     ConfigError
         No series given.
     NumericError
-        A series contains NaN or infinity; the message lists the indices.
+        A series contains NaN or infinity, the message listing the indices;
+        or an axis range is too wide or too narrow to tick.
     """
     series = list(series)
     if not series:

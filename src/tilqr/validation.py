@@ -35,8 +35,8 @@ from .model import (
     inconsistency_adjustment,
     lqr_model,
 )
-from .montecarlo import (_CHUNK, SimConfig, _streaming_estimates, estimate_cost_streaming,
-                         simulate_paths)
+from .montecarlo import (_CHUNK, SimConfig, _reduce_paths, _streaming_estimates,
+                         estimate_cost_streaming)
 from .riccati import (
     GainLabel,
     GainSchedule,
@@ -318,8 +318,8 @@ def _check_determinism() -> CheckResult:
     config = SimConfig(n_paths=2000, n_steps=200, seed=42)
     (gain,) = strategy_gains(p, TimeGrid(config.n_steps, p.horizon),
                              [GainLabel.EQUILIBRIUM]).values()
-    b1 = simulate_paths(gain, p, config)
-    b2 = simulate_paths(gain, p, config)
+    b1 = _reduce_paths([gain], p, config, config.n_paths)
+    b2 = _reduce_paths([gain], p, config, config.n_paths)
     rerun_equal = bool(np.array_equal(b1.states, b2.states)
                        and np.array_equal(b1.controls, b2.controls))
     # the worker half needs more than one chunk, or both runs are serial

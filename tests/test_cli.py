@@ -1,20 +1,26 @@
 """Tests for configuration parsing, file emission, and the command line."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tilqr.validation
+from tilqr import cli
 from tilqr import ConfigError, LqrParams, TimeGrid, equilibrium_gain, exact_cost, solve_equilibrium_riccati
 from tilqr.cli import (
     NumericsSection,
@@ -547,6 +553,59 @@ class TestMainEntry:
         assert record["error"] == "numeric"
         assert record["message"].endswith("x0 = 1e+300 has a square that overflows")
 
+    @pytest.mark.parametrize("command", [["cost", "--strategy", "equilibrium"],
+                                         ["simulate", "--strategy", "equilibrium"], ["sweep"]],
+                             ids=["cost", "simulate", "sweep"])
+    def test_a_non_finite_exact_cost_exits_three_with_one_record(self, command):
+        # x0^2 is finite but 2 x0 m_T overflows: the exact cost was -inf,
+        # printed with exit 0, and a sweep of such rows wrote sweep.csv and
+        # then exited 2 with nothing to plot
+        text = ("[model]\na_bar = 0.0\ngamma = 1e-10\nx0 = 1e154\n[numerics]\n"
+                "ode_steps = 4\nsim_steps = 4\nn_paths = 10\n[sweep]\ngamma_steps = 3\n")
+        rc, stderr, caught, files = run_in_process(command, text)
+        assert rc == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        assert files == []
+        lines = stderr.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "numeric"
+        assert record["message"].endswith("exact cost is not finite with x0 = 1e+154")
+
+    def test_overflowing_sample_means_exit_three_before_any_output(self):
+        # every path stays near the float ceiling: the mean paths overflowed
+        # with a numpy warning, and compare.csv was written before the plot
+        # rejected them
+        text = ("[model]\na_bar = 0.0\nb_bar = 1e-10\nsigma = 1e-300\nx0 = 1e308\n"
+                "[numerics]\node_steps = 4\nsim_steps = 4\nn_paths = 10\n")
+        rc, stderr, caught, files = run_in_process(["compare"], text)
+        assert rc == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        assert files == []
+        assert json.loads(stderr) == {
+            "error": "numeric",
+            "message": "series 'mean state equilibrium' has non-finite values at indices "
+                       "[0, 1, 2, 3, 4]"}
+
+    def test_a_zero_time_step_exits_config_before_any_output(self):
+        # 5e-324 over 4 steps: the plot of the zero-width time axis crashed
+        # with a traceback after compare.csv was written
+        text = "[model]\nhorizon = 5e-324\n[numerics]\node_steps = 4\nsim_steps = 4\n"
+        rc, stderr, caught, files = run_in_process(["compare"], text)
+        assert rc == EXIT_CONFIG
+        assert files == []
+        assert "gives a zero time step" in json.loads(stderr)["message"]
+
+    def test_a_gamma_range_too_narrow_to_plot_exits_three_before_any_output(self):
+        # the tick ladder of [0, 5e-324] has no nonzero step: the plot
+        # crashed with a traceback after sweep.csv was written
+        text = "[numerics]\node_steps = 4\n[sweep]\ngamma_max = 5e-324\ngamma_steps = 3\n"
+        rc, stderr, caught, files = run_in_process(["sweep"], text)
+        assert rc == EXIT_NUMERIC
+        assert files == []
+        assert json.loads(stderr)["message"] == (
+            "no tick step fits the axis range [0.0, 5e-324]")
+
     @pytest.mark.parametrize("x_hi", ["1e308", "inf"])
     def test_unusable_pde_bounds_exit_config_with_one_record(self, capsys, tmp_path, x_hi):
         config = tmp_path / "run.ini"
@@ -633,3 +692,84 @@ class TestMainEntry:
         proc = run_module()
         assert proc.returncode == EXIT_CONFIG
         assert json.loads(proc.stderr)["error"] == "config"
+
+
+
+# floats at the edges of the double range, and plain ones between them
+EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-10, 0.5, 1.0, -1.0, 3.0, 1e154, -1e154,
+                  1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
+# tiny sizes, so each draw runs in milliseconds; a size key missing here
+# fails the fuzzer, since its default would be far too large. Step counts
+# are mostly even and refinement-compatible, so most draws get past parsing
+STEP_COUNTS = st.sampled_from([4, 8, 16, 20, 1, 7])
+FUZZ_SIZES = {"ode_steps": STEP_COUNTS, "sim_steps": STEP_COUNTS,
+              "n_paths": st.sampled_from([2, 10, 50, 7]), "seed": st.integers(0, 2 ** 64 - 1),
+              "n_t": st.integers(1, 20), "n_x": st.integers(3, 8),
+              "max_iter": st.integers(1, 20), "gamma_steps": st.integers(1, 5)}
+FUZZ_COMMANDS = ([["gains"], ["sweep"], ["compare"]]
+                 + [[cmd, "--strategy", s] for cmd in ("cost", "simulate")
+                    for s in ("equilibrium", "naive", "precommitted")]
+                 + [["pde", "--mode", mode] for mode in ("sweep", "picard")])
+
+
+@st.composite
+def fuzzed_config_text(draw):
+    """Config text setting every key of ``cli._SCHEMA`` but the output directory."""
+    lines, drawn = [], {}
+    for section, keys in cli._SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, parse in keys.items():
+            if parse is cli._parse_float:
+                # one float in six takes an extreme and the rest keep their
+                # defaults, so that most draws get past the domain checks
+                extreme = draw(st.integers(0, 5)) == 0
+                value = draw(st.sampled_from(EXTREME_FLOATS)) if extreme else None
+            elif key == "n_y":  # mostly the state grid, as pde requires
+                value = draw(st.sampled_from([drawn["n_x"], 4, 8]))
+            elif parse is cli._parse_int:
+                value = draw(FUZZ_SIZES[key])
+            elif parse is cli._parse_bool:
+                value = draw(st.booleans())
+            elif parse is cli._parse_formats:
+                value = draw(st.sampled_from([("csv",), ("csv", "json")]))
+            else:  # the output directory; --out overrides it
+                value = None
+            if value is not None:
+                drawn[key] = value
+                lines.append(f"{key} = {cli._format_cell(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def run_in_process(command, text):
+    """``main`` on one config text, in a fresh directory; returns the exit
+    code, stderr, the warnings raised, and the names of the files under --out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.ini", Path(tmp) / "o"
+        config.write_text(text, encoding="utf-8")
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            rc = main([*command, "--config", str(config), "--out", str(out)])
+        files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    return rc, stderr.getvalue(), caught, files
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(FUZZ_COMMANDS), fuzzed_config_text())
+def test_any_config_exits_cleanly_with_at_most_one_record(command, text):
+    rc, stderr, caught, files = run_in_process(command, text)
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_VALIDATION)
+    if rc in (EXIT_CONFIG, EXIT_NUMERIC):
+        lines = stderr.splitlines()
+        assert len(lines) == 1, stderr
+        assert set(json.loads(lines[0])) == {"error", "message"}
+        assert files == []
+    else:
+        assert stderr == ""
+    # extract_gain's non-affine warning is a deliberate diagnostic of the
+    # grid fit; any other warning, numpy's RuntimeWarning above all, is a leak
+    leaked = [w for w in caught
+              if not (w.category is UserWarning and str(w.message).startswith(
+                  "control field is not affine in the state"))]
+    assert leaked == [], [f"{w.category.__name__}: {w.message}" for w in leaked]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestExactCost:
         report = exact_cost(gain, params)
         assert report.terminal_cost == 0.0
         assert report.total == report.running_cost > 0
+
+    def test_non_finite_cost_raises_naming_x0_without_a_warning(self):
+        # x0^2 is finite, but the terminal term's 2 x0 m_T overflows and the
+        # cost came out as -inf
+        params = LqrParams(a_bar=0.0, gamma=1e-10, x0=1e154)
+        gain = strategy_gains(params, TimeGrid(20, 1.0), [GainLabel.EQUILIBRIUM])[
+            GainLabel.EQUILIBRIUM]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match=r"^exact cost is not finite with x0 = 1e\+154$"):
+                exact_cost(gain, params)
 
 
 class TestStrategyCosts:

@@ -92,6 +92,52 @@ def one_sided_diag_fields(jslice, dx):
     return d_y, d_yy, d_xy
 
 
+def lqr_grid_coefficients(params: LqrParams, n_t: int) -> np.ndarray:
+    """The grid solve at the LQR as an explicit-Euler recursion of nine numbers.
+
+    The fields stay quadratic, ``j = A x^2 + B xy + C y^2 + D x + E y + F``
+    and ``v = P x^2 + Q x + R``, and the centered differences and the
+    quadratic edge extrapolation are exact on quadratics. With the effective
+    gradient ``g = G1 x + G0`` (``G1 = 2P - B - 2C``, ``G0 = Q - E``), the
+    control ``-b_bar g`` and the drift ``m1 x + m0``, each slice step is one
+    Euler step of the coefficients, the forward-Euler form of the
+    equilibrium Riccati system. Row ``k`` holds slice ``k``'s
+    ``(A, B, C, D, E, F, P, Q, R)``.
+    """
+    ab, bb2, sg2 = params.a_bar, params.b_bar ** 2, params.sigma ** 2
+    dt = params.horizon / n_t
+    out = np.empty((n_t + 1, 9))
+    out[n_t] = 0.5 * params.gamma, -params.gamma, 0.5 * params.gamma, 0, 0, 0, 0, 0, 0
+    for k in range(n_t - 1, -1, -1):
+        A, B, C, D, E, F, P, Q, R = out[k + 1]
+        g1, g0 = 2.0 * P - B - 2.0 * C, Q - E
+        m1, m0 = ab - bb2 * g1, -bb2 * g0
+        out[k] = (A + dt * (0.5 * bb2 * g1 * g1 + 2.0 * A * m1),
+                  B + dt * m1 * B,
+                  C,
+                  D + dt * (bb2 * g1 * g0 + m1 * D + 2.0 * A * m0),
+                  E + dt * m0 * B,
+                  F + dt * (0.5 * bb2 * g0 * g0 + m0 * D + sg2 * A),
+                  P + dt * (ab - 0.5 * bb2 * g1) * g1,
+                  Q + dt * (ab - bb2 * g1) * g0,
+                  R + dt * (sg2 * (P - B - C) - 0.5 * bb2 * g0 * g0))
+    return out
+
+
+def assert_solves_the_recursion(sol: GridSolution):
+    """Gains to 1e-12, fields to 1e-12 of their largest value."""
+    A, B, C, D, E, F, P, Q, R = (c[:, None, None] for c in
+                                 lqr_grid_coefficients(PARAMS, sol.grid.n_t).T)
+    x, y = sol.grid.xs[:, None], sol.grid.xs[None, :]
+    j = A * x * x + B * x * y + C * y * y + D * x + E * y + F
+    v = (P * x * x + Q * x + R)[:, :, 0]
+    gain = extract_gain(sol, PARAMS)
+    assert np.max(np.abs(gain.k_state - PARAMS.b_bar * (2.0 * P - B - 2.0 * C).ravel())) < 1e-12
+    assert np.max(np.abs(gain.c_offset - PARAMS.b_bar * (Q - E).ravel())) < 1e-12
+    assert np.max(np.abs(sol.v - v)) < 1e-12 * np.max(np.abs(v))
+    assert np.max(np.abs(sol.j - j)) < 1e-12 * np.max(np.abs(j))
+
+
 class TestGridSpec2:
     def test_parameter_grid_defaults_to_the_state_grid(self):
         grid = GridSpec2(n_t=10, n_x=8, x_lo=-1.0, x_hi=3.0, horizon=1.0)
@@ -379,6 +425,17 @@ class TestPicard:
         with pytest.raises(ConfigError, match="tol must be positive and finite"):
             solve_extended_hjb_picard(MODEL, benchmark_grid(25, 40), tol=tol)
 
+    def test_an_overflowing_last_slice_control_leaks_no_warning(self):
+        # the drift overflows in the Hamiltonian of slice 0, whose value is
+        # dropped; the sweep computes that slice control under errstate too
+        model = lqr_model(LqrParams(a_bar=1e300))
+        grid = GridSpec2(n_t=1, n_x=5, x_lo=-3.0, x_hi=5.0, horizon=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            picard = solve_extended_hjb_picard(model, grid, tol=1e300, max_iter=11)
+            sweep = solve_extended_hjb_sweep(model, grid)
+        assert np.array_equal(picard.alpha, sweep.alpha)
+
     def test_persistent_blowup_raises_with_the_window_trace(self):
         grid = GridSpec2(n_t=2, n_x=8, x_lo=-1.0, x_hi=1.0, horizon=0.1)
         with pytest.raises(PicardError, match="no convergence on slices") as exc:
@@ -398,6 +455,32 @@ class TestPicard:
         with pytest.raises(PicardError, match=r"^no convergence on slices \[1, 2\] "
                                               r"\(blowup after 0 passes"):
             solve_extended_hjb_picard(model, grid)
+
+
+class TestCoefficientOracle:
+    """At the LQR the grid solve is a nine-coefficient recursion, so it is
+    pinned to rounding on any grid, not only to its order of accuracy."""
+
+    @pytest.mark.parametrize("n_t, n_x", [(25, 40), (100, 80), (400, 160)])
+    def test_sweep_is_the_recursion(self, n_t, n_x):
+        assert_solves_the_recursion(solve_extended_hjb_sweep(MODEL, benchmark_grid(n_t, n_x)))
+
+    @pytest.mark.parametrize("n_t, n_x", [(25, 40), (100, 80)])
+    def test_converged_picard_is_the_recursion(self, n_t, n_x):
+        # at the default tol of 1e-9 Picard stops ~5e-12 off in the gain
+        sol = solve_extended_hjb_picard(MODEL, benchmark_grid(n_t, n_x), tol=1e-12)
+        assert_solves_the_recursion(sol)
+
+    def test_the_recursion_tracks_the_riccati_gain(self):
+        # the grid's gain error against Riccati is the Euler error in time,
+        # whatever the state grid: first order in the time step
+        errors = []
+        for n in (100, 200, 400):
+            _, B, C, _, _, _, P, _, _ = lqr_grid_coefficients(PARAMS, n).T
+            k = PARAMS.b_bar * (2.0 * P - B - 2.0 * C)
+            errors.append(np.max(np.abs(k - reference_gain(n).k_state)))
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert np.all((orders > 0.95) & (orders < 1.05)), orders
 
 
 def peak_traced_bytes(solve) -> int:

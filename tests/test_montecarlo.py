@@ -20,22 +20,19 @@ from tilqr import (
     NumericError,
     SimConfig,
     TimeGrid,
-    TrajectoryBatch,
     compare_strategies,
     equilibrium_gain,
-    estimate_cost,
     estimate_cost_streaming,
     exact_cost,
     naive_gain,
     normal_stream,
     raw_blocks,
-    simulate_paths,
     solve_equilibrium_riccati,
     solve_naive,
 )
 from tilqr import montecarlo
-from tilqr.montecarlo import (_CHUNK, _GROUP, _RETAIN_CHUNK, _gain_on_sim_grid, _reduce_paths,
-                              _streaming_estimates)
+from tilqr.montecarlo import (_CHUNK, _GROUP, _RETAIN_CHUNK, _estimate, _gain_on_sim_grid,
+                              _reduce_paths, _streaming_estimates)
 
 from test_hjbgrid import peak_traced_bytes
 
@@ -285,13 +282,37 @@ class TestGainResampling:
             _gain_on_sim_grid(gain, 4)
 
 
+def simulate_paths(gain, params, config):
+    """Every path of one gain, as (states, controls): the retaining route keeping all."""
+    run = _reduce_paths([gain], params, config, config.n_paths)
+    return run.states[0], run.controls[0]
+
+
+def valid_rows(states, controls) -> np.ndarray:
+    return np.isfinite(states).all(axis=1) & np.isfinite(controls).all(axis=1)
+
+
+def batch_estimate(states, controls, params=LqrParams(), antithetic=False) -> CostEstimate:
+    """Reference estimate over a whole batch of paths, one cost formula for all of it.
+
+    Each path costs ``sum_i a_i^2 dt / 2 + gamma/2 (X_T - x0)^2``; non-finite
+    paths are left out, as ``_estimate`` does for the library routes.
+    """
+    states = np.asarray(states, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    dt = params.horizon / controls.shape[1]
+    miss = states[:, -1] - params.x0
+    costs = 0.5 * dt * np.sum(controls ** 2, axis=1) + 0.5 * params.gamma * miss * miss
+    return _estimate(costs, valid_rows(states, controls), antithetic)
+
+
 class TestSimulatePaths:
     def test_noise_free_paths_follow_the_euler_recursion(self):
         # sigma is positive but far below one ulp of the state, so adding the
         # noise term cannot change any bit of the update
         params = LqrParams(sigma=1e-300)
         gain = constant_gain(0.3, 0.1, 8)
-        batch = simulate_paths(gain, params, SimConfig(n_paths=3, n_steps=8, seed=0))
+        states, controls = simulate_paths(gain, params, SimConfig(n_paths=3, n_steps=8, seed=0))
         dt = params.horizon / 8
         x = params.x0
         expected = [x]
@@ -299,44 +320,41 @@ class TestSimulatePaths:
             a = -0.3 * x - 0.1
             x = x + (params.a_bar * x + params.b_bar * a) * dt
             expected.append(x)
-        assert np.array_equal(batch.states, np.tile(expected, (3, 1)))
-        assert batch.valid_mask.all()
+        assert np.array_equal(states, np.tile(expected, (3, 1)))
+        assert valid_rows(states, controls).all()
 
-    def test_bit_identical_across_runs_and_worker_counts(self):
+    def test_bit_identical_across_runs(self):
         params = LqrParams()
         grid = TimeGrid(25, params.horizon)
         gain = equilibrium_gain(solve_equilibrium_riccati(params, grid), params)
         config = SimConfig(n_paths=2 * _CHUNK + 100, n_steps=25, seed=11)
         first = simulate_paths(gain, params, config)
         again = simulate_paths(gain, params, config)
-        threaded = simulate_paths(gain, params, config, workers=4)
-        assert np.array_equal(first.states, again.states)
-        assert np.array_equal(first.controls, again.controls)
-        assert np.array_equal(first.states, threaded.states)
-        assert np.array_equal(first.controls, threaded.controls)
+        assert np.array_equal(first[0], again[0])
+        assert np.array_equal(first[1], again[1])
 
     def test_each_path_is_a_pure_function_of_its_stream_index(self):
         params = LqrParams()
         gain = constant_gain(0.5, 0.0, 16)
-        small = simulate_paths(gain, params, SimConfig(n_paths=3, n_steps=16, seed=5))
-        large = simulate_paths(gain, params, SimConfig(n_paths=5, n_steps=16, seed=5))
-        assert np.array_equal(small.states, large.states[:3])
+        small, _ = simulate_paths(gain, params, SimConfig(n_paths=3, n_steps=16, seed=5))
+        large, _ = simulate_paths(gain, params, SimConfig(n_paths=5, n_steps=16, seed=5))
+        assert np.array_equal(small, large[:3])
 
     def test_different_seeds_give_different_noise(self):
         params = LqrParams()
         gain = constant_gain(0.5, 0.0, 16)
-        a = simulate_paths(gain, params, SimConfig(n_paths=4, n_steps=16, seed=1))
-        b = simulate_paths(gain, params, SimConfig(n_paths=4, n_steps=16, seed=2))
-        assert not np.array_equal(a.states, b.states)
+        a, _ = simulate_paths(gain, params, SimConfig(n_paths=4, n_steps=16, seed=1))
+        b, _ = simulate_paths(gain, params, SimConfig(n_paths=4, n_steps=16, seed=2))
+        assert not np.array_equal(a, b)
 
     def test_antithetic_pairs_mirror_exactly(self):
         # with x0 = 0 and zero gain every partial sum negates bit for bit
         params = LqrParams(a_bar=0.0, x0=0.0)
         gain = constant_gain(0.0, 0.0, 32)
-        batch = simulate_paths(gain, params,
-                               SimConfig(n_paths=8, n_steps=32, seed=3, antithetic=True))
-        assert np.array_equal(batch.states[1::2], -batch.states[0::2])
-        assert not np.array_equal(batch.states[0], batch.states[2])
+        states, _ = simulate_paths(gain, params,
+                                   SimConfig(n_paths=8, n_steps=32, seed=3, antithetic=True))
+        assert np.array_equal(states[1::2], -states[0::2])
+        assert not np.array_equal(states[0], states[2])
 
     def test_horizon_mismatch_rejected(self):
         gain = constant_gain(0.1, 0.0, 8, horizon=2.0)
@@ -348,44 +366,19 @@ class TestSimulatePaths:
         with pytest.raises(NumericError, match="non-finite"):
             simulate_paths(gain, LqrParams(), SimConfig(n_paths=8, n_steps=4, seed=0))
 
-    def test_batch_arrays_are_readonly(self):
-        gain = constant_gain(0.1, 0.0, 4)
-        batch = simulate_paths(gain, LqrParams(), SimConfig(n_paths=2, n_steps=4, seed=0))
-        with pytest.raises(ValueError):
-            batch.states[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            batch.controls[0, 0] = 5.0
-
-    def test_times_span_the_horizon(self):
-        gain = constant_gain(0.1, 0.0, 4, horizon=2.5)
-        batch = simulate_paths(gain, LqrParams(horizon=2.5),
-                               SimConfig(n_paths=2, n_steps=4, seed=0))
-        assert batch.times[0] == 0.0
-        assert batch.times[-1] == 2.5
-
-
-def hand_built_batch(states, controls, antithetic=False):
-    states = np.asarray(states, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    config = SimConfig(n_paths=states.shape[0], n_steps=controls.shape[1],
-                       seed=0, antithetic=antithetic)
-    return TrajectoryBatch(params=LqrParams(), config=config, states=states,
-                           controls=controls, strategy_label=GainLabel.CUSTOM)
-
 
 class TestEstimateCost:
     def test_left_endpoint_rule_and_sample_statistics(self):
-        # the batch holds the defaults: horizon 1, gamma 5, x0 = 1
-        batch = hand_built_batch(
-            states=[[1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]],
-            controls=[[0.5, -1.0], [2.0, 0.0], [0.0, 0.0]])
+        # the defaults: horizon 1, gamma 5, x0 = 1
+        states = [[1.0, 2.0, 3.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+        controls = [[0.5, -1.0], [2.0, 0.0], [0.0, 0.0]]
         dt = 0.5
         per_path = np.array([
             0.5 * dt * (0.25 + 1.0) + 2.5 * 4.0,
             0.5 * dt * 4.0,
             0.0,
         ])
-        est = estimate_cost(batch)
+        est = batch_estimate(states, controls)
         assert est.mean == pytest.approx(per_path.mean(), abs=1e-15)
         assert est.stderr == pytest.approx(per_path.std(ddof=1) / np.sqrt(3), abs=1e-15)
         assert est.n_paths == 3
@@ -393,40 +386,40 @@ class TestEstimateCost:
     def test_reads_gamma_x0_and_horizon_from_the_batch(self):
         # none of the three is the default, so a default read shows
         params = LqrParams(gamma=2.0, horizon=4.0, x0=-1.0)
-        batch = TrajectoryBatch(params=params, config=SimConfig(n_paths=2, n_steps=2, seed=0),
-                                states=[[-1.0, 0.0, 1.0], [-1.0, -1.0, -1.0]],
-                                controls=[[0.5, -1.0], [0.0, 0.0]],
-                                strategy_label=GainLabel.CUSTOM)
         dt = 2.0
         per_path = np.array([0.5 * dt * (0.25 + 1.0) + 0.5 * 2.0 * 2.0 ** 2, 0.0])
-        est = estimate_cost(batch)
+        est = batch_estimate([[-1.0, 0.0, 1.0], [-1.0, -1.0, -1.0]],
+                             [[0.5, -1.0], [0.0, 0.0]], params)
         assert est.mean == pytest.approx(per_path.mean(), abs=1e-15)
         assert est.stderr == pytest.approx(per_path.std(ddof=1) / np.sqrt(2), abs=1e-15)
+        # the retaining route reads the same three from its own parameters
+        gain = constant_gain(0.4, 0.1, 20, horizon=4.0)
+        config = SimConfig(n_paths=40, n_steps=20, seed=3)
+        run = _reduce_paths([gain], params, config, 0)
+        assert run.estimate() == batch_estimate(*simulate_paths(gain, params, config), params)
 
     def test_cost_estimate_defaults_to_nothing_dropped(self):
         est = CostEstimate(1.0, 0.1, 5)
         assert est.n_dropped == 0
-        assert estimate_cost(hand_built_batch([[1.0, 1.0]], [[0.3]])).n_dropped == 0
+        assert batch_estimate([[1.0, 1.0]], [[0.3]]).n_dropped == 0
 
     def test_single_path_has_zero_stderr(self):
-        batch = hand_built_batch([[1.0, 1.0]], [[0.3]])
-        est = estimate_cost(batch)
+        est = batch_estimate([[1.0, 1.0]], [[0.3]])
         assert est.stderr == 0.0
         assert est.n_paths == 1
 
     def test_non_finite_paths_are_excluded(self):
         states = np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 2.0, 1.0]])
         controls = np.array([[0.1, 0.1], [0.1, 0.1], [0.2, 0.2]])
-        est = estimate_cost(hand_built_batch(states, controls))
-        good = hand_built_batch(states[[0, 2]], controls[[0, 2]])
-        assert est.mean == estimate_cost(good).mean
+        est = batch_estimate(states, controls)
+        assert est.mean == batch_estimate(states[[0, 2]], controls[[0, 2]]).mean
         assert est.n_paths == 2
         assert est.n_dropped == 1
 
     def test_antithetic_mode_drops_pairs_whole(self):
         states = np.array([[1.0, 1.0], [1.0, np.nan], [1.0, 2.0], [1.0, 0.0]])
         controls = np.array([[0.1], [0.1], [0.4], [-0.4]])
-        est = estimate_cost(hand_built_batch(states, controls, antithetic=True))
+        est = batch_estimate(states, controls, antithetic=True)
         # pair (0, 1) has a bad member, so only the (2, 3) pair survives;
         # both its members cost 0.5*dt*0.16 + 2.5*1 with dt = 1
         pair_mean = 0.5 * 0.16 + 2.5
@@ -437,24 +430,30 @@ class TestEstimateCost:
 
     def test_costs_near_the_float_ceiling_overflow_without_a_warning(self):
         # each path's cost is finite, their sum is not
-        batch = hand_built_batch([[1.0, 1.0]] * 3, [[1.3e154]] * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = estimate_cost(batch)
+            est = batch_estimate([[1.0, 1.0]] * 3, [[1.3e154]] * 3)
         assert est.mean == np.inf
         assert est.n_dropped == 0
 
+    def test_mirrored_pairs_near_the_float_ceiling_overflow_without_a_warning(self):
+        # each path's cost is finite, the pair's sum is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = _estimate(np.full(4, 1e308), np.ones(4, dtype=bool), antithetic=True)
+        assert est.mean == np.inf
+        assert (est.n_paths, est.n_dropped) == (2, 0)
+
     def test_no_finite_paths_is_an_error(self):
-        batch = hand_built_batch([[1.0, np.nan]], [[0.1]])
         with pytest.raises(ConfigError, match="no finite paths"):
-            estimate_cost(batch)
+            batch_estimate([[1.0, np.nan]], [[0.1]])
 
     def test_agrees_with_the_quadrature_reference(self):
         params = LqrParams()
         grid = TimeGrid(200, params.horizon)
         gain = equilibrium_gain(solve_equilibrium_riccati(params, grid), params)
-        batch = simulate_paths(gain, params, SimConfig(n_paths=20_000, n_steps=200, seed=42))
-        est = estimate_cost(batch)
+        config = SimConfig(n_paths=20_000, n_steps=200, seed=42)
+        est = _reduce_paths([gain], params, config, 0).estimate()
         reference = exact_cost(gain, params).total
         assert est.stderr > 0.0
         assert abs(est.mean - reference) <= 3.0 * est.stderr
@@ -468,7 +467,7 @@ class TestStreamingEstimate:
         grid = TimeGrid(100, params.horizon)
         gain = naive_gain(solve_naive(params, grid), params)
         config = SimConfig(n_paths=10_000, n_steps=100, seed=9)
-        batch_est = estimate_cost(simulate_paths(gain, params, config))
+        batch_est = batch_estimate(*simulate_paths(gain, params, config), params)
         stream_est = estimate_cost_streaming(gain, params, config)
         assert stream_est.n_paths == batch_est.n_paths
         assert stream_est.mean == pytest.approx(batch_est.mean, rel=1e-12)
@@ -549,15 +548,14 @@ class TestNonFinitePolicy:
 
     def test_one_bad_path_in_a_thousand_is_dropped_by_both_routes(self, monkeypatch):
         config = SimConfig(n_paths=1000, n_steps=10, seed=6)
-        clean = simulate_paths(self.gain, self.params, config)
+        states, controls = simulate_paths(self.gain, self.params, config)
         poison(monkeypatch, [17])
-        batch = simulate_paths(self.gain, self.params, config)
-        assert np.flatnonzero(~batch.valid_mask).tolist() == [17]
-        from_batch = estimate_cost(batch)
+        run = _reduce_paths([self.gain], self.params, config, 0)
+        assert np.flatnonzero(~run.good[0]).tolist() == [17]
         streamed = estimate_cost_streaming(self.gain, self.params, config)
         keep = np.arange(1000) != 17
-        expected = estimate_cost(hand_built_batch(clean.states[keep], clean.controls[keep]))
-        for est in (from_batch, streamed):
+        expected = batch_estimate(states[keep], controls[keep])
+        for est in (run.estimate(), streamed):
             assert (est.n_paths, est.n_dropped) == (999, 1)
             assert est.mean == pytest.approx(expected.mean, rel=1e-12)
             assert est.stderr == pytest.approx(expected.stderr, rel=1e-12)
@@ -592,12 +590,12 @@ class TestNonFinitePolicy:
         config = SimConfig(n_paths=n_paths, n_steps=10, seed=6)
         result = compare_strategies(self.params, config, gains)
         for j, gain in enumerate(gains):
-            batch = simulate_paths(gain, self.params, config)
-            valid = batch.valid_mask
+            states, controls = simulate_paths(gain, self.params, config)
+            valid = valid_rows(states, controls)
             assert np.flatnonzero(~valid).tolist() == bad
-            assert np.array_equal(result.mean_state[j], batch.states[valid].mean(axis=0))
+            assert np.array_equal(result.mean_state[j], states[valid].mean(axis=0))
             assert np.array_equal(result.mean_abs_control[j],
-                                  np.abs(batch.controls[valid]).mean(axis=0))
+                                  np.abs(controls[valid]).mean(axis=0))
 
     @pytest.mark.parametrize("antithetic, bad", [(False, [17]), (True, [40])])
     def test_cli_simulate_route_estimates_like_the_batch(self, antithetic, bad, monkeypatch):
@@ -605,12 +603,12 @@ class TestNonFinitePolicy:
         poison(monkeypatch, bad)
         config = SimConfig(n_paths=2000, n_steps=10, seed=6, antithetic=antithetic)
         run = _reduce_paths([self.gain], self.params, config, 8)
-        batch = simulate_paths(self.gain, self.params, config)
-        est = estimate_cost(batch)
+        states, controls = simulate_paths(self.gain, self.params, config)
+        est = batch_estimate(states, controls, self.params, antithetic)
         assert est.n_dropped == (2 if antithetic else 1)
         assert run.estimate() == est
-        assert np.array_equal(run.states[0], batch.states[:8])
-        assert np.array_equal(run.controls[0], batch.controls[:8])
+        assert np.array_equal(run.states[0], states[:8])
+        assert np.array_equal(run.controls[0], controls[:8])
 
 
 class TestCompareStrategies:
@@ -620,11 +618,10 @@ class TestCompareStrategies:
         config = SimConfig(n_paths=64, n_steps=30, seed=2)
         result = compare_strategies(params, config, [gain, gain])
         assert result.labels == ("custom_0", "custom_1")
-        alone = simulate_paths(gain, params, config)
+        states, controls = simulate_paths(gain, params, config)
         for j in range(2):
-            assert np.array_equal(result.mean_state[j], alone.states.mean(axis=0))
-            assert np.array_equal(result.mean_abs_control[j],
-                                  np.abs(alone.controls).mean(axis=0))
+            assert np.array_equal(result.mean_state[j], states.mean(axis=0))
+            assert np.array_equal(result.mean_abs_control[j], np.abs(controls).mean(axis=0))
         assert np.array_equal(result.mean_state[0], result.mean_state[1])
 
     def test_distinct_labels_pass_through_unchanged(self):
@@ -649,13 +646,22 @@ class TestCompareStrategies:
         result = compare_strategies(params, config, gains)
         shared = _reduce_paths(gains, params, config, config.n_paths)
         for j, gain in enumerate(gains):
-            alone = simulate_paths(gain, params, config)
-            assert np.array_equal(shared.states[j], alone.states)
-            assert np.array_equal(shared.controls[j], alone.controls)
-            assert shared.estimate(j) == estimate_cost(alone)
-            assert np.array_equal(result.mean_state[j], alone.states.mean(axis=0))
-            assert np.array_equal(result.mean_abs_control[j],
-                                  np.abs(alone.controls).mean(axis=0))
+            states, controls = simulate_paths(gain, params, config)
+            assert np.array_equal(shared.states[j], states)
+            assert np.array_equal(shared.controls[j], controls)
+            assert shared.estimate(j) == batch_estimate(states, controls, params, antithetic)
+            assert np.array_equal(result.mean_state[j], states.mean(axis=0))
+            assert np.array_equal(result.mean_abs_control[j], np.abs(controls).mean(axis=0))
+
+    def test_means_near_the_float_ceiling_overflow_without_a_warning(self):
+        # every path stays at x0, finite, and their sum is not
+        params = LqrParams(a_bar=0.0, sigma=1e-300, x0=1e308)
+        gains = [constant_gain(0.0, 0.0, 4)] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = compare_strategies(params, SimConfig(n_paths=4, n_steps=4, seed=0), gains)
+        assert np.all(result.mean_state == np.inf)
+        assert np.all(result.mean_abs_control == 0.0)
 
     def test_draws_each_noise_chunk_once_for_all_gains(self, monkeypatch):
         calls = []
@@ -694,14 +700,14 @@ class TestChunking:
         config = SimConfig(n_paths=46, n_steps=20, seed=3, antithetic=antithetic)
 
         def run(workers):
-            batch = simulate_paths(gains[0], params, config, workers=workers)
-            comp = compare_strategies(params, config, gains, workers=workers)
+            paths = simulate_paths(gains[0], params, config)
+            comp = compare_strategies(params, config, gains)
             est = estimate_cost_streaming(gains[1], params, config, workers=workers)
-            return batch, comp, est
+            return paths, comp, est
 
         whole = run(1)
         # 46 paths make ragged last chunks: 11 x 4 + 2 and 7 x 6 + 4; three
-        # workers, switching threads often, take turns on the chunk buffers
+        # streaming workers, switching threads often, run chunks at once
         monkeypatch.setattr(montecarlo, "_RETAIN_CHUNK", 4)
         monkeypatch.setattr(montecarlo, "_CHUNK", 6)
         interval = sys.getswitchinterval()
@@ -710,9 +716,9 @@ class TestChunking:
             chunked = [run(workers) for workers in (1, 3)]
         finally:
             sys.setswitchinterval(interval)
-        for batch, comp, est in chunked:
-            assert np.array_equal(batch.states, whole[0].states)
-            assert np.array_equal(batch.controls, whole[0].controls)
+        for paths, comp, est in chunked:
+            assert np.array_equal(paths[0], whole[0][0])
+            assert np.array_equal(paths[1], whole[0][1])
             assert np.array_equal(comp.mean_state, whole[1].mean_state)
             assert np.array_equal(comp.mean_abs_control, whole[1].mean_abs_control)
             assert est == whole[2]
@@ -764,8 +770,8 @@ class TestEulerConvergence:
         errors = []
         for n in (50, 100, 200):
             gain = constant_gain(0.3, 0.1, n)
-            batch = simulate_paths(gain, params, SimConfig(n_paths=1, n_steps=n, seed=0))
-            errors.append(abs(batch.states[0, -1] - exact_terminal))
+            states, _ = simulate_paths(gain, params, SimConfig(n_paths=1, n_steps=n, seed=0))
+            errors.append(abs(states[0, -1] - exact_terminal))
         orders = np.log2(np.array(errors[:-1]) / errors[1:])
         assert np.all(orders > 0.9)
         assert np.all(orders < 1.1)

@@ -11,6 +11,7 @@ import tilqr
 
 MODULES = ["tilqr"] + sorted(
     info.name for info in pkgutil.iter_modules(tilqr.__path__, "tilqr."))
+README = Path(tilqr.__file__).resolve().parents[2] / "README.md"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -31,6 +32,17 @@ def test_docstring_examples_pass(name):
 def test_model_examples_are_collected():
     # the lqr_model example pins running_cost(..., 2.0) == 2.0
     assert doctest.testmod(tilqr.model).attempted >= 2
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    # the first python block under "## Library use", run as written; its
+    # "# exact ..." line is the output it documents
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line[2:] for line in block.splitlines() if line.startswith("# exact ")]
+    assert len(expected) == 1
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def _unused_imports(source: str) -> list:

@@ -82,6 +82,12 @@ class TestTimeGrid:
         with pytest.raises(ConfigError):
             TimeGrid(**kwargs)
 
+    def test_a_horizon_too_small_for_its_steps_is_rejected(self):
+        # the nodes would not increase, and a plot of them had no scale
+        with pytest.raises(ConfigError, match="gives a zero time step"):
+            TimeGrid(n_steps=7, horizon=5e-324)
+        assert TimeGrid(n_steps=1, horizon=5e-324).dt == 5e-324
+
 
 class TestRk4Backward:
     def test_linear_field_exact_solution(self):

@@ -1,6 +1,7 @@
 """Tests for the deterministic SVG line-plot renderer."""
 
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -69,6 +70,15 @@ class TestTicks:
         assert min(abs(mantissa - m) for m in (1.0, 2.0, 5.0, 10.0)) < tol
         assert ticks[0] >= lo - 1e-8 * scale
         assert ticks[-1] <= hi + 1e-8 * scale
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-1.7e308, 1.7e308)])
+    def test_a_range_with_no_finite_step_raises_without_a_warning(self, lo, hi):
+        # the step underflowed to zero or overflowed, and the tick indices
+        # came out as NaN or infinity: a crash with a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^no tick step fits the axis range \["):
+                _ticks(lo, hi)
 
     def test_labels_snap_ladder_roundoff(self):
         assert _tick_label(0.30000000000000004) == "0.3"
