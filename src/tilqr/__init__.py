@@ -12,7 +12,6 @@ from .model import (
     LqrParams,
     ModelSpec,
     augment_time_dependent,
-    extended_hamiltonian,
     inconsistency_adjustment,
     lqr_model,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "equilibrium_value",
     "estimate_cost_streaming",
     "exact_cost",
-    "extended_hamiltonian",
     "extract_gain",
     "gamma_sweep",
     "inconsistency_adjustment",

@@ -175,6 +175,11 @@ def _validated(config: RunConfig) -> RunConfig:
     config.ode_grid()
     config.pde_grid()
     _check_iteration_settings(config.pde.tol, config.pde.max_iter)
+    # the echoed header holds the directory on one line, stripped when re-read
+    directory = config.output.directory
+    if directory.strip().splitlines() != [directory]:
+        raise ConfigError(f"output directory must be one nonempty line without "
+                          f"surrounding whitespace, got {directory!r}")
     sw = config.sweep
     if sw.gamma_steps < 1:
         raise ConfigError(f"gamma_steps must be >= 1, got {sw.gamma_steps}")
@@ -185,11 +190,6 @@ def _validated(config: RunConfig) -> RunConfig:
             "sweep range must satisfy 0 <= gamma_min <= gamma_max, got "
             f"[{sw.gamma_min}, {sw.gamma_max}]")
     return config
-
-
-def default_config() -> RunConfig:
-    """The all-defaults configuration (benchmark model, CSV to ./out)."""
-    return RunConfig()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -584,7 +584,7 @@ def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        config = parse_config(args.config) if args.config else default_config()
+        config = parse_config(args.config) if args.config else RunConfig()
         if args.seed is not None:
             config = dataclasses.replace(
                 config, numerics=dataclasses.replace(config.numerics, seed=args.seed))

@@ -7,6 +7,11 @@ computation went bad numerically" without string matching.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .hjbgrid import PicardWindow
+
 
 class ToolkitError(Exception):
     """Base class for all deliberate toolkit errors."""
@@ -29,11 +34,11 @@ class NumericError(ToolkitError):
 class PicardError(NumericError):
     """Fixed-point iteration failed to converge.
 
-    Carries the contraction trace observed so far, so callers can inspect
-    whether the iteration was diverging or merely slow.
+    Carries the ``PicardWindow`` trace so far, the failed window last, so
+    callers can inspect whether the iteration was diverging or merely slow.
     """
 
-    def __init__(self, message: str, trace: tuple[float, ...] = ()):
+    def __init__(self, message: str, trace: tuple[PicardWindow, ...] = ()):
         super().__init__(message)
         self.trace = trace
 

@@ -26,8 +26,7 @@ import numpy as np
 
 from ._util import readonly
 from .errors import ConfigError, NumericError, PicardError
-from .model import (LqrParams, ModelSpec, _hamiltonian, _require_finite,
-                    _require_positive_vol)
+from .model import LqrParams, ModelSpec
 from .riccati import GainLabel, GainSchedule, TimeGrid
 
 
@@ -62,6 +61,9 @@ class GridSpec2:
                 f"spacing whose square is not a positive finite number")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.dt == 0.0:
+            raise ConfigError(f"horizon {self.horizon!r} over {self.n_t} time slices "
+                              "gives a zero time step")
 
     @property
     def xs(self) -> np.ndarray:
@@ -194,19 +196,30 @@ def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
     and the volatility there at ``t``. The control extended to the boundary
     by extrapolation is written into ``a_out``.
 
-    The volatility is evaluated once; the Hamiltonian slots are checked in
-    the order of :func:`extended_hamiltonian`, whose core this calls. ``t``
-    and the nodes are grid constants, finite by construction.
+    The maximizer maps the effective gradient ``g = z / sigma - d_y``, with
+    ``z = sigma * v_x``, to the action ``a``; the value is
+    ``running_cost(t, x, x, a) + drift(t, x, a) * g - sigma^2/2 * d_yy -
+    sigma * mixed`` with ``mixed = sigma * d_xy``. The volatility is
+    evaluated once. The four slots are checked for finiteness, then the
+    volatility for positivity; ``t`` and the nodes are grid constants,
+    finite by construction.
     """
-    xi = st.xi
+    model, xi = st.model, st.xi
     v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * st.dx)
-    sigma = np.asarray(st.model.vol(t, xi), dtype=float)
+    sigma = np.asarray(model.vol(t, xi), dtype=float)
     d_y, d_yy, d_xy = _diag_fields(coupling_slice, st.dx)
     z, mixed = sigma * v_x, sigma * d_xy
-    _require_finite(z=z, grad_param=d_y, hess_param=d_yy, mixed=mixed)
-    _require_positive_vol(sigma)
-    value_rate, a_int = _hamiltonian(st.model, t, xi, sigma, z, d_y, d_yy, mixed)
-    a_out[1:-1] = a_int
+    for name, slot in (("z", z), ("grad_param", d_y), ("hess_param", d_yy),
+                       ("mixed", mixed)):
+        if not np.all(np.isfinite(slot)):
+            raise NumericError(f"non-finite value in Hamiltonian slot '{name}'")
+    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
+        raise ConfigError("model volatility must be positive and finite")
+    g = z / sigma - d_y
+    a = model.maximizer(g)
+    value_rate = (model.running_cost(t, xi, xi, a) + model.drift(t, xi, a) * g
+                  - 0.5 * sigma * sigma * d_yy - sigma * mixed)
+    a_out[1:-1] = a
     _extrapolate_edges(a_out)
     return value_rate, a_out[1:-1], sigma
 

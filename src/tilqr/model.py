@@ -81,8 +81,9 @@ class ModelSpec:
     - ``running_cost(t, y, x, a)``, ``terminal_cost(y, x)``.
     - ``dy_running``/``dyy_running`` and ``dy_terminal``/``dyy_terminal``:
       first and second derivatives of the costs in the parameter slot.
-    - ``maximizer(g)``: the closed-form optimal action for the effective
-      gradient ``g`` (see :func:`extended_hamiltonian`).
+    - ``maximizer(g)``: the closed-form action ``a`` that optimizes
+      ``running_cost(t, x, x, a) + drift(t, x, a) * g`` for the effective
+      gradient ``g`` of the grid solver's corrected Hamiltonian.
 
     All evaluators must accept numpy arrays and return an array that
     broadcasts against their arguments; the grid solver relies on that.
@@ -155,75 +156,6 @@ def lqr_model(params: LqrParams) -> ModelSpec:
         dyy_terminal=dyy_terminal,
         maximizer=argopt,
     )
-
-
-def _require_finite(**slots):
-    for name, v in slots.items():
-        if not np.all(np.isfinite(v)):
-            raise NumericError(f"non-finite value in Hamiltonian slot '{name}'")
-
-
-def _require_positive_vol(sigma):
-    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-        raise ConfigError("model volatility must be positive and finite")
-
-
-def _hamiltonian(model: ModelSpec, t, x, sigma, z, grad_param, hess_param, mixed):
-    """The corrected Hamiltonian and its optimal action, given the volatility
-    ``sigma`` at ``(t, x)``, with no slot checked; see
-    :func:`extended_hamiltonian`."""
-    g = z / sigma - grad_param
-    a_opt = model.maximizer(g)
-    inner = model.running_cost(t, x, x, a_opt) + model.drift(t, x, a_opt) * g
-    return inner - 0.5 * sigma * sigma * hess_param - sigma * mixed, a_opt
-
-
-def extended_hamiltonian(model: ModelSpec, *, t, x, z, grad_param, hess_param,
-                         mixed):
-    """Evaluate the corrected Hamiltonian and its optimal action.
-
-    The effective gradient is ``g = z / vol - grad_param``; the model's
-    maximizer maps it to the action ``a`` that optimizes
-    ``running_cost(t, x, x, a) + drift(t, x, a) * g``, and the value is then
-    corrected by ``- vol^2/2 * hess_param - vol * mixed``. The construction
-    is invariant under the shift
-    ``(z, grad_param) -> (z + s, grad_param + s/vol)``.
-
-    Parameters
-    ----------
-    model : ModelSpec
-        Scalar-state model; the vector-valued clock augmentation is not
-        accepted here.
-    t, x, z, grad_param, hess_param, mixed : scalar or array
-        Slots broadcast together: time and state, the volatility-scaled
-        value gradient (vol * dV/dx), the first and second parameter
-        derivatives of the coupled field on the diagonal, and its
-        volatility-scaled mixed second derivative.
-
-    Returns
-    -------
-    (value, argopt) : tuple
-        Hamiltonian value and optimizing action, floats for scalar input and
-        arrays otherwise.
-
-    Raises
-    ------
-    NumericError
-        If any slot contains non-finite values.
-    ConfigError
-        If the model's volatility is not positive at the evaluation points.
-    """
-    _require_finite(t=t, x=x, z=z, grad_param=grad_param,
-                    hess_param=hess_param, mixed=mixed)
-    sigma = np.asarray(model.vol(t, x), dtype=float)
-    _require_positive_vol(sigma)
-    value, a_opt = _hamiltonian(model, t, x, sigma, np.asarray(z, dtype=float),
-                                grad_param, hess_param, mixed)
-
-    if np.ndim(value) == 0 and np.ndim(a_opt) == 0:
-        return float(value), float(a_opt)
-    value, a_opt = np.broadcast_arrays(value, a_opt)
-    return np.asarray(value, dtype=float), np.asarray(a_opt, dtype=float)
 
 
 def inconsistency_adjustment(*, drift_vec, sigma_mat, grad_y, hess_yy,

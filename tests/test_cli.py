@@ -29,7 +29,6 @@ from tilqr.cli import (
     RunConfig,
     SweepSection,
     config_echo,
-    default_config,
     main,
     parse_config,
     parse_config_text,
@@ -88,7 +87,7 @@ def read_csv(path):
 
 class TestParseConfig:
     def test_empty_text_yields_the_defaults(self):
-        assert parse_config_text("") == default_config()
+        assert parse_config_text("") == RunConfig()
 
     def test_comments_and_blank_lines_are_skipped(self):
         text = "\n# comment\n; other comment\n[model]\n\nsigma = 0.25\n"
@@ -174,7 +173,7 @@ def section_strategies():
 
 class TestConfigEcho:
     def test_header_states_tool_and_version_then_all_sections(self):
-        lines = config_echo(default_config())
+        lines = config_echo(RunConfig())
         assert lines[0] == "tilqr 0.1.0"
         assert lines[1] == "[model]"
         assert "a_bar = 0.5" in lines
@@ -182,8 +181,8 @@ class TestConfigEcho:
         assert "antithetic = false" in lines
 
     def test_default_config_round_trips(self):
-        lines = config_echo(default_config())
-        assert parse_config_text("\n".join(lines[1:])) == default_config()
+        lines = config_echo(RunConfig())
+        assert parse_config_text("\n".join(lines[1:])) == RunConfig()
 
     @given(section_strategies())
     def test_every_valid_config_round_trips_exactly(self, config):
@@ -595,6 +594,24 @@ class TestMainEntry:
         assert rc == EXIT_CONFIG
         assert files == []
         assert "gives a zero time step" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("directory", ["", "a\nb", " x"],
+                             ids=["empty", "two-lines", "leading-space"])
+    def test_an_output_directory_the_header_cannot_echo_exits_config(
+            self, capsys, tmp_path, monkeypatch, directory):
+        # the header echoes it as "directory = <value>", which re-parses as
+        # a nonempty value stripped, on one line
+        monkeypatch.chdir(tmp_path)
+        assert main(["gains", "--out", directory]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "config",
+            "message": "output directory must be one nonempty line without "
+                       f"surrounding whitespace, got {directory!r}"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_gamma_range_too_narrow_to_plot_exits_three_before_any_output(self):
         # the tick ladder of [0, 5e-324] has no nonzero step: the plot

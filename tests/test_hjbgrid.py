@@ -164,6 +164,7 @@ class TestGridSpec2:
         (dict(x_lo=0.0, x_hi=1e-300), "not a positive finite number"),
         (dict(horizon=math.nan), "horizon"),
         (dict(horizon=math.inf), "horizon"),
+        (dict(n_t=4, horizon=5e-324), "gives a zero time step"),
     ])
     def test_rejects_bad_settings(self, kwargs, match):
         base = dict(n_t=10, n_x=8, x_lo=-1.0, x_hi=3.0, horizon=1.0)
@@ -203,6 +204,30 @@ class TestStability:
         model = replace(MODEL, vol=lambda t, x: sigma + 0.0 * np.asarray(x, dtype=float))
         with pytest.raises(ConfigError, match=match):
             solver(model, benchmark_grid(25, 40))
+
+
+class TestCorrectedHamiltonian:
+    """The slot and volatility checks of the corrected Hamiltonian, which
+    each solve step runs before it optimizes the control."""
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_a_non_finite_slot_is_named(self, solve):
+        # the terminal data are finite, but their difference across the
+        # diagonal overflows the parameter gradient
+        model = replace(MODEL, terminal_cost=lambda y, x: 1.5e308 * np.tanh(1e6 * (y - x)))
+        with pytest.raises(NumericError, match=r"^non-finite value in Hamiltonian "
+                                               r"slot 'grad_param'$") as info:
+            solve(model, benchmark_grid(25, 40))
+        assert not isinstance(info.value, PicardError)
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_a_volatility_negative_on_part_of_the_grid_is_rejected(self, solve):
+        # the stability bound reads only the largest volatility, 0.5
+        model = replace(MODEL, vol=lambda t, x: np.where(x < 0, -0.5, 0.5))
+        with pytest.raises(ConfigError, match="^model volatility must be positive and finite$"):
+            solve(model, benchmark_grid(25, 40))
 
 
 class TestSweep:

@@ -12,7 +12,6 @@ from tilqr import (
     ModelSpec,
     NumericError,
     augment_time_dependent,
-    extended_hamiltonian,
     inconsistency_adjustment,
     lqr_model,
 )
@@ -135,59 +134,6 @@ class TestLqrModel:
         spec = lqr_model(benchmark_params)
         samples = [(0.3, 0.7, -1.2, 0.4), (0.9, -2.0, 3.0, -1.5), (0.0, 0.0, 0.0, 0.0)]
         assert _check_derivatives(spec, samples) < 1e-6
-
-
-class TestExtendedHamiltonian:
-    def test_lqr_closed_form(self, benchmark_params):
-        # optimal action -b*g turns the inner problem into a*x*g - b^2 g^2/2,
-        # then the two second-order corrections subtract off
-        p = benchmark_params
-        spec = lqr_model(p)
-        rng = np.random.default_rng(3)
-        t, x, z, gy, hyy, mx = rng.normal(size=(6, 7))
-        value, action = extended_hamiltonian(
-            spec, t=t, x=x, z=z, grad_param=gy, hess_param=hyy, mixed=mx)
-        g = z / p.sigma - gy
-        expect_a = -p.b_bar * g
-        expect_v = (0.5 * expect_a ** 2 + (p.a_bar * x + p.b_bar * expect_a) * g
-                    - 0.5 * p.sigma ** 2 * hyy - p.sigma * mx)
-        np.testing.assert_allclose(action, expect_a, rtol=1e-14)
-        np.testing.assert_allclose(value, expect_v, rtol=1e-13, atol=1e-14)
-
-    def test_scalar_in_float_out(self, benchmark_params):
-        value, action = extended_hamiltonian(
-            lqr_model(benchmark_params),
-            t=0.0, x=1.0, z=0.5, grad_param=0.1, hess_param=0.2, mixed=0.3)
-        assert isinstance(value, float) and isinstance(action, float)
-
-    @given(z=st.floats(-10, 10), gy=st.floats(-10, 10), s=st.floats(-5, 5),
-           x=st.floats(-3, 3))
-    def test_shift_invariance(self, z, gy, s, x):
-        # moving mass between the z slot and the parameter gradient must not
-        # change the Hamiltonian: g depends only on z/vol - grad_param
-        spec = lqr_model(LqrParams())
-        v0, a0 = extended_hamiltonian(spec, t=0.0, x=x, z=z, grad_param=gy,
-                                      hess_param=0.0, mixed=0.0)
-        v1, a1 = extended_hamiltonian(spec, t=0.0, x=x, z=z + s,
-                                      grad_param=gy + s / 0.5,
-                                      hess_param=0.0, mixed=0.0)
-        assert math.isclose(v0, v1, rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(a0, a1, rel_tol=1e-9, abs_tol=1e-9)
-
-    def test_non_finite_slot_raises(self, benchmark_params):
-        spec = lqr_model(benchmark_params)
-        with pytest.raises(NumericError, match="slot 'z'"):
-            extended_hamiltonian(
-                spec, t=0.0, x=1.0, z=math.nan, grad_param=0.0,
-                hess_param=0.0, mixed=0.0)
-
-    def test_nonpositive_vol_raises(self):
-        spec = lqr_model(LqrParams())
-        broken = ModelSpec(**{**spec.__dict__, "vol": lambda t, x: 0.0 * np.asarray(x)})
-        with pytest.raises(ConfigError, match="volatility"):
-            extended_hamiltonian(
-                broken, t=0.0, x=1.0, z=0.0, grad_param=0.0,
-                hess_param=0.0, mixed=0.0)
 
 
 class TestInconsistencyAdjustment:

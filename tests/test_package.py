@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import tilqr
+import tilqr.cli
 
 MODULES = ["tilqr"] + sorted(
     info.name for info in pkgutil.iter_modules(tilqr.__path__, "tilqr."))
 README = Path(tilqr.__file__).resolve().parents[2] / "README.md"
+WORKLOADS = README.parent / "perfbench" / "workloads.py"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -43,6 +45,18 @@ def test_readme_library_example_prints_its_comment(capsys):
     assert len(expected) == 1
     exec(compile(block, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_the_benchmark_reads_only_exported_names():
+    # the benchmark's workloads change only with the benchmark itself, so
+    # each name they read on the package must stay exported
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    attributes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    read = {node.attr for node in attributes if ast.unparse(node.value) == "tilqr"}
+    assert "solve_extended_hjb_picard" in read  # the scan sees the workloads' calls
+    assert sorted(read - {"cli"} - set(tilqr.__all__)) == []
+    assert {node.attr for node in attributes if ast.unparse(node.value) == "tilqr.cli"} == {"main"}
+    assert callable(tilqr.cli.main)
 
 
 def _unused_imports(source: str) -> list:
