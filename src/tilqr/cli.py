@@ -180,6 +180,8 @@ def _validated(config: RunConfig) -> RunConfig:
     if directory.strip().splitlines() != [directory]:
         raise ConfigError(f"output directory must be one nonempty line without "
                           f"surrounding whitespace, got {directory!r}")
+    if "\0" in directory:  # no file system path holds one
+        raise ConfigError(f"output directory must not contain a NUL byte, got {directory!r}")
     sw = config.sweep
     if sw.gamma_steps < 1:
         raise ConfigError(f"gamma_steps must be >= 1, got {sw.gamma_steps}")

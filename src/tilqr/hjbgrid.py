@@ -130,13 +130,11 @@ def _extrapolate_edges(arr: np.ndarray):
     arr[-1] = 3.0 * arr[-2] - 3.0 * arr[-3] + arr[-4]
 
 
-def _check_cfl(model: ModelSpec, grid: GridSpec2) -> tuple:
-    # sample the volatility over the grid to bound the diffusion coefficient
-    ts = grid.horizon * np.linspace(0.0, 1.0, min(grid.n_t, 32) + 1)
-    xs = grid.xs
+def _check_cfl(st: _Stepper, grid: GridSpec2) -> tuple:
+    # bound the diffusion coefficient at every time node the solver evaluates
     sigma_max = 0.0
-    for t in ts:
-        sigma_max = max(sigma_max, float(np.max(np.asarray(model.vol(t, xs)))))
+    for t in st.nodes:
+        sigma_max = max(sigma_max, float(np.max(np.asarray(st.model.vol(t, st.xs)))))
     # the stability bound divides by sigma_max^2
     if not 0.0 < sigma_max * sigma_max < math.inf:
         raise ConfigError(
@@ -351,8 +349,8 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     NumericError
         Non-finite field values, with the offending slice and node named.
     """
-    sigma_max, ratio = _check_cfl(model, grid)
     st = _stepper(model, grid)
+    sigma_max, ratio = _check_cfl(st, grid)
     v, j, alpha = _terminal_fields(st, grid.n_t)
     _backward(st, 0, (v, j, alpha), coupling=j)
     report = SchemeReport(mode="sweep", sigma_max=sigma_max, stability_ratio=ratio,
@@ -465,8 +463,8 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
         distance trace for diagnosis.
     """
     _check_iteration_settings(tol, max_iter)
-    sigma_max, ratio = _check_cfl(model, grid)
     st = _stepper(model, grid)
+    sigma_max, ratio = _check_cfl(st, grid)
     fields = _terminal_fields(st, grid.n_t)
     spare = tuple(np.empty_like(f) for f in fields)
 

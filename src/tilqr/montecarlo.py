@@ -7,9 +7,13 @@ words of the numpy-only emulation this replaced, so no noise byte changed. Each
 path's stream is a pure function of (seed, stream index, step): batches are
 bit-reproducible across runs, platforms, chunk sizes and thread counts, and one
 Euler kernel advances every gain of a call on each noise chunk (common random numbers).
-A noise call of more than 1024 streams maps the inverse CDF of its finished
-stream groups on one helper thread while it draws the next group; which thread
-maps a group changes no bit.
+A ``normal_stream`` call, a streaming chunk and a retaining call each own one
+lane: a helper thread that runs the work which releases the GIL. It maps each
+finished stream group to normals while the calling thread draws the next, the
+last group in row blocks just ahead of the Euler kernel, and on the retaining
+route it reduces each finished chunk while the next chunk's words are drawn.
+The lane is joined before the call returns, and which thread does a piece of
+work changes no bit.
 """
 
 from __future__ import annotations
@@ -35,19 +39,79 @@ _MASK256 = (1 << 256) - 1
 # mirrored antithetic pair never straddles two chunks. The streaming route
 # keeps 8192: at 1024 the mc_stream benchmark ran ~11% slower. Its chunk's
 # noise is one 65 MB float64 array at 1000 steps. The retaining route
-# (compare_strategies, the CLI's simulate) reduces each chunk as it is
-# simulated, so its peak memory is one chunk buffer: ~50 MB of states and
-# controls at 1024 paths, three gains and 1000 steps. On the mc_paths
-# benchmark 1024 was no slower than 2048 or 8192 and faster than 512.
+# (compare_strategies, the CLI's simulate) reduces each chunk on the lane
+# while the next chunk's words are drawn, so its peak memory is one noise
+# buffer and one chunk buffer: ~50 MB of states and controls at 1024 paths,
+# three gains and 1000 steps. On the mc_paths benchmark 1024 was no slower
+# than 2048 or 8192 and faster than 512.
 _CHUNK = 8192
 _RETAIN_CHUNK = 1024
-# Steps buffered before a copy into path-major trajectories (one strided write each)
+# Steps buffered before a copy into path-major trajectories (one strided write
+# each); also the rows of the last noise group that the lane maps per job
 _BLOCK = 32
-# Streams whose Philox words normal_stream holds at once (64 x 1000 draws: 0.5 MB)
+# Streams whose Philox words are drawn at once (64 x 1000 draws: 0.5 MB)
 _STREAM_BLOCK = 64
-# Streams per ndtri group: a helper thread maps each finished group while the
-# calling thread draws the next (an 8192-stream chunk is 8 groups)
+# Streams per noise group: the lane maps each finished group while the calling
+# thread draws the next (an 8192-stream chunk is 8 groups, a retaining chunk 1)
 _GROUP = 16 * _STREAM_BLOCK
+
+
+class _Lane:
+    """One helper thread running jobs in the order they are submitted.
+
+    ``submit`` queues ``fn(*args)`` and returns its ticket; ``wait(ticket)``
+    returns once that job and every one before it has run. The first error a
+    job raises is raised, as the same object, by the caller's next ``wait``
+    or on leaving the ``with`` block, and the jobs after it are skipped.
+    numpy's error state is per thread, so each job runs under the one its
+    submitter had. Leaving the ``with`` block joins the thread, so no lane
+    outlives the call that owns it.
+    """
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._ran = threading.Condition()
+        self._queued = self._done = 0
+        self._error = None
+        self._thread = threading.Thread(target=self._run)
+
+    def __enter__(self) -> _Lane:
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._jobs.put(None)
+        self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
+
+    def _run(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            fn, args, errstate = job
+            if self._error is None:
+                try:
+                    with np.errstate(**errstate):
+                        fn(*args)
+                except BaseException as exc:  # raised on the calling thread
+                    self._error = exc
+            # free the job's arrays before its ticket, not at the next job
+            del job, fn, args
+            with self._ran:
+                self._done += 1
+                self._ran.notify()
+
+    def submit(self, fn, *args) -> int:
+        self._jobs.put((fn, args, np.geterr()))
+        self._queued += 1
+        return self._queued
+
+    def wait(self, ticket: int) -> None:
+        """Block until job ``ticket`` has run."""
+        if self._done < ticket:
+            with self._ran:
+                self._ran.wait_for(lambda: self._done >= ticket)
+        if self._error is not None:
+            raise self._error
 
 
 def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
@@ -71,65 +135,89 @@ def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
     return out
 
 
-def _map_groups(pending, failed: list) -> None:
-    """Helper-thread body: ``ndtri`` in place on each queued group until ``None``.
+def _draw_uniforms(seed: int, first_stream: int, out: np.ndarray) -> None:
+    """(0, 1) uniforms from the first words of streams ``first_stream, ...``,
+    one column of the draw-major ``out`` per stream.
 
-    The first error is kept in ``failed`` for the caller to raise, and ends
-    the thread; the caller's later puts never block.
+    Each takes the top 53 bits of its word, offset by half a spacing. Words
+    are drawn ``_STREAM_BLOCK`` streams at a time and cast into ``out`` as
+    exact integers, so no word array of ``out``'s size exists.
     """
-    try:
-        while (g := pending.get()) is not None:
-            ndtri(g, out=g)
-    except BaseException as exc:  # re-raised on the calling thread
-        failed.append(exc)
+    n_draws, n_streams = out.shape
+    blocks = (n_draws + 3) // 4
+    for s0 in range(0, n_streams, _STREAM_BLOCK):
+        streams = np.arange(first_stream + s0, first_stream + min(s0 + _STREAM_BLOCK, n_streams),
+                            dtype=np.uint64)
+        words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
+        np.right_shift(words, np.uint64(11), out=words)
+        out[:, s0:s0 + len(streams)] = words.T
+    out += 0.5
+    out *= 2.0 ** -53
+
+
+def _to_normals(z: np.ndarray, scale, mirror) -> None:
+    """Lane job: (0, 1) uniforms to standard normals in place (``ndtri``
+    releases the GIL), times ``scale`` unless it is None; with a ``mirror``
+    (twice ``z``'s width), copied into its even columns and negated into its
+    odd ones.
+    """
+    ndtri(z, out=z)
+    if scale is not None:
+        z *= scale
+    if mirror is not None:
+        mirror[:, 0::2] = z
+        np.negative(z, out=mirror[:, 1::2])
+
+
+def _noise(seed: int, first_stream: int, n_streams: int, n_draws: int, lane: _Lane,
+           scale=None, mirror=None):
+    """Draw the uniforms of ``n_streams`` streams into a new draw-major buffer
+    and queue their mapping to normals (see ``_to_normals``) on ``lane``.
+
+    Each group of ``_GROUP`` streams but the last is queued whole once it is
+    drawn, so the lane maps it while the next is drawn. The last group is
+    queued in ``_BLOCK``-draw row blocks, so the Euler kernel can step the
+    first rows while the lane maps the rest. Returns the buffer and the
+    row blocks' tickets: once ``lane.wait(rows[b])`` returns, draws
+    ``b * _BLOCK`` to ``(b + 1) * _BLOCK - 1`` of every stream are final, in
+    the buffer or in ``mirror``. A one-group call is the last group alone.
+    """
+    u = np.empty((n_draws, n_streams))
+    g, m = u, mirror  # what a call of no streams maps
+    for g0 in range(0, n_streams, _GROUP):
+        g = u[:, g0:g0 + _GROUP]
+        _draw_uniforms(seed, first_stream + g0, g)
+        m = None if mirror is None else mirror[:, 2 * g0:2 * (g0 + _GROUP)]
+        if g0 + _GROUP < n_streams:
+            lane.submit(_to_normals, g, scale, m)
+    rows = [lane.submit(_to_normals, g[r:r + _BLOCK], scale,
+                        None if m is None else m[r:r + _BLOCK])
+            for r in range(0, n_draws, _BLOCK)]
+    return u, rows
 
 
 def normal_stream(seed: int, first_stream: int, n_streams: int, n_draws: int) -> np.ndarray:
     """Standard normals, one row per stream, via inverse CDF of (0,1) uniforms.
 
     Uniforms take the top 53 bits of each word, offset by half a spacing, so
-    they stay strictly inside (0, 1) and the inverse CDF stays finite. Stored
-    draw-major, so ``.T`` is C-contiguous. One float64 array of the output's
-    size is the only chunk-sized allocation: words are drawn ``_STREAM_BLOCK``
-    streams at a time and cast into it column block by column block, as
-    exact 53-bit integers.
+    they stay inside (0, 1) and the inverse CDF finite, but for the top word:
+    ``2**53 - 1 + 0.5`` rounds to ``2**53``, so its uniform is 1 and its
+    normal +inf, a chance of 2**-53 per draw. Stored draw-major, so ``.T``
+    is C-contiguous. One float64 array of the output's size is the only
+    chunk-sized allocation: words are drawn ``_STREAM_BLOCK`` streams at a
+    time and cast into it column block by column block, as exact 53-bit
+    integers.
 
-    Streams are filled ``_GROUP`` at a time. With more than one group, one
-    helper thread runs ``ndtri`` (which releases the GIL) in place on each
-    finished group while this thread draws the next; this thread maps the
-    last group itself and then joins the helper, so no thread outlives the
-    call and a helper's error is raised here. Every value is elementwise in
-    its own (seed, stream, draw), so the output is bitwise the same whichever
-    thread maps which group. A one-group call starts no thread.
+    The call owns one lane, a helper thread that runs every ``ndtri`` (which
+    releases the GIL): on each finished group of ``_GROUP`` streams while
+    this thread draws the next, and on the last group in ``_BLOCK``-draw row
+    blocks. This thread maps nothing itself. The lane is joined before the
+    call returns, and a helper's error is raised here. Every value is
+    elementwise in its own (seed, stream, draw), so no bit depends on which
+    thread maps it.
     """
-    blocks = (n_draws + 3) // 4
-    u = np.empty((n_draws, n_streams))
-    pending, failed, helper = queue.SimpleQueue(), [], None
-    if n_streams > _GROUP:
-        helper = threading.Thread(target=_map_groups, args=(pending, failed))
-        helper.start()
-    try:
-        for g0 in range(0, n_streams, _GROUP):
-            for s0 in range(g0, min(g0 + _GROUP, n_streams), _STREAM_BLOCK):
-                streams = np.arange(first_stream + s0,
-                                    first_stream + min(s0 + _STREAM_BLOCK, n_streams),
-                                    dtype=np.uint64)
-                words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
-                np.right_shift(words, np.uint64(11), out=words)
-                u[:, s0:s0 + len(streams)] = words.T
-            g = u[:, g0:g0 + _GROUP]
-            g += 0.5
-            g *= 2.0 ** -53
-            if g0 + _GROUP < n_streams:
-                pending.put(g)
-            else:
-                ndtri(g, out=g)
-    finally:
-        if helper is not None:
-            pending.put(None)
-            helper.join()
-    if failed:
-        raise failed[0]
+    with _Lane() as lane:
+        u, _ = _noise(seed, first_stream, n_streams, n_draws, lane)
     return u.T
 
 
@@ -191,34 +279,37 @@ def _sim_gains(gains, params: LqrParams, n_steps: int):
     return -k, c
 
 
-def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
-                 states=None, controls=None):
+def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int, lane: _Lane,
+                 states=None, controls=None, ready: int = 0):
     """Advance K gains as one (K, m) state over paths ``[lo, hi)`` on one noise chunk.
 
-    The scheme and path costs are those of ``estimate_cost_streaming``.
-    Writes the trajectories into ``states``/``controls`` (K x m x ...) when
-    given; otherwise returns the (K, m) path costs, with the squared controls
-    summed step by step.
+    The scheme and path costs are those of ``estimate_cost_streaming``. The
+    chunk's noise is drawn here and mapped on ``lane``; each block of steps
+    waits only for its own rows. Writes the trajectories into
+    ``states``/``controls`` (K x m x ...) when given, once lane job ``ready``
+    (the reduction still reading them) has run; otherwise returns the (K, m)
+    path costs, with the squared controls summed step by step.
     """
     m, n_steps = hi - lo, config.n_steps
     dt = params.horizon / n_steps
+    scale = params.sigma * math.sqrt(dt)
     if config.antithetic:
         # one stream per mirrored pair; odd members negate it
         dw = np.empty((n_steps, m))
-        dw[:, 0::2] = normal_stream(config.seed, lo // 2, m // 2, n_steps).T
-        np.negative(dw[:, 0::2], out=dw[:, 1::2])
+        _, rows = _noise(config.seed, lo // 2, m // 2, n_steps, lane, scale, dw)
     else:
-        dw = normal_stream(config.seed, lo, m, n_steps).T
-    dw *= params.sigma * math.sqrt(dt)
+        dw, rows = _noise(config.seed, lo, m, n_steps, lane, scale)
     x = np.full((k.shape[1], m), params.x0)
     run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
     a_buf = np.empty((_BLOCK,) + x.shape)
     if states is not None:
+        lane.wait(ready)
         states[:, :, 0] = x
         x_buf = np.empty_like(a_buf)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_steps, _BLOCK):
             n = min(_BLOCK, n_steps - i0)
+            lane.wait(rows[i0 // _BLOCK])
             for j in range(n):
                 # keeps the operation order of x + (a_bar x + b_bar a) dt + sigma sqrt(dt) z
                 a = np.multiply(k[i0 + j], x, out=a_buf[j])
@@ -307,8 +398,9 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
 
     For each chunk, in path order: per-path costs and finite masks, running
     sums of the valid states and |controls|, and a copy of the paths below
-    ``keep``. One chunk buffer exists. More than 0.1% non-finite paths in
-    any gain raise ``NumericError``.
+    ``keep``. One chunk buffer exists; one lane maps the noise and reduces
+    each chunk while the calling thread draws the next chunk's words. More
+    than 0.1% non-finite paths in any gain raise ``NumericError``.
     """
     k, c = _sim_gains(gains, params, config.n_steps)
     n_gains, n_paths, n_steps = len(gains), config.n_paths, config.n_steps
@@ -322,28 +414,39 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
     controls = np.empty((n_gains, keep, n_steps))
     sum_x, sum_u = np.empty((n_gains, n_steps + 1)), np.empty((n_gains, n_steps))
     started = np.zeros(n_gains, dtype=bool)
-    for lo in range(0, n_paths, width):
-        hi = min(lo + width, n_paths)
+    finite = np.empty((width, n_steps + 1), dtype=bool)
+
+    def reduce_chunk(lo, hi):
         m = hi - lo
         xs, us = x[:, 1:m + 1], u[:, 1:m + 1]
-        _euler_chunk(k, c, params, config, lo, hi, xs, us)
         if lo < keep:
             states[:, lo:hi] = xs[:, :keep - lo]
             controls[:, lo:hi] = us[:, :keep - lo]
         ok = good[:, lo:hi]
-        np.isfinite(xs).all(axis=2, out=ok)
-        ok &= np.isfinite(us).all(axis=2)
+        # one gain at a time through the caller's scratch: the lane allocates
+        # nothing chunk-sized beside the next chunk's noise
+        for j, row in enumerate(ok):
+            np.isfinite(xs[j], out=finite[:m]).all(axis=1, out=row)
+            row &= np.isfinite(us[j], out=finite[:m, :n_steps]).all(axis=1)
         np.abs(us, out=us)
         # finite paths near the float ceiling may sum to non-finite means,
         # kept as such; bad paths are dropped
         with np.errstate(over="ignore", invalid="ignore"):
             _add_rows(sum_x, started, x, m, ok)
             _add_rows(sum_u, started, u, m, ok)
-            started |= ok.any(axis=1)
+            started[:] |= ok.any(axis=1)
             # |u| * |u| is u * u bit for bit, so the squares reuse the buffer
             miss = xs[:, :, -1] - params.x0
             us *= us
             costs[:, lo:hi] = 0.5 * dt * np.sum(us, axis=2) + 0.5 * params.gamma * miss * miss
+
+    with _Lane() as lane:
+        reduced = 0
+        for lo in range(0, n_paths, width):
+            hi = min(lo + width, n_paths)
+            _euler_chunk(k, c, params, config, lo, hi, lane,
+                         x[:, 1:hi - lo + 1], u[:, 1:hi - lo + 1], reduced)
+            reduced = lane.submit(reduce_chunk, lo, hi)
     for row in good:
         _checked(row)
     n_good = np.count_nonzero(good, axis=1)[:, None]
@@ -355,13 +458,15 @@ def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
                          workers: int = 1) -> list:
     """``estimate_cost_streaming`` for every gain, all advanced on one noise pass.
 
-    With ``workers`` > 1 and more than one chunk, at most ``workers`` chunks
-    run at once on a thread pool; their costs are joined in path order.
+    Each chunk owns one lane for its noise. With ``workers`` > 1 and more
+    than one chunk, at most ``workers`` chunks run at once on a thread pool;
+    their costs are joined in path order.
     """
     k, c = _sim_gains(gains, params, config.n_steps)
 
     def chunk(lo):
-        return _euler_chunk(k, c, params, config, lo, min(lo + _CHUNK, config.n_paths))
+        with _Lane() as lane:
+            return _euler_chunk(k, c, params, config, lo, min(lo + _CHUNK, config.n_paths), lane)
 
     los = range(0, config.n_paths, _CHUNK)
     if workers < 2 or len(los) < 2:

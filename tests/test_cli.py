@@ -613,6 +613,22 @@ class TestMainEntry:
                        f"surrounding whitespace, got {directory!r}"}
         assert list(tmp_path.iterdir()) == []
 
+    def test_an_output_directory_with_a_nul_byte_exits_config(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # mkdir raised ValueError("embedded null byte"): a traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "nul.ini"
+        cfg.write_text("[output]\ndirectory = a\0b\n", encoding="utf-8")
+        assert main(["gains", "--config", str(cfg)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "config",
+            "message": "output directory must not contain a NUL byte, got 'a\\x00b'"}
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_a_gamma_range_too_narrow_to_plot_exits_three_before_any_output(self):
         # the tick ladder of [0, 5e-324] has no nonzero step: the plot
         # crashed with a traceback after sweep.csv was written

@@ -189,6 +189,16 @@ class TestStability:
             PARAMS.sigma ** 2 * grid.dt / grid.dx ** 2, rel=1e-12)
         assert report.stability_ratio < 1.0
 
+    @pytest.mark.parametrize("solver", [solve_extended_hjb_sweep, solve_extended_hjb_picard])
+    def test_a_volatility_spike_between_coarse_samples_is_bounded(self, solver):
+        # vol = 5 only on 0.505 < t < 0.52, which holds time node t = 0.51 of
+        # 100 slices but none of 33 evenly spread samples; at dx = 0.1 the
+        # spike's diffusion ratio is 25, far above the bound of 1 / 1.05
+        model = replace(MODEL, vol=lambda t, x: (5.0 if 0.505 < t < 0.52 else 0.5)
+                        + 0.0 * np.asarray(x, dtype=float))
+        with pytest.raises(ConfigError, match=r"unstable.*n_t >= 2625$"):
+            solver(model, benchmark_grid(100, 80))
+
     def test_nonpositive_volatility_rejected(self):
         flat = replace(MODEL, vol=lambda t, x: 0.0 * np.asarray(x, dtype=float))
         with pytest.raises(ConfigError, match="volatility"):
@@ -411,7 +421,7 @@ class TestPicard:
 
         monkeypatch.setattr(hjbgrid, "_slice_control", counted)
         solve_extended_hjb_picard(replace(MODEL, vol=vol), grid)
-        assert vol_calls == controls + min(grid.n_t, 32) + 1  # plus the stability bound's
+        assert vol_calls == controls + grid.n_t + 1  # plus the stability bound's
 
     def test_scalar_volatility_gives_the_broadcast_one_bitwise(self):
         grid = benchmark_grid(25, 40)

@@ -31,8 +31,8 @@ from tilqr import (
     solve_naive,
 )
 from tilqr import montecarlo
-from tilqr.montecarlo import (_CHUNK, _GROUP, _RETAIN_CHUNK, _estimate, _gain_on_sim_grid,
-                              _reduce_paths, _streaming_estimates)
+from tilqr.montecarlo import (_BLOCK, _CHUNK, _GROUP, _RETAIN_CHUNK, _Lane, _estimate,
+                              _gain_on_sim_grid, _reduce_paths, _streaming_estimates)
 
 from test_hjbgrid import peak_traced_bytes
 
@@ -60,6 +60,13 @@ def numpy_block_words(seed: int, stream: int, block: int, n_words: int = 4) -> n
 def one_block(seed: int, stream: int, block: int) -> np.ndarray:
     return raw_blocks(seed, np.array([stream], dtype=np.uint64),
                       np.array([block], dtype=np.uint64))[0]
+
+
+def serial_normals(seed: int, first_stream: int, n_streams: int, n_draws: int) -> np.ndarray:
+    """``normal_stream``'s formula in one piece on the calling thread, no lane."""
+    streams = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
+    words = raw_blocks(seed, streams, np.zeros_like(streams), (n_draws + 3) // 4)[:, :n_draws]
+    return ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
 
 
 # (seed, stream, block) -> the four words of that block, as computed by the
@@ -156,74 +163,182 @@ class TestNormalStream:
             assert np.array_equal(row, normal_stream(9, 1000 + i, 1, 33)[0])
 
     def test_a_pipelined_chunk_equals_its_one_group_calls(self):
-        # one-group calls start no helper, so this pins the helper's groups
-        # against the serial path
+        # the chunk maps seven groups whole and the last in row blocks; each
+        # one-group call maps its group in row blocks
         whole = normal_stream(42, 0, _CHUNK, 1000)
         parts = [normal_stream(42, lo, _GROUP, 1000) for lo in range(0, _CHUNK, _GROUP)]
         assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(whole[:, :200], serial_normals(42, 0, _CHUNK, 200))
+
+
+def record_ndtri(monkeypatch, error=None):
+    """(thread id, shape) of each ``ndtri`` call; calls off this thread raise ``error``."""
+    calls, real, caller = [], montecarlo.ndtri, threading.get_ident()
+
+    def recording(g, out):
+        calls.append((threading.get_ident(), g.shape))
+        if error is not None and calls[-1][0] != caller:
+            raise error
+        return real(g, out=out)
+
+    monkeypatch.setattr(montecarlo, "ndtri", recording)
+    return calls
 
 
 class TestNoiseHelper:
-    """Past one group, one helper thread runs ``ndtri`` on every group but the last."""
+    """One lane per call runs every ``ndtri``: on each group but the last
+    whole, on the last in ``_BLOCK``-draw row blocks."""
 
-    @staticmethod
-    def record_ndtri(monkeypatch, error=None):
-        """Thread ids of the ``ndtri`` calls; calls off this thread raise ``error``."""
-        threads, real, caller = [], montecarlo.ndtri, threading.get_ident()
-
-        def recording(g, out):
-            threads.append(threading.get_ident())
-            if error is not None and threads[-1] != caller:
-                raise error
-            return real(g, out=out)
-
-        monkeypatch.setattr(montecarlo, "ndtri", recording)
-        return threads
-
-    def test_one_group_runs_on_the_calling_thread_alone(self, monkeypatch):
-        threads = self.record_ndtri(monkeypatch)
-        before = threading.active_count()
-        normal_stream(3, 5, _GROUP, 10)
-        assert threads == [threading.get_ident()]
-        assert threading.active_count() == before
+    def test_one_group_is_mapped_in_row_blocks_on_one_helper(self, monkeypatch):
+        calls = record_ndtri(monkeypatch)
+        before = threading.enumerate()
+        got = normal_stream(3, 5, _GROUP, 2 * _BLOCK + 6)
+        assert threading.enumerate() == before
+        assert [shape for _, shape in calls] == [(_BLOCK, _GROUP)] * 2 + [(6, _GROUP)]
+        threads = {t for t, _ in calls}
+        assert len(threads) == 1 and threading.get_ident() not in threads
+        assert np.array_equal(got, serial_normals(3, 5, _GROUP, 2 * _BLOCK + 6))
 
     def test_more_groups_use_one_helper_that_ends_with_the_call(self, monkeypatch):
-        threads = self.record_ndtri(monkeypatch)
-        before = threading.active_count()
+        calls = record_ndtri(monkeypatch)
+        before = threading.enumerate()
         got = normal_stream(3, 5, 3 * _GROUP + 5, 10)
-        assert threading.active_count() == before
-        # the caller maps the last group, the helper the three before it
-        assert sorted(threads.count(t) for t in set(threads)) == [1, 3]
-        assert threads.count(threading.get_ident()) == 1
-        monkeypatch.undo()
-        assert np.array_equal(got, normal_stream(3, 5, 3 * _GROUP + 5, 10))
+        assert threading.enumerate() == before
+        # three whole groups, then the ragged last one as one row block
+        assert [shape for _, shape in calls] == [(10, _GROUP)] * 3 + [(10, 5)]
+        threads = {t for t, _ in calls}
+        assert len(threads) == 1 and threading.get_ident() not in threads
+        assert np.array_equal(got, serial_normals(3, 5, 3 * _GROUP + 5, 10))
 
     def test_concurrent_calls_under_frequent_switches_stay_bitwise(self):
         # three callers on two cores, each with its own helper, as in a pooled
-        # chunk map; one-group calls are the serial reference
+        # chunk map
         n = 3 * _GROUP + 5
-        expected = [np.concatenate([normal_stream(seed, lo, min(_GROUP, n - lo), 20)
-                                    for lo in range(0, n, _GROUP)]) for seed in (1, 2, 3)]
+        expected = [serial_normals(seed, 0, n, 2 * _BLOCK + 3) for seed in (1, 2, 3)]
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             with ThreadPoolExecutor(max_workers=3) as pool:
-                got = list(pool.map(lambda seed: normal_stream(seed, 0, n, 20), (1, 2, 3)))
+                got = list(pool.map(lambda seed: normal_stream(seed, 0, n, 2 * _BLOCK + 3),
+                                    (1, 2, 3)))
         finally:
             sys.setswitchinterval(interval)
         for z, ref in zip(got, expected):
             assert np.array_equal(z, ref)
 
     def test_a_helper_error_is_raised_by_the_caller(self, monkeypatch):
-        # of two groups, the helper maps the first and raises on it
+        # the helper raises on the first group; the second is skipped
         error = FloatingPointError("first group")
-        threads = self.record_ndtri(monkeypatch, error)
+        calls = record_ndtri(monkeypatch, error)
         before = threading.enumerate()
         with pytest.raises(FloatingPointError) as info:
             normal_stream(3, 0, 2 * _GROUP, 10)
         assert info.value is error
-        assert len(set(threads)) == 2
+        assert len(calls) == 1 and calls[0][0] != threading.get_ident()
         assert threading.enumerate() == before
+
+
+class TestLane:
+    """The helper thread of the Monte Carlo routes."""
+
+    def test_jobs_run_in_order_off_the_calling_thread(self):
+        ran = []
+        with _Lane() as lane:
+            tickets = [lane.submit(lambda i: ran.append((i, threading.get_ident())), i)
+                       for i in range(5)]
+            lane.wait(tickets[2])
+            assert [i for i, _ in ran[:3]] == [0, 1, 2]
+        assert [i for i, _ in ran] == list(range(5))
+        assert len({t for _, t in ran}) == 1 and ran[0][1] != threading.get_ident()
+
+    def test_each_job_runs_under_its_submitters_error_state(self):
+        big = np.array([1e308])
+        with pytest.raises(FloatingPointError):
+            with _Lane() as lane, np.errstate(over="raise"):
+                lane.wait(lane.submit(np.multiply, big, 10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with _Lane() as lane, np.errstate(over="ignore"):
+                lane.submit(np.multiply, big, 10.0, big)
+        assert big[0] == np.inf
+
+    def test_an_unwaited_error_is_raised_on_leaving(self):
+        error = ValueError("late")
+        before = threading.enumerate()
+
+        def fail():
+            raise error
+
+        with pytest.raises(ValueError) as info:
+            with _Lane() as lane:
+                lane.submit(fail)
+        assert info.value is error
+        assert threading.enumerate() == before
+
+    def test_a_reduction_error_is_raised_by_the_caller(self, monkeypatch):
+        # the retaining route reduces chunks on the lane; the second
+        # chunk's reduction fails there
+        error = MemoryError("second chunk")
+        threads, real = [], montecarlo._add_rows
+
+        def add_rows(total, started, buf, m, ok):
+            threads.append(threading.get_ident())
+            if len(threads) > 2:
+                raise error
+            return real(total, started, buf, m, ok)
+
+        monkeypatch.setattr(montecarlo, "_add_rows", add_rows)
+        gains = [constant_gain(0.4, 0.1, 40), constant_gain(1.2, -0.3, 40)]
+        before = threading.enumerate()
+        with pytest.raises(MemoryError) as info:
+            compare_strategies(LqrParams(), SimConfig(n_paths=3 * _RETAIN_CHUNK, n_steps=40,
+                                                      seed=2), gains)
+        assert info.value is error
+        assert threading.get_ident() not in threads
+        assert threading.enumerate() == before
+
+    @pytest.mark.parametrize("route", ["retaining", "streaming"])
+    def test_a_row_block_error_is_raised_by_the_caller(self, route, monkeypatch):
+        # the second ndtri call fails: a row block of the first chunk's last
+        # group (the second of a one-group chunk, the first after a whole
+        # group), which the Euler kernel waits for
+        error = FloatingPointError("row block")
+        real, calls = montecarlo.ndtri, []
+
+        def failing(g, out):
+            calls.append(threading.get_ident())
+            if len(calls) == 2:
+                raise error
+            return real(g, out=out)
+
+        monkeypatch.setattr(montecarlo, "ndtri", failing)
+        gain = constant_gain(0.4, 0.1, 4 * _BLOCK)
+        config = SimConfig(n_paths=2 * _RETAIN_CHUNK, n_steps=4 * _BLOCK, seed=2)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError) as info:
+            if route == "retaining":
+                _reduce_paths([gain], LqrParams(), config, 0)
+            else:
+                estimate_cost_streaming(gain, LqrParams(), config)
+        assert info.value is error
+        assert len(calls) == 2 and threading.get_ident() not in calls
+        assert threading.enumerate() == before
+
+    def test_the_calling_thread_never_runs_ndtri(self, monkeypatch):
+        # pins the pipeline: per 40-step chunk two row blocks of its last
+        # group, after every earlier group whole
+        calls = record_ndtri(monkeypatch)
+        gains = [constant_gain(k, 0.0, 40) for k in (0.2, 0.5, 0.9)]
+        compare_strategies(LqrParams(), SimConfig(n_paths=2 * _RETAIN_CHUNK + 6, n_steps=40,
+                                                  seed=4), gains)
+        assert [shape for _, shape in calls] == \
+            [(_BLOCK, _GROUP), (8, _GROUP)] * 2 + [(_BLOCK, 6), (8, 6)]
+        calls.clear()
+        estimate_cost_streaming(gains[0], LqrParams(),
+                                SimConfig(n_paths=_CHUNK + 6, n_steps=40, seed=4))
+        assert [shape for _, shape in calls] == \
+            [(40, _GROUP)] * 7 + [(_BLOCK, _GROUP), (8, _GROUP), (_BLOCK, 6), (8, 6)]
+        assert threading.get_ident() not in {t for t, _ in calls}
 
 
 class TestSimConfig:
@@ -527,17 +642,20 @@ class TestStreamingEstimate:
 
 
 def poison(monkeypatch, paths):
-    """Make the noise of the given stream indices infinite at step 2."""
-    real = montecarlo.normal_stream
+    """Make the noise of the given stream indices -inf at step 2.
 
-    def poisoned(seed, first_stream, n_streams, n_draws):
-        z = real(seed, first_stream, n_streams, n_draws)
+    The routes draw their uniforms through ``_draw_uniforms``; a uniform of 0
+    maps to the normal -inf.
+    """
+    real = montecarlo._draw_uniforms
+
+    def poisoned(seed, first_stream, out):
+        real(seed, first_stream, out)
         for p in paths:
-            if first_stream <= p < first_stream + n_streams:
-                z[p - first_stream, 2] = np.inf
-        return z
+            if first_stream <= p < first_stream + out.shape[1]:
+                out[2, p - first_stream] = 0.0
 
-    monkeypatch.setattr(montecarlo, "normal_stream", poisoned)
+    monkeypatch.setattr(montecarlo, "_draw_uniforms", poisoned)
 
 
 class TestNonFinitePolicy:
@@ -664,14 +782,15 @@ class TestCompareStrategies:
         assert np.all(result.mean_abs_control == 0.0)
 
     def test_draws_each_noise_chunk_once_for_all_gains(self, monkeypatch):
+        # a retaining chunk is one noise group, drawn in one call
         calls = []
-        real = montecarlo.normal_stream
+        real = montecarlo._draw_uniforms
 
-        def counted(seed, first_stream, n_streams, n_draws):
-            calls.append((first_stream, n_streams))
-            return real(seed, first_stream, n_streams, n_draws)
+        def counted(seed, first_stream, out):
+            calls.append((first_stream, out.shape[1]))
+            real(seed, first_stream, out)
 
-        monkeypatch.setattr(montecarlo, "normal_stream", counted)
+        monkeypatch.setattr(montecarlo, "_draw_uniforms", counted)
         gains = [constant_gain(k, 0.0, 20) for k in (0.2, 0.5, 0.9)]
         compare_strategies(LqrParams(),
                            SimConfig(n_paths=2 * _RETAIN_CHUNK + 6, n_steps=20, seed=4), gains)
