@@ -8,19 +8,18 @@ path's stream is a pure function of (seed, stream index, step): batches are
 bit-reproducible across runs, platforms, chunk sizes and thread counts, and one
 Euler kernel advances every gain of a call on each noise chunk (common random numbers).
 A ``normal_stream`` call, a streaming chunk and a retaining call each own one
-lane: a helper thread that runs the work which releases the GIL. It maps each
-finished stream group to normals while the calling thread draws the next, the
-last group in row blocks just ahead of the Euler kernel, and on the retaining
-route it reduces each finished chunk while the next chunk's words are drawn.
-The lane is joined before the call returns, and which thread does a piece of
-work changes no bit.
+lane: a one-worker ``ThreadPoolExecutor`` that runs, in order, the work which
+releases the GIL. It maps each finished stream group to normals while the
+calling thread draws the next, the last group in row blocks just ahead of the
+Euler kernel, and on the retaining route it reduces each finished chunk while
+the next chunk's words are drawn. Every job's future is waited, so a job's
+error is raised on the caller; the lane is shut down, its thread joined,
+before the call returns, and which thread does a piece of work changes no bit.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -56,64 +55,6 @@ _STREAM_BLOCK = 64
 _GROUP = 16 * _STREAM_BLOCK
 
 
-class _Lane:
-    """One helper thread running jobs in the order they are submitted.
-
-    ``submit`` queues ``fn(*args)`` and returns its ticket; ``wait(ticket)``
-    returns once that job and every one before it has run. The first error a
-    job raises is raised, as the same object, by the caller's next ``wait``
-    or on leaving the ``with`` block, and the jobs after it are skipped.
-    numpy's error state is per thread, so each job runs under the one its
-    submitter had. Leaving the ``with`` block joins the thread, so no lane
-    outlives the call that owns it.
-    """
-
-    def __init__(self):
-        self._jobs = queue.SimpleQueue()
-        self._ran = threading.Condition()
-        self._queued = self._done = 0
-        self._error = None
-        self._thread = threading.Thread(target=self._run)
-
-    def __enter__(self) -> _Lane:
-        self._thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._jobs.put(None)
-        self._thread.join()
-        if exc_type is None and self._error is not None:
-            raise self._error
-
-    def _run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            fn, args, errstate = job
-            if self._error is None:
-                try:
-                    with np.errstate(**errstate):
-                        fn(*args)
-                except BaseException as exc:  # raised on the calling thread
-                    self._error = exc
-            # free the job's arrays before its ticket, not at the next job
-            del job, fn, args
-            with self._ran:
-                self._done += 1
-                self._ran.notify()
-
-    def submit(self, fn, *args) -> int:
-        self._jobs.put((fn, args, np.geterr()))
-        self._queued += 1
-        return self._queued
-
-    def wait(self, ticket: int) -> None:
-        """Block until job ``ticket`` has run."""
-        if self._done < ticket:
-            with self._ran:
-                self._ran.wait_for(lambda: self._done >= ticket)
-        if self._error is not None:
-            raise self._error
-
-
 def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
     """Raw 64-bit Philox words, one row per (stream, first block) pair.
 
@@ -136,10 +77,11 @@ def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
 
 
 def _draw_uniforms(seed: int, first_stream: int, out: np.ndarray) -> None:
-    """(0, 1) uniforms from the first words of streams ``first_stream, ...``,
+    """(0, 1] uniforms from the first words of streams ``first_stream, ...``,
     one column of the draw-major ``out`` per stream.
 
-    Each takes the top 53 bits of its word, offset by half a spacing. Words
+    Each takes the top 53 bits of its word, offset by half a spacing. Only
+    the top word reaches 1: ``2**53 - 1 + 0.5`` rounds to ``2**53``. Words
     are drawn ``_STREAM_BLOCK`` streams at a time and cast into ``out`` as
     exact integers, so no word array of ``out``'s size exists.
     """
@@ -156,11 +98,15 @@ def _draw_uniforms(seed: int, first_stream: int, out: np.ndarray) -> None:
 
 
 def _to_normals(z: np.ndarray, scale, mirror) -> None:
-    """Lane job: (0, 1) uniforms to standard normals in place (``ndtri``
+    """Lane job: (0, 1] uniforms to standard normals in place (``ndtri``
     releases the GIL), times ``scale`` unless it is None; with a ``mirror``
     (twice ``z``'s width), copied into its even columns and negated into its
     odd ones.
+
+    A uniform of 1 is clamped to ``1 - 2**-53``, so its normal is 8.21, not
+    +inf. Every other uniform is at most ``1 - 2**-52`` and stays as it is.
     """
+    np.minimum(z, 1.0 - 2.0 ** -53, out=z)
     ndtri(z, out=z)
     if scale is not None:
         z *= scale
@@ -169,30 +115,34 @@ def _to_normals(z: np.ndarray, scale, mirror) -> None:
         np.negative(z, out=mirror[:, 1::2])
 
 
-def _noise(seed: int, first_stream: int, n_streams: int, n_draws: int, lane: _Lane,
-           scale=None, mirror=None):
+def _noise(seed: int, first_stream: int, n_streams: int, n_draws: int,
+           lane: ThreadPoolExecutor, scale=None, mirror=None):
     """Draw the uniforms of ``n_streams`` streams into a new draw-major buffer
     and queue their mapping to normals (see ``_to_normals``) on ``lane``.
 
     Each group of ``_GROUP`` streams but the last is queued whole once it is
     drawn, so the lane maps it while the next is drawn. The last group is
     queued in ``_BLOCK``-draw row blocks, so the Euler kernel can step the
-    first rows while the lane maps the rest. Returns the buffer and the
-    row blocks' tickets: once ``lane.wait(rows[b])`` returns, draws
-    ``b * _BLOCK`` to ``(b + 1) * _BLOCK - 1`` of every stream are final, in
-    the buffer or in ``mirror``. A one-group call is the last group alone.
+    first rows while the lane maps the rest; the whole groups are waited
+    once those are queued. Returns the buffer and the row blocks' futures:
+    once ``rows[b].result()`` returns, draws ``b * _BLOCK`` to
+    ``(b + 1) * _BLOCK - 1`` of every stream are final, in the buffer or in
+    ``mirror``. A one-group call is the last group alone.
     """
     u = np.empty((n_draws, n_streams))
     g, m = u, mirror  # what a call of no streams maps
+    groups = []
     for g0 in range(0, n_streams, _GROUP):
         g = u[:, g0:g0 + _GROUP]
         _draw_uniforms(seed, first_stream + g0, g)
         m = None if mirror is None else mirror[:, 2 * g0:2 * (g0 + _GROUP)]
         if g0 + _GROUP < n_streams:
-            lane.submit(_to_normals, g, scale, m)
+            groups.append(lane.submit(_to_normals, g, scale, m))
     rows = [lane.submit(_to_normals, g[r:r + _BLOCK], scale,
                         None if m is None else m[r:r + _BLOCK])
             for r in range(0, n_draws, _BLOCK)]
+    for group in groups:
+        group.result()
     return u, rows
 
 
@@ -200,24 +150,27 @@ def normal_stream(seed: int, first_stream: int, n_streams: int, n_draws: int) ->
     """Standard normals, one row per stream, via inverse CDF of (0,1) uniforms.
 
     Uniforms take the top 53 bits of each word, offset by half a spacing, so
-    they stay inside (0, 1) and the inverse CDF finite, but for the top word:
-    ``2**53 - 1 + 0.5`` rounds to ``2**53``, so its uniform is 1 and its
-    normal +inf, a chance of 2**-53 per draw. Stored draw-major, so ``.T``
-    is C-contiguous. One float64 array of the output's size is the only
-    chunk-sized allocation: words are drawn ``_STREAM_BLOCK`` streams at a
-    time and cast into it column block by column block, as exact 53-bit
-    integers.
+    they stay inside (0, 1) and every normal is finite. The top word's
+    ``(2**53 - 1 + 0.5) * 2**-53`` rounds to 1, so it is clamped to
+    ``1 - 2**-53``, the largest float below 1: its normal is 8.21, a chance
+    of 2**-53 per draw.
+    Stored draw-major, so ``.T`` is C-contiguous. One float64 array of the
+    output's size is the only chunk-sized allocation: words are drawn
+    ``_STREAM_BLOCK`` streams at a time and cast into it column block by
+    column block, as exact 53-bit integers.
 
-    The call owns one lane, a helper thread that runs every ``ndtri`` (which
-    releases the GIL): on each finished group of ``_GROUP`` streams while
-    this thread draws the next, and on the last group in ``_BLOCK``-draw row
-    blocks. This thread maps nothing itself. The lane is joined before the
-    call returns, and a helper's error is raised here. Every value is
-    elementwise in its own (seed, stream, draw), so no bit depends on which
-    thread maps it.
+    The call owns one lane, a one-worker thread pool that runs every
+    ``ndtri`` (which releases the GIL): on each finished group of ``_GROUP``
+    streams while this thread draws the next, and on the last group in
+    ``_BLOCK``-draw row blocks. This thread maps nothing itself. Every job's
+    future is waited, so a helper's error is raised here, and the lane is
+    joined before the call returns. Every value is elementwise in its own
+    (seed, stream, draw), so no bit depends on which thread maps it.
     """
-    with _Lane() as lane:
-        u, _ = _noise(seed, first_stream, n_streams, n_draws, lane)
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        u, rows = _noise(seed, first_stream, n_streams, n_draws, lane)
+        for row in rows:
+            row.result()
     return u.T
 
 
@@ -279,16 +232,17 @@ def _sim_gains(gains, params: LqrParams, n_steps: int):
     return -k, c
 
 
-def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int, lane: _Lane,
-                 states=None, controls=None, ready: int = 0):
+def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
+                 lane: ThreadPoolExecutor, states=None, controls=None, ready=None):
     """Advance K gains as one (K, m) state over paths ``[lo, hi)`` on one noise chunk.
 
     The scheme and path costs are those of ``estimate_cost_streaming``. The
     chunk's noise is drawn here and mapped on ``lane``; each block of steps
-    waits only for its own rows. Writes the trajectories into
-    ``states``/``controls`` (K x m x ...) when given, once lane job ``ready``
-    (the reduction still reading them) has run; otherwise returns the (K, m)
-    path costs, with the squared controls summed step by step.
+    waits only for its own rows' future. Writes the trajectories into
+    ``states``/``controls`` (K x m x ...) when given, once the future
+    ``ready`` (of the reduction still reading them), if any, is done;
+    otherwise returns the (K, m) path costs, with the squared controls
+    summed step by step.
     """
     m, n_steps = hi - lo, config.n_steps
     dt = params.horizon / n_steps
@@ -303,13 +257,14 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int, l
     run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
     a_buf = np.empty((_BLOCK,) + x.shape)
     if states is not None:
-        lane.wait(ready)
+        if ready is not None:
+            ready.result()
         states[:, :, 0] = x
         x_buf = np.empty_like(a_buf)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_steps, _BLOCK):
             n = min(_BLOCK, n_steps - i0)
-            lane.wait(rows[i0 // _BLOCK])
+            rows[i0 // _BLOCK].result()
             for j in range(n):
                 # keeps the operation order of x + (a_bar x + b_bar a) dt + sigma sqrt(dt) z
                 a = np.multiply(k[i0 + j], x, out=a_buf[j])
@@ -399,8 +354,10 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
     For each chunk, in path order: per-path costs and finite masks, running
     sums of the valid states and |controls|, and a copy of the paths below
     ``keep``. One chunk buffer exists; one lane maps the noise and reduces
-    each chunk while the calling thread draws the next chunk's words. More
-    than 0.1% non-finite paths in any gain raise ``NumericError``.
+    each chunk while the calling thread draws the next chunk's words. The
+    kernel waits for the previous chunk's reduction before it writes the
+    buffer, and the last reduction is waited after the loop. More than 0.1%
+    non-finite paths in any gain raise ``NumericError``.
     """
     k, c = _sim_gains(gains, params, config.n_steps)
     n_gains, n_paths, n_steps = len(gains), config.n_paths, config.n_steps
@@ -440,13 +397,14 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
             us *= us
             costs[:, lo:hi] = 0.5 * dt * np.sum(us, axis=2) + 0.5 * params.gamma * miss * miss
 
-    with _Lane() as lane:
-        reduced = 0
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        reduced = None
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
             _euler_chunk(k, c, params, config, lo, hi, lane,
                          x[:, 1:hi - lo + 1], u[:, 1:hi - lo + 1], reduced)
             reduced = lane.submit(reduce_chunk, lo, hi)
+        reduced.result()
     for row in good:
         _checked(row)
     n_good = np.count_nonzero(good, axis=1)[:, None]
@@ -458,14 +416,14 @@ def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
                          workers: int = 1) -> list:
     """``estimate_cost_streaming`` for every gain, all advanced on one noise pass.
 
-    Each chunk owns one lane for its noise. With ``workers`` > 1 and more
-    than one chunk, at most ``workers`` chunks run at once on a thread pool;
-    their costs are joined in path order.
+    Each chunk owns one lane, a one-worker thread pool, for its noise. With
+    ``workers`` > 1 and more than one chunk, at most ``workers`` chunks run
+    at once on a second pool; their costs are joined in path order.
     """
     k, c = _sim_gains(gains, params, config.n_steps)
 
     def chunk(lo):
-        with _Lane() as lane:
+        with ThreadPoolExecutor(max_workers=1) as lane:
             return _euler_chunk(k, c, params, config, lo, min(lo + _CHUNK, config.n_paths), lane)
 
     los = range(0, config.n_paths, _CHUNK)

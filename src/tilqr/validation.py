@@ -322,7 +322,7 @@ def _check_determinism() -> CheckResult:
     b2 = _reduce_paths([gain], p, config, config.n_paths)
     rerun_equal = bool(np.array_equal(b1.states, b2.states)
                        and np.array_equal(b1.controls, b2.controls))
-    # the worker half needs more than one chunk, or both runs are serial
+    # the worker half needs more than one chunk, or neither run pools its chunks
     pooled = replace(config, n_paths=2 * _CHUNK + 6)
     e1 = estimate_cost_streaming(gain, p, pooled, workers=1)
     e4 = estimate_cost_streaming(gain, p, pooled, workers=4)

@@ -137,7 +137,9 @@ def test_criterion_12_determinism(suite):
 
 def test_criterion_12_worker_comparison_starts_a_pool(monkeypatch):
     # one chunk runs serially whatever the worker count, so the 4-worker
-    # half of the check compares pooled against serial only on >1 chunk
+    # half of the check compares pooled against serial only on >1 chunk.
+    # Every Monte Carlo call or chunk also owns a one-worker lane: the two
+    # retaining runs one each, then the three chunks of each streaming run
     pools = []
     real = montecarlo.ThreadPoolExecutor
 
@@ -148,7 +150,8 @@ def test_criterion_12_worker_comparison_starts_a_pool(monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", counting)
     result = validation._check_determinism()
     assert result.passed, result.detail
-    assert pools == [{"max_workers": 4}]
+    lane = {"max_workers": 1}
+    assert pools == [lane] * 5 + [{"max_workers": 4}] + [lane] * 3
 
 
 def test_criterion_12_repeat_validate_byte_identical(first_validate):

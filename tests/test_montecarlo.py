@@ -31,7 +31,7 @@ from tilqr import (
     solve_naive,
 )
 from tilqr import montecarlo
-from tilqr.montecarlo import (_BLOCK, _CHUNK, _GROUP, _RETAIN_CHUNK, _Lane, _estimate,
+from tilqr.montecarlo import (_BLOCK, _CHUNK, _GROUP, _RETAIN_CHUNK, _estimate,
                               _gain_on_sim_grid, _reduce_paths, _streaming_estimates)
 
 from test_hjbgrid import peak_traced_bytes
@@ -66,7 +66,8 @@ def serial_normals(seed: int, first_stream: int, n_streams: int, n_draws: int) -
     """``normal_stream``'s formula in one piece on the calling thread, no lane."""
     streams = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
     words = raw_blocks(seed, streams, np.zeros_like(streams), (n_draws + 3) // 4)[:, :n_draws]
-    return ndtri(((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53)
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return ndtri(np.minimum(u, 1.0 - 2.0 ** -53))
 
 
 # (seed, stream, block) -> the four words of that block, as computed by the
@@ -155,6 +156,29 @@ class TestNormalStream:
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_the_top_word_maps_to_a_finite_normal(self, antithetic, monkeypatch):
+        # the top word's uniform rounds to 1 and is clamped to 1 - 2**-53; the
+        # next word down keeps its uniform 1 - 2**-52
+        top, below = 2 ** 64 - 1, 2 ** 64 - 1 - 2 ** 11
+
+        def top_words(seed, stream, block, n_blocks=1):
+            words = np.full((len(stream), 4 * n_blocks), top, dtype=np.uint64)
+            words[:, 1::2] = below
+            return words
+
+        monkeypatch.setattr(montecarlo, "raw_blocks", top_words)
+        z = normal_stream(1, 0, 3, 6)
+        assert np.isfinite(z).all()
+        assert np.array_equal(z[:, 0::2], np.full((3, 3), ndtri(1.0 - 2.0 ** -53)))
+        assert np.array_equal(z[:, 1::2], np.full((3, 3), ndtri(1.0 - 2.0 ** -52)))
+        # every path then stays finite: none is dropped by either route
+        gain, params = constant_gain(0.4, 0.1, 10), LqrParams()
+        config = SimConfig(n_paths=20, n_steps=10, seed=1, antithetic=antithetic)
+        for est in (estimate_cost_streaming(gain, params, config),
+                    _reduce_paths([gain], params, config, 0).estimate()):
+            assert est.n_dropped == 0 and np.isfinite(est.mean)
+
     def test_rows_match_single_stream_calls_across_group_edges(self):
         # starts unaligned, crosses two group edges into a ragged last group
         # and draws a count that is not a multiple of four
@@ -171,13 +195,14 @@ class TestNormalStream:
         assert np.array_equal(whole[:, :200], serial_normals(42, 0, _CHUNK, 200))
 
 
-def record_ndtri(monkeypatch, error=None):
-    """(thread id, shape) of each ``ndtri`` call; calls off this thread raise ``error``."""
+def record_ndtri(monkeypatch, error=None, nth=None):
+    """(thread id, shape) of each ``ndtri`` call; calls off this thread raise
+    ``error``, only the ``nth`` call (counted from 1) if it is given."""
     calls, real, caller = [], montecarlo.ndtri, threading.get_ident()
 
     def recording(g, out):
         calls.append((threading.get_ident(), g.shape))
-        if error is not None and calls[-1][0] != caller:
+        if error is not None and calls[-1][0] != caller and nth in (None, len(calls)):
             raise error
         return real(g, out=out)
 
@@ -227,53 +252,44 @@ class TestNoiseHelper:
             assert np.array_equal(z, ref)
 
     def test_a_helper_error_is_raised_by_the_caller(self, monkeypatch):
-        # the helper raises on the first group; the second is skipped
+        # the helper raises on the first group; the second, queued behind
+        # it, still runs before the first group's error is raised
         error = FloatingPointError("first group")
         calls = record_ndtri(monkeypatch, error)
         before = threading.enumerate()
         with pytest.raises(FloatingPointError) as info:
             normal_stream(3, 0, 2 * _GROUP, 10)
         assert info.value is error
-        assert len(calls) == 1 and calls[0][0] != threading.get_ident()
+        assert [shape for _, shape in calls] == [(10, _GROUP)] * 2
+        assert threading.get_ident() not in {t for t, _ in calls}
+        assert threading.enumerate() == before
+
+    def test_a_draw_error_after_a_queued_group_is_raised_by_the_caller(self, monkeypatch):
+        # this thread's draw of the second group fails while the helper maps
+        # the first; the helper finishes that group before the call ends
+        error = MemoryError("second draw")
+        calls, draws, real = record_ndtri(monkeypatch), [], montecarlo._draw_uniforms
+
+        def draw(seed, first_stream, out):
+            draws.append(first_stream)
+            if len(draws) == 2:
+                raise error
+            real(seed, first_stream, out)
+
+        monkeypatch.setattr(montecarlo, "_draw_uniforms", draw)
+        before = threading.enumerate()
+        with pytest.raises(MemoryError) as info:
+            normal_stream(3, 0, 3 * _GROUP, 10)
+        assert info.value is error
+        assert draws == [0, _GROUP]
+        assert [shape for _, shape in calls] == [(10, _GROUP)]
+        assert threading.get_ident() not in {t for t, _ in calls}
         assert threading.enumerate() == before
 
 
 class TestLane:
-    """The helper thread of the Monte Carlo routes."""
-
-    def test_jobs_run_in_order_off_the_calling_thread(self):
-        ran = []
-        with _Lane() as lane:
-            tickets = [lane.submit(lambda i: ran.append((i, threading.get_ident())), i)
-                       for i in range(5)]
-            lane.wait(tickets[2])
-            assert [i for i, _ in ran[:3]] == [0, 1, 2]
-        assert [i for i, _ in ran] == list(range(5))
-        assert len({t for _, t in ran}) == 1 and ran[0][1] != threading.get_ident()
-
-    def test_each_job_runs_under_its_submitters_error_state(self):
-        big = np.array([1e308])
-        with pytest.raises(FloatingPointError):
-            with _Lane() as lane, np.errstate(over="raise"):
-                lane.wait(lane.submit(np.multiply, big, 10.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with _Lane() as lane, np.errstate(over="ignore"):
-                lane.submit(np.multiply, big, 10.0, big)
-        assert big[0] == np.inf
-
-    def test_an_unwaited_error_is_raised_on_leaving(self):
-        error = ValueError("late")
-        before = threading.enumerate()
-
-        def fail():
-            raise error
-
-        with pytest.raises(ValueError) as info:
-            with _Lane() as lane:
-                lane.submit(fail)
-        assert info.value is error
-        assert threading.enumerate() == before
+    """The lane of the Monte Carlo routes, a one-worker thread pool: every
+    job's future is waited, and every job queued before an error still runs."""
 
     def test_a_reduction_error_is_raised_by_the_caller(self, monkeypatch):
         # the retaining route reduces chunks on the lane; the second
@@ -301,17 +317,10 @@ class TestLane:
     def test_a_row_block_error_is_raised_by_the_caller(self, route, monkeypatch):
         # the second ndtri call fails: a row block of the first chunk's last
         # group (the second of a one-group chunk, the first after a whole
-        # group), which the Euler kernel waits for
+        # group), which the Euler kernel waits for; the chunk's other row
+        # blocks still run, and the next chunk is never drawn
         error = FloatingPointError("row block")
-        real, calls = montecarlo.ndtri, []
-
-        def failing(g, out):
-            calls.append(threading.get_ident())
-            if len(calls) == 2:
-                raise error
-            return real(g, out=out)
-
-        monkeypatch.setattr(montecarlo, "ndtri", failing)
+        calls = record_ndtri(monkeypatch, error, nth=2)
         gain = constant_gain(0.4, 0.1, 4 * _BLOCK)
         config = SimConfig(n_paths=2 * _RETAIN_CHUNK, n_steps=4 * _BLOCK, seed=2)
         before = threading.enumerate()
@@ -321,7 +330,25 @@ class TestLane:
             else:
                 estimate_cost_streaming(gain, LqrParams(), config)
         assert info.value is error
-        assert len(calls) == 2 and threading.get_ident() not in calls
+        whole = [] if route == "retaining" else [(4 * _BLOCK, _GROUP)]
+        assert [shape for _, shape in calls] == whole + [(_BLOCK, _GROUP)] * 4
+        assert threading.get_ident() not in {t for t, _ in calls}
+        assert threading.enumerate() == before
+
+    def test_a_whole_group_error_is_raised_by_the_caller(self, monkeypatch):
+        # a three-group streaming chunk: the second whole group's ndtri
+        # fails, and the error is raised once the last group's row blocks,
+        # which still run, are queued behind it
+        error = FloatingPointError("second group")
+        calls = record_ndtri(monkeypatch, error, nth=2)
+        config = SimConfig(n_paths=3 * _GROUP, n_steps=2 * _BLOCK, seed=2)
+        before = threading.enumerate()
+        with pytest.raises(FloatingPointError) as info:
+            estimate_cost_streaming(constant_gain(0.4, 0.1, 2 * _BLOCK), LqrParams(), config)
+        assert info.value is error
+        assert [shape for _, shape in calls] == \
+            [(2 * _BLOCK, _GROUP)] * 2 + [(_BLOCK, _GROUP)] * 2
+        assert threading.get_ident() not in {t for t, _ in calls}
         assert threading.enumerate() == before
 
     def test_the_calling_thread_never_runs_ndtri(self, monkeypatch):

@@ -84,3 +84,29 @@ def test_unused_import_scan_sees_a_stale_name():
 def test_no_module_imports_a_name_it_never_uses(path):
     # __init__ imports to re-export; every other module imports to use
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _thread_imports(source: str) -> list:
+    """The ``threading`` and ``queue`` imports of ``source``, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{module} (line {node.lineno})" for module in modules
+                  if module.split(".")[0] in ("threading", "queue")]
+    return found
+
+
+def test_every_helper_thread_comes_from_concurrent_futures():
+    # a concurrent.futures pool hands each job's error to a future its caller
+    # waits, and joins its threads on leaving its with block; a hand-rolled
+    # thread or queue would have to do both itself
+    assert _thread_imports("import queue\nfrom threading import Thread\nimport os\n") == [
+        "queue (line 1)", "threading (line 2)"]
+    found = {path.name: _thread_imports(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(tilqr.__file__).parent.rglob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
