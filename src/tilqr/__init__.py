@@ -46,7 +46,6 @@ from .montecarlo import (
     StrategyComparison,
     compare_strategies,
     estimate_cost_streaming,
-    normal_stream,
     raw_blocks,
 )
 from .hjbgrid import (
@@ -100,7 +99,6 @@ __all__ = [
     "inconsistency_adjustment",
     "lqr_model",
     "naive_gain",
-    "normal_stream",
     "precommitted_policy",
     "raw_blocks",
     "render_svg",

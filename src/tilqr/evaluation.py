@@ -29,9 +29,10 @@ class MomentPath:
     def __post_init__(self):
         object.__setattr__(self, "mean", readonly(self.mean))
         object.__setattr__(self, "second_moment", readonly(self.second_moment))
-        if np.min(self.variance) < -1e-10:
-            raise NumericError(
-                f"second moment fell below mean^2 by {-np.min(self.variance):.3g}")
+        # the integration rounds second - mean^2 at the second moment's scale
+        gap = -self.variance
+        if np.any(gap > 1e-10 * np.maximum(1.0, self.second_moment)):
+            raise NumericError(f"second moment fell below mean^2 by {np.max(gap):.3g}")
 
     @property
     def variance(self) -> np.ndarray:

@@ -7,14 +7,15 @@ words of the numpy-only emulation this replaced, so no noise byte changed. Each
 path's stream is a pure function of (seed, stream index, step): batches are
 bit-reproducible across runs, platforms, chunk sizes and thread counts, and one
 Euler kernel advances every gain of a call on each noise chunk (common random numbers).
-A ``normal_stream`` call, a streaming chunk and a retaining call each own one
-lane: a one-worker ``ThreadPoolExecutor`` that runs, in order, the work which
-releases the GIL. It maps each finished stream group to normals while the
-calling thread draws the next, the last group in row blocks just ahead of the
-Euler kernel, and on the retaining route it reduces each finished chunk while
-the next chunk's words are drawn. Every job's future is waited, so a job's
-error is raised on the caller; the lane is shut down, its thread joined,
-before the call returns, and which thread does a piece of work changes no bit.
+Each route call owns one lane: a one-worker ``ThreadPoolExecutor`` that runs,
+in order, the work which releases the GIL. It maps each finished stream group
+to normals while the calling thread draws the next, the last group in row
+blocks just ahead of the Euler kernel, and on the retaining route it reduces
+each finished chunk while the next chunk's words are drawn. Streaming chunks
+on the ``workers`` pool share their call's lane. Every job's future is waited,
+so a job's error is raised on the caller; the lane is shut down, its thread
+joined, before the call returns, and which thread does a piece of work changes
+no bit.
 """
 
 from __future__ import annotations
@@ -55,24 +56,20 @@ _STREAM_BLOCK = 64
 _GROUP = 16 * _STREAM_BLOCK
 
 
-def raw_blocks(seed: int, stream, block, n_blocks: int = 1) -> np.ndarray:
-    """Raw 64-bit Philox words, one row per (stream, first block) pair.
+def raw_blocks(seed: int, first_stream: int, n_streams: int, n_blocks: int = 1) -> np.ndarray:
+    """Raw 64-bit Philox words, one row per stream.
 
-    Row ``i`` holds the ``4 * n_blocks`` words of blocks ``block[i]``,
-    ``block[i] + 1``, ... of stream ``stream[i]``. One generator serves the
-    call and ``advance`` moves it between rows.
+    Row ``i`` holds the ``4 * n_blocks`` words of blocks 0 to
+    ``n_blocks - 1`` of stream ``first_stream + i``. One generator serves the
+    call, and one constant ``advance`` moves it from a row's end to the next
+    stream's start.
     """
-    out = np.empty((len(stream), 4 * n_blocks), dtype=np.uint64)
-    gen, at = None, 0
-    for row, (s, b) in enumerate(zip(np.asarray(stream).tolist(), np.asarray(block).tolist())):
-        # numpy increments the counter before hashing, so start one block back
-        start = ((s << 64 | b) - 1) & _MASK256
-        if gen is None:
-            gen = np.random.Philox(key=seed, counter=start)
-        elif start != at:
-            gen.advance((start - at) & _MASK256)
-        out[row] = gen.random_raw(4 * n_blocks)
-        at = (start + n_blocks) & _MASK256
+    out = np.empty((n_streams, 4 * n_blocks), dtype=np.uint64)
+    # numpy increments the counter before hashing, so start one block back
+    gen = np.random.Philox(key=seed, counter=((first_stream << 64) - 1) & _MASK256)
+    for row in out:
+        row[:] = gen.random_raw(4 * n_blocks)
+        gen.advance((1 << 64) - n_blocks)
     return out
 
 
@@ -88,35 +85,32 @@ def _draw_uniforms(seed: int, first_stream: int, out: np.ndarray) -> None:
     n_draws, n_streams = out.shape
     blocks = (n_draws + 3) // 4
     for s0 in range(0, n_streams, _STREAM_BLOCK):
-        streams = np.arange(first_stream + s0, first_stream + min(s0 + _STREAM_BLOCK, n_streams),
-                            dtype=np.uint64)
-        words = raw_blocks(seed, streams, np.zeros_like(streams), blocks)[:, :n_draws]
+        words = raw_blocks(seed, first_stream + s0, min(_STREAM_BLOCK, n_streams - s0),
+                           blocks)[:, :n_draws]
         np.right_shift(words, np.uint64(11), out=words)
-        out[:, s0:s0 + len(streams)] = words.T
+        out[:, s0:s0 + len(words)] = words.T
     out += 0.5
     out *= 2.0 ** -53
 
 
-def _to_normals(z: np.ndarray, scale, mirror) -> None:
+def _to_normals(z: np.ndarray, scale: float, mirror) -> None:
     """Lane job: (0, 1] uniforms to standard normals in place (``ndtri``
-    releases the GIL), times ``scale`` unless it is None; with a ``mirror``
-    (twice ``z``'s width), copied into its even columns and negated into its
-    odd ones.
+    releases the GIL), times ``scale``; with a ``mirror`` (twice ``z``'s
+    width), copied into its even columns and negated into its odd ones.
 
     A uniform of 1 is clamped to ``1 - 2**-53``, so its normal is 8.21, not
     +inf. Every other uniform is at most ``1 - 2**-52`` and stays as it is.
     """
     np.minimum(z, 1.0 - 2.0 ** -53, out=z)
     ndtri(z, out=z)
-    if scale is not None:
-        z *= scale
+    z *= scale
     if mirror is not None:
         mirror[:, 0::2] = z
         np.negative(z, out=mirror[:, 1::2])
 
 
 def _noise(seed: int, first_stream: int, n_streams: int, n_draws: int,
-           lane: ThreadPoolExecutor, scale=None, mirror=None):
+           lane: ThreadPoolExecutor, scale: float, mirror=None):
     """Draw the uniforms of ``n_streams`` streams into a new draw-major buffer
     and queue their mapping to normals (see ``_to_normals``) on ``lane``.
 
@@ -144,34 +138,6 @@ def _noise(seed: int, first_stream: int, n_streams: int, n_draws: int,
     for group in groups:
         group.result()
     return u, rows
-
-
-def normal_stream(seed: int, first_stream: int, n_streams: int, n_draws: int) -> np.ndarray:
-    """Standard normals, one row per stream, via inverse CDF of (0,1) uniforms.
-
-    Uniforms take the top 53 bits of each word, offset by half a spacing, so
-    they stay inside (0, 1) and every normal is finite. The top word's
-    ``(2**53 - 1 + 0.5) * 2**-53`` rounds to 1, so it is clamped to
-    ``1 - 2**-53``, the largest float below 1: its normal is 8.21, a chance
-    of 2**-53 per draw.
-    Stored draw-major, so ``.T`` is C-contiguous. One float64 array of the
-    output's size is the only chunk-sized allocation: words are drawn
-    ``_STREAM_BLOCK`` streams at a time and cast into it column block by
-    column block, as exact 53-bit integers.
-
-    The call owns one lane, a one-worker thread pool that runs every
-    ``ndtri`` (which releases the GIL): on each finished group of ``_GROUP``
-    streams while this thread draws the next, and on the last group in
-    ``_BLOCK``-draw row blocks. This thread maps nothing itself. Every job's
-    future is waited, so a helper's error is raised here, and the lane is
-    joined before the call returns. Every value is elementwise in its own
-    (seed, stream, draw), so no bit depends on which thread maps it.
-    """
-    with ThreadPoolExecutor(max_workers=1) as lane:
-        u, rows = _noise(seed, first_stream, n_streams, n_draws, lane)
-        for row in rows:
-            row.result()
-    return u.T
 
 
 @dataclass(frozen=True)
@@ -416,22 +382,23 @@ def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
                          workers: int = 1) -> list:
     """``estimate_cost_streaming`` for every gain, all advanced on one noise pass.
 
-    Each chunk owns one lane, a one-worker thread pool, for its noise. With
-    ``workers`` > 1 and more than one chunk, at most ``workers`` chunks run
-    at once on a second pool; their costs are joined in path order.
+    The call owns one lane, a one-worker thread pool, for every chunk's
+    noise. With ``workers`` > 1 and more than one chunk, at most ``workers``
+    chunks run at once on a second pool and share the lane, which runs their
+    jobs in the order they are queued; no lane job waits on anything, so none
+    can block another. Costs are joined in path order.
     """
     k, c = _sim_gains(gains, params, config.n_steps)
-
-    def chunk(lo):
-        with ThreadPoolExecutor(max_workers=1) as lane:
+    los = range(0, config.n_paths, _CHUNK)
+    with ThreadPoolExecutor(max_workers=1) as lane:
+        def chunk(lo):
             return _euler_chunk(k, c, params, config, lo, min(lo + _CHUNK, config.n_paths), lane)
 
-    los = range(0, config.n_paths, _CHUNK)
-    if workers < 2 or len(los) < 2:
-        parts = list(map(chunk, los))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, los))
+        if workers < 2 or len(los) < 2:
+            parts = list(map(chunk, los))
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(chunk, los))
     return [_estimate(costs, _checked(np.isfinite(costs)), config.antithetic)
             for costs in np.concatenate(parts, axis=1)]
 

@@ -283,8 +283,8 @@ def closed_form_p(params: LqrParams, t):
         If ``gamma == 0`` (the solution is identically zero; no closed form
         with this normalization).
     NumericError
-        If the denominator is not positive somewhere on the requested times
-        (finite-time blow-up).
+        If the denominator is zero or of the numerator's opposite sign
+        somewhere on the requested times (finite-time blow-up).
     """
     if params.gamma == 0:
         raise ConfigError("closed form requires gamma > 0 (p is identically zero at gamma = 0)")
@@ -294,10 +294,12 @@ def closed_form_p(params: LqrParams, t):
         den = 2.0 / g + 2.0 * bb * bb * (T - ts)
         num = 1.0
     else:
-        den = bb * bb + (2.0 * ab / g - bb * bb) * np.exp(2.0 * ab * (ts - T))
+        # for a_bar < 0 the exponential may overflow: den is then -inf and p 0
+        with np.errstate(over="ignore"):
+            den = bb * bb + (2.0 * ab / g - bb * bb) * np.exp(2.0 * ab * (ts - T))
         num = ab
-    if np.any(den <= 0):
-        bad = np.atleast_1d(ts)[np.atleast_1d(den) <= 0]
-        raise NumericError(f"riccati coefficient blows up at t = {bad.flat[0]:.6g}")
+    bad = np.atleast_1d(np.sign(den) != np.sign(num))
+    if bad.any():
+        raise NumericError(f"riccati coefficient blows up at t = {np.atleast_1d(ts)[bad][0]:.6g}")
     val = num / den
     return float(val) if np.ndim(t) == 0 else val

@@ -138,8 +138,8 @@ def test_criterion_12_determinism(suite):
 def test_criterion_12_worker_comparison_starts_a_pool(monkeypatch):
     # one chunk runs serially whatever the worker count, so the 4-worker
     # half of the check compares pooled against serial only on >1 chunk.
-    # Every Monte Carlo call or chunk also owns a one-worker lane: the two
-    # retaining runs one each, then the three chunks of each streaming run
+    # Every Monte Carlo call also owns one one-worker lane, opened before
+    # its pool: the two retaining runs, then the two streaming runs
     pools = []
     real = montecarlo.ThreadPoolExecutor
 
@@ -151,7 +151,7 @@ def test_criterion_12_worker_comparison_starts_a_pool(monkeypatch):
     result = validation._check_determinism()
     assert result.passed, result.detail
     lane = {"max_workers": 1}
-    assert pools == [lane] * 5 + [{"max_workers": 4}] + [lane] * 3
+    assert pools == [lane] * 4 + [{"max_workers": 4}]
 
 
 def test_criterion_12_repeat_validate_byte_identical(first_validate):

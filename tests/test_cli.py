@@ -503,6 +503,16 @@ class TestMainEntry:
         assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.svg"]
         assert (out / "sweep.csv").read_text(encoding="utf-8").count("# note: gamma=") == 2
 
+    @pytest.mark.parametrize("command", [["cost", "--strategy", "equilibrium"], ["sweep"]],
+                             ids=["cost", "sweep"])
+    def test_a_large_initial_state_exits_cleanly(self, capsys, tmp_path, command):
+        # the moments' rounding at the scale of x0^2 is no numeric failure
+        config = tmp_path / "run.ini"
+        config.write_text("[model]\nx0 = 1e8\n[numerics]\node_steps = 100\n"
+                          "[sweep]\ngamma_steps = 3\n", encoding="utf-8")
+        assert main([*command, "--config", str(config), "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert "failed" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", [["cost", "--strategy", "equilibrium"],
                                          ["simulate", "--strategy", "naive"], ["sweep"]],
                              ids=["cost", "simulate", "sweep"])

@@ -91,6 +91,14 @@ class TestMoments:
         with pytest.raises(NumericError, match="blew up"):
             solve_moments(huge, benchmark_params)
 
+    @pytest.mark.parametrize("x0", [1.0, 1e8])
+    def test_a_second_moment_half_the_squared_mean_raises(self, x0):
+        # the check scales with the second moment, yet a real gap still fails
+        mean = np.full(3, x0)
+        with pytest.raises(NumericError, match="^second moment fell below mean"):
+            evaluation.MomentPath(grid=TimeGrid(2, 1.0), mean=mean,
+                                  second_moment=0.5 * mean ** 2)
+
     def test_initial_state_with_an_overflowing_square_raises(self):
         params = LqrParams(x0=1e300)
         with pytest.raises(NumericError, match=r"^x0 = 1e\+300 has a square that overflows$"):
@@ -133,6 +141,19 @@ class TestExactCost:
         report = exact_cost(gain, params)
         assert report.terminal_cost == 0.0
         assert report.total == report.running_cost > 0
+
+    def test_large_initial_states_cost_as_x0_squared(self):
+        # second - mean^2 is rounded at the scale of x0^2, which an absolute
+        # floor on the variance refused from x0 ~ 2e6 on
+        per_x0_squared = {}
+        for x0 in (1e7, 1e8, 1e12):
+            params = LqrParams(x0=x0)
+            gains = strategy_gains(params, TimeGrid(1000, 1.0))
+            totals = [exact_cost(gain, params).total for gain in gains.values()]
+            assert np.all(np.isfinite(totals))
+            per_x0_squared[x0] = np.array(totals) / x0 ** 2
+        np.testing.assert_allclose(per_x0_squared[1e7], per_x0_squared[1e12], rtol=1e-10)
+        np.testing.assert_allclose(per_x0_squared[1e8], per_x0_squared[1e12], rtol=1e-10)
 
     def test_non_finite_cost_raises_naming_x0_without_a_warning(self):
         # x0^2 is finite, but the terminal term's 2 x0 m_T overflows and the

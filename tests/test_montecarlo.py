@@ -25,14 +25,13 @@ from tilqr import (
     estimate_cost_streaming,
     exact_cost,
     naive_gain,
-    normal_stream,
     raw_blocks,
     solve_equilibrium_riccati,
     solve_naive,
 )
 from tilqr import montecarlo
 from tilqr.montecarlo import (_BLOCK, _CHUNK, _GROUP, _RETAIN_CHUNK, _estimate,
-                              _gain_on_sim_grid, _reduce_paths, _streaming_estimates)
+                              _gain_on_sim_grid, _noise, _reduce_paths, _streaming_estimates)
 
 from test_hjbgrid import peak_traced_bytes
 
@@ -58,14 +57,28 @@ def numpy_block_words(seed: int, stream: int, block: int, n_words: int = 4) -> n
 
 
 def one_block(seed: int, stream: int, block: int) -> np.ndarray:
-    return raw_blocks(seed, np.array([stream], dtype=np.uint64),
-                      np.array([block], dtype=np.uint64))[0]
+    """The four words of one block, read as a column slice of its stream's
+    draw from block 0."""
+    return raw_blocks(seed, stream, 1, block + 1)[0, 4 * block:4 * block + 4]
+
+
+def lane_normals(seed: int, first_stream: int, n_streams: int, n_draws: int,
+                 lane=None) -> np.ndarray:
+    """Unit normals of streams ``first_stream, ...``, one row per stream, as
+    the routes draw them: through ``_noise`` on ``lane`` (or a lane of the
+    call's own), every row waited."""
+    if lane is None:
+        with ThreadPoolExecutor(max_workers=1) as lane:
+            return lane_normals(seed, first_stream, n_streams, n_draws, lane)
+    z, rows = _noise(seed, first_stream, n_streams, n_draws, lane, 1.0)
+    for row in rows:
+        row.result()
+    return z.T
 
 
 def serial_normals(seed: int, first_stream: int, n_streams: int, n_draws: int) -> np.ndarray:
-    """``normal_stream``'s formula in one piece on the calling thread, no lane."""
-    streams = np.arange(first_stream, first_stream + n_streams, dtype=np.uint64)
-    words = raw_blocks(seed, streams, np.zeros_like(streams), (n_draws + 3) // 4)[:, :n_draws]
+    """The routes' noise formula in one piece on the calling thread, no lane."""
+    words = raw_blocks(seed, first_stream, n_streams, (n_draws + 3) // 4)[:, :n_draws]
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
     return ndtri(np.minimum(u, 1.0 - 2.0 ** -53))
 
@@ -102,56 +115,61 @@ class TestRawBlocks:
             assert np.array_equal(one_block(seed, stream, block), expected), (seed, stream, block)
 
     def test_vector_call_matches_elementwise_calls(self):
-        streams = np.array([0, 3, 3, 17], dtype=np.uint64)
-        blocks = np.array([5, 0, 2, 9], dtype=np.uint64)
-        batch = raw_blocks(99, streams, blocks)
-        assert batch.shape == (4, 4)
-        for i in range(streams.size):
-            assert np.array_equal(batch[i], one_block(99, int(streams[i]), int(blocks[i])))
+        # each row is its stream's one-stream call, from the wraparound start
+        # of stream 0 on
+        batch = raw_blocks(99, 0, 5, n_blocks=2)
+        assert batch.shape == (5, 8)
+        for i, row in enumerate(batch):
+            assert np.array_equal(row, raw_blocks(99, i, 1, n_blocks=2)[0])
+            assert np.array_equal(row, numpy_block_words(99, i, 0, n_words=8))
 
     def test_consecutive_blocks_continue_the_counter(self):
-        # rows of several blocks, including a jump backwards and a wrap into
-        # the next stream word, match the blocks taken one at a time
-        streams = np.array([4, 2, 2 ** 64 - 1], dtype=np.uint64)
-        blocks = np.array([1, 6, 2 ** 64 - 2], dtype=np.uint64)
-        rows = raw_blocks(7, streams, blocks, n_blocks=3)
+        # rows of several blocks, from a stream whose start borrows from the
+        # stream word to one whose index carries into the next counter word,
+        # match numpy's words block for block
+        rows = raw_blocks(7, 2 ** 64 - 2, 3, n_blocks=3)
         assert rows.shape == (3, 12)
-        for row, (stream, block) in zip(rows, zip(streams.tolist(), blocks.tolist())):
-            assert np.array_equal(row, numpy_block_words(7, stream, block, n_words=12))
+        for i, row in enumerate(rows):
+            assert np.array_equal(row, numpy_block_words(7, 2 ** 64 - 2 + i, 0, n_words=12))
 
 
 class TestNormalStream:
+    """The unit normals of consecutive streams, as the routes draw them."""
+
     def test_matches_inverse_cdf_of_numpy_words(self):
         seed, first_stream, n_streams, n_draws = 42, 5, 3, 7
-        got = normal_stream(seed, first_stream, n_streams, n_draws)
+        got = lane_normals(seed, first_stream, n_streams, n_draws)
         assert got.shape == (n_streams, n_draws)
         for row, stream in enumerate(range(first_stream, first_stream + n_streams)):
             words = numpy_block_words(seed, stream, 0, n_words=8)[:n_draws]
             u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
             assert np.array_equal(got[row], ndtri(u))
 
-    def test_rows_depend_only_on_absolute_stream_index(self):
-        wide = normal_stream(7, 0, 8, 20)
-        assert np.array_equal(wide[5], normal_stream(7, 5, 1, 20)[0])
-        assert np.array_equal(wide[2:6], normal_stream(7, 2, 4, 20))
+    @pytest.mark.parametrize("seed, first_stream, n_streams, n_draws", [
+        (7, 0, 8, 20),
+        # starts unaligned, crosses the 64- and 128-stream block edges and
+        # draws a count that is not a multiple of four
+        (7, 61, 200, 21),
+        # starts unaligned, crosses two group edges into a ragged last group
+        # and draws a count that is not a multiple of four
+        (9, 1000, 2 * _GROUP + 77, 33),
+    ], ids=["absolute-index", "stream-block-edges", "group-edges"])
+    def test_rows_match_single_stream_calls(self, seed, first_stream, n_streams, n_draws):
+        # a row depends only on its absolute stream index
+        wide = lane_normals(seed, first_stream, n_streams, n_draws)
+        for i, row in enumerate(wide):
+            assert np.array_equal(row, lane_normals(seed, first_stream + i, 1, n_draws)[0])
 
     def test_odd_draw_counts_and_extreme_seeds_match_numpy_words(self):
         for seed in (0, 2 ** 63, 2 ** 64 - 1):
-            got = normal_stream(seed, 0, 2, 5)
+            got = lane_normals(seed, 0, 2, 5)
             for stream in range(2):
                 words = numpy_block_words(seed, stream, 0, n_words=8)[:5]
                 u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
                 assert np.array_equal(got[stream], ndtri(u))
 
-    def test_rows_match_single_stream_calls_across_stream_block_edges(self):
-        # starts unaligned, crosses the 64- and 128-stream block edges and
-        # draws a count that is not a multiple of four
-        wide = normal_stream(7, 61, 200, 21)
-        for i, row in enumerate(wide):
-            assert np.array_equal(row, normal_stream(7, 61 + i, 1, 21)[0])
-
     def test_draws_are_finite_with_plausible_moments(self):
-        z = normal_stream(1, 0, 200, 500)
+        z = lane_normals(1, 0, 200, 500)
         assert np.isfinite(z).all()
         assert abs(z.mean()) < 0.02
         assert abs(z.std() - 1.0) < 0.02
@@ -162,13 +180,13 @@ class TestNormalStream:
         # next word down keeps its uniform 1 - 2**-52
         top, below = 2 ** 64 - 1, 2 ** 64 - 1 - 2 ** 11
 
-        def top_words(seed, stream, block, n_blocks=1):
-            words = np.full((len(stream), 4 * n_blocks), top, dtype=np.uint64)
+        def top_words(seed, first_stream, n_streams, n_blocks=1):
+            words = np.full((n_streams, 4 * n_blocks), top, dtype=np.uint64)
             words[:, 1::2] = below
             return words
 
         monkeypatch.setattr(montecarlo, "raw_blocks", top_words)
-        z = normal_stream(1, 0, 3, 6)
+        z = lane_normals(1, 0, 3, 6)
         assert np.isfinite(z).all()
         assert np.array_equal(z[:, 0::2], np.full((3, 3), ndtri(1.0 - 2.0 ** -53)))
         assert np.array_equal(z[:, 1::2], np.full((3, 3), ndtri(1.0 - 2.0 ** -52)))
@@ -179,18 +197,11 @@ class TestNormalStream:
                     _reduce_paths([gain], params, config, 0).estimate()):
             assert est.n_dropped == 0 and np.isfinite(est.mean)
 
-    def test_rows_match_single_stream_calls_across_group_edges(self):
-        # starts unaligned, crosses two group edges into a ragged last group
-        # and draws a count that is not a multiple of four
-        wide = normal_stream(9, 1000, 2 * _GROUP + 77, 33)
-        for i, row in enumerate(wide):
-            assert np.array_equal(row, normal_stream(9, 1000 + i, 1, 33)[0])
-
     def test_a_pipelined_chunk_equals_its_one_group_calls(self):
         # the chunk maps seven groups whole and the last in row blocks; each
         # one-group call maps its group in row blocks
-        whole = normal_stream(42, 0, _CHUNK, 1000)
-        parts = [normal_stream(42, lo, _GROUP, 1000) for lo in range(0, _CHUNK, _GROUP)]
+        whole = lane_normals(42, 0, _CHUNK, 1000)
+        parts = [lane_normals(42, lo, _GROUP, 1000) for lo in range(0, _CHUNK, _GROUP)]
         assert np.array_equal(whole, np.concatenate(parts))
         assert np.array_equal(whole[:, :200], serial_normals(42, 0, _CHUNK, 200))
 
@@ -211,13 +222,13 @@ def record_ndtri(monkeypatch, error=None, nth=None):
 
 
 class TestNoiseHelper:
-    """One lane per call runs every ``ndtri``: on each group but the last
-    whole, on the last in ``_BLOCK``-draw row blocks."""
+    """One lane runs every ``ndtri`` of a ``_noise`` call: on each group but
+    the last whole, on the last in ``_BLOCK``-draw row blocks."""
 
     def test_one_group_is_mapped_in_row_blocks_on_one_helper(self, monkeypatch):
         calls = record_ndtri(monkeypatch)
         before = threading.enumerate()
-        got = normal_stream(3, 5, _GROUP, 2 * _BLOCK + 6)
+        got = lane_normals(3, 5, _GROUP, 2 * _BLOCK + 6)
         assert threading.enumerate() == before
         assert [shape for _, shape in calls] == [(_BLOCK, _GROUP)] * 2 + [(6, _GROUP)]
         threads = {t for t, _ in calls}
@@ -227,7 +238,7 @@ class TestNoiseHelper:
     def test_more_groups_use_one_helper_that_ends_with_the_call(self, monkeypatch):
         calls = record_ndtri(monkeypatch)
         before = threading.enumerate()
-        got = normal_stream(3, 5, 3 * _GROUP + 5, 10)
+        got = lane_normals(3, 5, 3 * _GROUP + 5, 10)
         assert threading.enumerate() == before
         # three whole groups, then the ragged last one as one row block
         assert [shape for _, shape in calls] == [(10, _GROUP)] * 3 + [(10, 5)]
@@ -236,15 +247,16 @@ class TestNoiseHelper:
         assert np.array_equal(got, serial_normals(3, 5, 3 * _GROUP + 5, 10))
 
     def test_concurrent_calls_under_frequent_switches_stay_bitwise(self):
-        # three callers on two cores, each with its own helper, as in a pooled
-        # chunk map
+        # three callers on two cores share one lane, as the pooled chunks of
+        # a streaming call do
         n = 3 * _GROUP + 5
         expected = [serial_normals(seed, 0, n, 2 * _BLOCK + 3) for seed in (1, 2, 3)]
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            with ThreadPoolExecutor(max_workers=3) as pool:
-                got = list(pool.map(lambda seed: normal_stream(seed, 0, n, 2 * _BLOCK + 3),
+            with ThreadPoolExecutor(max_workers=1) as lane, \
+                    ThreadPoolExecutor(max_workers=3) as pool:
+                got = list(pool.map(lambda seed: lane_normals(seed, 0, n, 2 * _BLOCK + 3, lane),
                                     (1, 2, 3)))
         finally:
             sys.setswitchinterval(interval)
@@ -258,7 +270,7 @@ class TestNoiseHelper:
         calls = record_ndtri(monkeypatch, error)
         before = threading.enumerate()
         with pytest.raises(FloatingPointError) as info:
-            normal_stream(3, 0, 2 * _GROUP, 10)
+            lane_normals(3, 0, 2 * _GROUP, 10)
         assert info.value is error
         assert [shape for _, shape in calls] == [(10, _GROUP)] * 2
         assert threading.get_ident() not in {t for t, _ in calls}
@@ -279,7 +291,7 @@ class TestNoiseHelper:
         monkeypatch.setattr(montecarlo, "_draw_uniforms", draw)
         before = threading.enumerate()
         with pytest.raises(MemoryError) as info:
-            normal_stream(3, 0, 3 * _GROUP, 10)
+            lane_normals(3, 0, 3 * _GROUP, 10)
         assert info.value is error
         assert draws == [0, _GROUP]
         assert [shape for _, shape in calls] == [(10, _GROUP)]
@@ -350,6 +362,21 @@ class TestLane:
             [(2 * _BLOCK, _GROUP)] * 2 + [(_BLOCK, _GROUP)] * 2
         assert threading.get_ident() not in {t for t, _ in calls}
         assert threading.enumerate() == before
+
+    def test_pooled_chunks_share_the_calls_lane(self, monkeypatch):
+        # three chunks on a three-worker pool queue their noise on one lane,
+        # and the estimate is the serial one bit for bit
+        calls = record_ndtri(monkeypatch)
+        gain = constant_gain(0.4, 0.1, 10)
+        config = SimConfig(n_paths=2 * _CHUNK + 6, n_steps=10, seed=3)
+        before = threading.enumerate()
+        pooled = estimate_cost_streaming(gain, LqrParams(), config, workers=3)
+        assert threading.enumerate() == before
+        assert sorted(shape for _, shape in calls) == sorted(
+            [(10, _GROUP)] * 16 + [(10, 6)])
+        threads = {t for t, _ in calls}
+        assert len(threads) == 1 and threading.get_ident() not in threads
+        assert pooled == estimate_cost_streaming(gain, LqrParams(), config)
 
     def test_the_calling_thread_never_runs_ndtri(self, monkeypatch):
         # pins the pipeline: per 40-step chunk two row blocks of its last
@@ -893,7 +920,7 @@ class TestMemory:
         # words are drawn a block of streams at a time straight into the
         # float output, so no chunk-sized word array or transposed copy exists
         out_bytes = 4096 * 200 * 8
-        assert peak_traced_bytes(lambda: normal_stream(5, 0, 4096, 200)) <= 1.25 * out_bytes
+        assert peak_traced_bytes(lambda: lane_normals(5, 0, 4096, 200)) <= 1.25 * out_bytes
 
     def test_antithetic_chunk_mirrors_its_noise_in_place(self):
         # the half-size draw and the mirrored chunk it is copied into (1.5),

@@ -250,6 +250,31 @@ class TestNaiveSystem:
         sol = solve_naive(p, g)
         np.testing.assert_allclose(sol.p, closed_form_p(p, g.nodes), atol=1e-10)
 
+    @pytest.mark.parametrize("a_bar", [-0.5, -1.0])
+    def test_closed_form_p_negative_drift_branch(self, a_bar):
+        # numerator and denominator are both negative: p is positive and bounded
+        p = LqrParams(a_bar=a_bar)
+        g = grid(1000)
+        np.testing.assert_allclose(solve_naive(p, g).p, closed_form_p(p, g.nodes),
+                                   rtol=0, atol=1e-8)
+
+    def test_closed_form_p_raises_where_its_denominator_changes_sign(self):
+        # at a_bar = -0.5 the denominator 1 - 1.2 e^{-(t - T)} is zero at
+        # t = T + ln 1.2, past the horizon
+        p = LqrParams(a_bar=-0.5)
+        assert closed_form_p(p, 1.1) > 0
+        with pytest.raises(NumericError, match=r"blows up at t = 1\.5$"):
+            closed_form_p(p, np.array([0.0, 1.0, 1.5, 2.0]))
+
+    def test_closed_form_p_with_a_strong_negative_drift_warns_nothing(self):
+        # e^{2 a_bar (t - T)} overflows early on; p is then 0 there
+        p = LqrParams(a_bar=-400.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = closed_form_p(p, grid(1000).nodes)
+        assert np.all(np.isfinite(values)) and values.min() == 0.0
+        assert values[-1] == pytest.approx(2.5, rel=1e-14)
+
 
 @given(a_bar=st.floats(-2, 2), b_bar=st.floats(0.2, 2), sigma=st.floats(0.1, 1),
        gamma=st.floats(0, 10), horizon=st.floats(0.2, 2))
