@@ -275,10 +275,12 @@ def _terminal_fields(st: _Stepper, n_t: int) -> tuple:
     return v, j, alpha
 
 
-def _check_finite(name: str, arr: np.ndarray, k: int):
+def _check_finite(name: str, arr: np.ndarray, k: Optional[int] = None):
     if not np.all(np.isfinite(arr)):
         flat = int(np.argmax(~np.isfinite(arr)))  # first in C order
         where = tuple(int(i) for i in np.unravel_index(flat, arr.shape))
+        if k is None:  # a whole field, whose first axis is the time slice
+            k, where = where[0], where[1:]
         raise NumericError(f"{name} blew up at time slice {k}, node {where}")
 
 
@@ -347,12 +349,13 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     ConfigError
         A time step above the diffusion stability bound.
     NumericError
-        Non-finite field values, with the offending slice and node named.
+        Non-finite field values, controls too, with the slice and node named.
     """
     st = _stepper(model, grid)
     sigma_max, ratio = _check_cfl(st, grid)
     v, j, alpha = _terminal_fields(st, grid.n_t)
     _backward(st, 0, (v, j, alpha), coupling=j)
+    _check_finite("control field", alpha)  # slice 0's is set after the last field check
     report = SchemeReport(mode="sweep", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=1)
     return GridSolution(grid=grid, v=v, j=j, alpha=alpha, report=report)
@@ -458,9 +461,9 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
         A tolerance that is not positive and finite, ``max_iter < 2``, or a
         time step above the diffusion stability bound.
     NumericError
-        Non-finite terminal data, with the node named; as ``PicardError`` if
-        a single-step window still fails to converge, carrying the full
-        distance trace for diagnosis.
+        Non-finite terminal data or controls, with the slice and node named;
+        as ``PicardError`` if a single-step window still fails to converge,
+        carrying the full distance trace for diagnosis.
     """
     _check_iteration_settings(tol, max_iter)
     st = _stepper(model, grid)
@@ -493,6 +496,7 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     v, j, alpha = fields
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in _backward
         _slice_control(st, st.nodes[0], v[0], j[0], alpha[0])
+    _check_finite("control field", alpha)  # as in the sweep
     report = SchemeReport(mode="picard", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=sum(len(w.distances) for w in trace),
                           trace=tuple(trace))

@@ -6,7 +6,9 @@ block back because numpy increments the counter before hashing. These are the
 words of the numpy-only emulation this replaced, so no noise byte changed. Each
 path's stream is a pure function of (seed, stream index, step): batches are
 bit-reproducible across runs, platforms, chunk sizes and thread counts, and one
-Euler kernel advances every gain of a call on each noise chunk (common random numbers).
+Euler kernel advances every gain of a call on each noise chunk (common random
+numbers). A chunk's noise is one buffer; an antithetic pair's stream is drawn
+into its even column and mirrored, negated, into its odd one.
 Each route call owns one lane: a one-worker ``ThreadPoolExecutor`` that runs,
 in order, the work which releases the GIL. It maps each finished stream group
 to normals while the calling thread draws the next, the last group in row
@@ -93,51 +95,50 @@ def _draw_uniforms(seed: int, first_stream: int, out: np.ndarray) -> None:
     out *= 2.0 ** -53
 
 
-def _to_normals(z: np.ndarray, scale: float, mirror) -> None:
+def _to_normals(block: np.ndarray, scale: float, antithetic: bool) -> None:
     """Lane job: (0, 1] uniforms to standard normals in place (``ndtri``
-    releases the GIL), times ``scale``; with a ``mirror`` (twice ``z``'s
-    width), copied into its even columns and negated into its odd ones.
+    releases the GIL), times ``scale``. In antithetic mode the uniforms are
+    ``block``'s even columns, and their normals are negated into its odd ones.
 
     A uniform of 1 is clamped to ``1 - 2**-53``, so its normal is 8.21, not
     +inf. Every other uniform is at most ``1 - 2**-52`` and stays as it is.
     """
+    z = block[:, 0::2] if antithetic else block
     np.minimum(z, 1.0 - 2.0 ** -53, out=z)
     ndtri(z, out=z)
     z *= scale
-    if mirror is not None:
-        mirror[:, 0::2] = z
-        np.negative(z, out=mirror[:, 1::2])
+    if antithetic:
+        np.negative(z, out=block[:, 1::2])
 
 
-def _noise(seed: int, first_stream: int, n_streams: int, n_draws: int,
-           lane: ThreadPoolExecutor, scale: float, mirror=None):
-    """Draw the uniforms of ``n_streams`` streams into a new draw-major buffer
-    and queue their mapping to normals (see ``_to_normals``) on ``lane``.
+def _noise(seed: int, first_stream: int, dw: np.ndarray, lane: ThreadPoolExecutor,
+           scale: float, antithetic: bool) -> list:
+    """Fill the draw-major ``dw``, one stream per column or, in antithetic
+    mode, per pair of columns: draw the uniforms of streams ``first_stream,
+    ...`` and queue their mapping to normals (see ``_to_normals``) on ``lane``.
 
     Each group of ``_GROUP`` streams but the last is queued whole once it is
     drawn, so the lane maps it while the next is drawn. The last group is
     queued in ``_BLOCK``-draw row blocks, so the Euler kernel can step the
     first rows while the lane maps the rest; the whole groups are waited
-    once those are queued. Returns the buffer and the row blocks' futures:
-    once ``rows[b].result()`` returns, draws ``b * _BLOCK`` to
-    ``(b + 1) * _BLOCK - 1`` of every stream are final, in the buffer or in
-    ``mirror``. A one-group call is the last group alone.
+    once those are queued. Returns the row blocks' futures: once
+    ``rows[b].result()`` returns, rows ``b * _BLOCK`` to
+    ``(b + 1) * _BLOCK - 1`` of ``dw`` are final. A one-group call is the
+    last group alone.
     """
-    u = np.empty((n_draws, n_streams))
-    g, m = u, mirror  # what a call of no streams maps
+    step = 2 if antithetic else 1
+    width = step * _GROUP
     groups = []
-    for g0 in range(0, n_streams, _GROUP):
-        g = u[:, g0:g0 + _GROUP]
-        _draw_uniforms(seed, first_stream + g0, g)
-        m = None if mirror is None else mirror[:, 2 * g0:2 * (g0 + _GROUP)]
-        if g0 + _GROUP < n_streams:
-            groups.append(lane.submit(_to_normals, g, scale, m))
-    rows = [lane.submit(_to_normals, g[r:r + _BLOCK], scale,
-                        None if m is None else m[r:r + _BLOCK])
-            for r in range(0, n_draws, _BLOCK)]
+    for c0 in range(0, dw.shape[1], width):
+        g = dw[:, c0:c0 + width]
+        _draw_uniforms(seed, first_stream + c0 // step, g[:, ::step])
+        if c0 + width < dw.shape[1]:
+            groups.append(lane.submit(_to_normals, g, scale, antithetic))
+    rows = [lane.submit(_to_normals, g[r:r + _BLOCK], scale, antithetic)
+            for r in range(0, len(dw), _BLOCK)]
     for group in groups:
         group.result()
-    return u, rows
+    return rows
 
 
 @dataclass(frozen=True)
@@ -213,12 +214,9 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
     m, n_steps = hi - lo, config.n_steps
     dt = params.horizon / n_steps
     scale = params.sigma * math.sqrt(dt)
-    if config.antithetic:
-        # one stream per mirrored pair; odd members negate it
-        dw = np.empty((n_steps, m))
-        _, rows = _noise(config.seed, lo // 2, m // 2, n_steps, lane, scale, dw)
-    else:
-        dw, rows = _noise(config.seed, lo, m, n_steps, lane, scale)
+    dw = np.empty((n_steps, m))  # antithetic: one stream per pair, from lo // 2
+    rows = _noise(config.seed, lo // 2 if config.antithetic else lo, dw, lane, scale,
+                  config.antithetic)
     x = np.full((k.shape[1], m), params.x0)
     run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
     a_buf = np.empty((_BLOCK,) + x.shape)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tilqr.validation
@@ -596,6 +596,17 @@ class TestMainEntry:
             "message": "series 'mean state equilibrium' has non-finite values at indices "
                        "[0, 1, 2, 3, 4]"}
 
+    @pytest.mark.parametrize("mode", ["sweep", "picard"])
+    def test_a_non_finite_grid_control_exits_three_with_one_record(self, mode):
+        # slice 0's control field was NaN: pde printed K(0) = nan, wrote a
+        # nan row and exited 0, and the gain fit leaked a RuntimeWarning
+        rc, stderr, caught, files = run_in_process(["pde", "--mode", mode], PDE_NAN_CONTROL[0])
+        assert rc == EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        assert files == []
+        assert json.loads(stderr) == {
+            "error": "numeric", "message": "control field blew up at time slice 0, node (0,)"}
+
     def test_a_zero_time_step_exits_config_before_any_output(self):
         # 5e-324 over 4 steps: the plot of the zero-width time axis crashed
         # with a traceback after compare.csv was written
@@ -738,6 +749,13 @@ class TestMainEntry:
 
 
 
+# configs on which pde returned a NaN control on slice 0 and exited 0; the
+# fuzzer's random draws found them, its 300 derandomized draws do not
+PDE_NAN_CONTROL = (
+    "[model]\nb_bar = 1.7e308\n[pde]\nn_t = 1\nn_x = 5\nn_y = 5\nx_lo = 0.0\n",
+    "[model]\nb_bar = 1e154\nx0 = 0.0\n[pde]\nn_t = 1\nn_x = 5\nn_y = 5\nx_hi = 0.0\n",
+)
+
 # floats at the edges of the double range, and plain ones between them
 EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-10, 0.5, 1.0, -1.0, 3.0, 1e154, -1e154,
                   1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
@@ -798,6 +816,10 @@ def run_in_process(command, text):
     return rc, stderr.getvalue(), caught, files
 
 
+@example(["pde", "--mode", "sweep"], PDE_NAN_CONTROL[0])
+@example(["pde", "--mode", "picard"], PDE_NAN_CONTROL[0])
+@example(["pde", "--mode", "sweep"], PDE_NAN_CONTROL[1])
+@example(["pde", "--mode", "picard"], PDE_NAN_CONTROL[1])
 @settings(max_examples=300)
 @given(st.sampled_from(FUZZ_COMMANDS), fuzzed_config_text())
 def test_any_config_exits_cleanly_with_at_most_one_record(command, text):

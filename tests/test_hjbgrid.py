@@ -314,6 +314,17 @@ class TestSweep:
             solve(MODEL, grid)
         assert not isinstance(info.value, PicardError)
 
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_a_non_finite_slice_0_control_names_its_node(self, solve):
+        # slice 0's control is set after the last step, so no field check
+        # saw its NaN: both modes returned it, and the CLI printed K(0) = nan
+        model = lqr_model(LqrParams(b_bar=1.7e308))
+        grid = GridSpec2(n_t=1, n_x=5, x_lo=0.0, x_hi=5.0, horizon=1.0)
+        with pytest.raises(NumericError,
+                           match=r"^control field blew up at time slice 0, node \(0,\)$"):
+            solve(model, grid)
+
 
 # SHA-256 of the 100 x 80 solutions: the float64 bytes of v, j and alpha of
 # the sweep, then of Picard, then each Picard window's (k_lo, k_hi) as int64

@@ -70,8 +70,8 @@ def lane_normals(seed: int, first_stream: int, n_streams: int, n_draws: int,
     if lane is None:
         with ThreadPoolExecutor(max_workers=1) as lane:
             return lane_normals(seed, first_stream, n_streams, n_draws, lane)
-    z, rows = _noise(seed, first_stream, n_streams, n_draws, lane, 1.0)
-    for row in rows:
+    z = np.empty((n_draws, n_streams))
+    for row in _noise(seed, first_stream, z, lane, 1.0, False):
         row.result()
     return z.T
 
@@ -923,13 +923,14 @@ class TestMemory:
         assert peak_traced_bytes(lambda: lane_normals(5, 0, 4096, 200)) <= 1.25 * out_bytes
 
     def test_antithetic_chunk_mirrors_its_noise_in_place(self):
-        # the half-size draw and the mirrored chunk it is copied into (1.5),
-        # with no negated copy or stacked pair beside them
+        # one noise buffer (1.2 with the kernel's state and blocks): each
+        # stream is drawn into a pair's even column and mirrored into its
+        # odd one
         n_steps = 200
         config = SimConfig(n_paths=_CHUNK, n_steps=n_steps, seed=2, antithetic=True)
         gain = constant_gain(0.5, 0.0, n_steps)
         peak = peak_traced_bytes(lambda: estimate_cost_streaming(gain, LqrParams(), config))
-        assert peak <= 1.75 * _CHUNK * n_steps * 8
+        assert peak <= 1.3 * _CHUNK * n_steps * 8
 
 
 class TestEulerConvergence:
