@@ -13,7 +13,9 @@ Each route call owns one lane: a one-worker ``ThreadPoolExecutor`` that runs,
 in order, the work which releases the GIL. It maps each finished stream group
 to normals while the calling thread draws the next, the last group in row
 blocks just ahead of the Euler kernel, and on the retaining route it reduces
-each finished chunk while the next chunk's words are drawn. Streaming chunks
+each finished chunk while the next chunk's words are drawn. That route keeps one
+trajectory buffer, the chunk's states; the reduction recomputes the controls
+from them in row blocks, with the kernel's operations. Streaming chunks
 on the ``workers`` pool share their call's lane. Every job's future is waited,
 so a job's error is raised on the caller; the lane is shut down, its thread
 joined, before the call returns, and which thread does a piece of work changes
@@ -43,15 +45,16 @@ _MASK256 = (1 << 256) - 1
 # noise is one 65 MB float64 array at 1000 steps. The retaining route
 # (compare_strategies, the CLI's simulate) reduces each chunk on the lane
 # while the next chunk's words are drawn, so its peak memory is one noise
-# buffer and one chunk buffer: ~50 MB of states and controls at 1024 paths,
-# three gains and 1000 steps. On the mc_paths benchmark 1024 was no slower
-# than 2048 or 8192 and faster than 512.
+# buffer and one trajectory buffer: ~25 MB of states at 1024 paths, three
+# gains and 1000 steps (the controls are recomputed from them). On the
+# mc_paths benchmark 1024 was no slower than 2048 or 8192 and faster than 512.
 _CHUNK = 8192
 _RETAIN_CHUNK = 1024
 # Steps buffered before a copy into path-major trajectories (one strided write
 # each); also the rows of the last noise group that the lane maps per job
 _BLOCK = 32
-# Streams whose Philox words are drawn at once (64 x 1000 draws: 0.5 MB)
+# Streams whose Philox words are drawn at once (64 x 1000 draws: 0.5 MB); also
+# the paths whose controls the retaining route's reduction recomputes at once
 _STREAM_BLOCK = 64
 # Streams per noise group: the lane maps each finished group while the calling
 # thread draws the next (an 8192-stream chunk is 8 groups, a retaining chunk 1)
@@ -200,16 +203,16 @@ def _sim_gains(gains, params: LqrParams, n_steps: int):
 
 
 def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
-                 lane: ThreadPoolExecutor, states=None, controls=None, ready=None):
+                 lane: ThreadPoolExecutor, states=None, ready=None):
     """Advance K gains as one (K, m) state over paths ``[lo, hi)`` on one noise chunk.
 
     The scheme and path costs are those of ``estimate_cost_streaming``. The
     chunk's noise is drawn here and mapped on ``lane``; each block of steps
-    waits only for its own rows' future. Writes the trajectories into
-    ``states``/``controls`` (K x m x ...) when given, once the future
-    ``ready`` (of the reduction still reading them), if any, is done;
-    otherwise returns the (K, m) path costs, with the squared controls
-    summed step by step.
+    waits only for its own rows' future. Writes the state trajectories into
+    ``states`` (K x m x (n_steps + 1)) when given, once the future ``ready``
+    (of the reduction still reading them), if any, is done; the controls
+    are a function of the states and are not kept. Otherwise returns the
+    (K, m) path costs, with the squared controls summed step by step.
     """
     m, n_steps = hi - lo, config.n_steps
     dt = params.horizon / n_steps
@@ -245,7 +248,6 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
                 for a in a_buf[:n]:
                     run += a * a
             else:
-                controls[:, :, i0:i0 + n] = a_buf[:n].transpose(1, 2, 0)
                 states[:, :, i0 + 1:i0 + n + 1] = x_buf[:n].transpose(1, 2, 0)
         if states is None:
             return 0.5 * dt * run + 0.5 * params.gamma * (x - params.x0) ** 2
@@ -300,7 +302,7 @@ def _add_rows(total, started, buf, m: int, ok) -> None:
     per gain and chunk adds rows in the order ``rows[ok].sum(axis=0)`` takes
     over the whole batch (adding per-chunk sums would not be bitwise equal).
     A gain's total starts at its first valid row, as that reduction does,
-    not at a row of zeros.
+    not at a row of zeros; ``started[j]`` is set once it has.
     """
     for j, valid in enumerate(ok):
         first = 0 if started[j] else 1
@@ -310,6 +312,7 @@ def _add_rows(total, started, buf, m: int, ok) -> None:
             rows = rows[np.concatenate([[True], valid])[first:]]
         if len(rows):
             np.add.reduce(rows, axis=0, out=total[j])
+            started[j] = True
 
 
 def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Reduction:
@@ -317,8 +320,11 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
 
     For each chunk, in path order: per-path costs and finite masks, running
     sums of the valid states and |controls|, and a copy of the paths below
-    ``keep``. One chunk buffer exists; one lane maps the noise and reduces
-    each chunk while the calling thread draws the next chunk's words. The
+    ``keep``. One trajectory buffer, the chunk's states, exists; one lane maps
+    the noise and reduces each chunk while the calling thread draws the next
+    chunk's words. The reduction recomputes the controls ``-k_i X_i - c_i``
+    from the states in blocks of ``_STREAM_BLOCK`` paths, with the kernel's
+    operations on the kernel's operands, so every bit is the kernel's. The
     kernel waits for the previous chunk's reduction before it writes the
     buffer, and the last reduction is waited after the loop. More than 0.1%
     non-finite paths in any gain raise ``NumericError``.
@@ -327,46 +333,56 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
     n_gains, n_paths, n_steps = len(gains), config.n_paths, config.n_steps
     dt = params.horizon / n_steps
     width = min(_RETAIN_CHUNK, n_paths)
-    # one spare leading row holds the running sums
-    x, u = np.empty((n_gains, width + 1, n_steps + 1)), np.empty((n_gains, width + 1, n_steps))
+    block = min(_STREAM_BLOCK, width)
+    # one spare leading row of each buffer holds a running sum
+    x, u = np.empty((n_gains, width + 1, n_steps + 1)), np.empty((n_gains, block + 1, n_steps))
+    # each gain's schedule along a path's steps, (K, 1, n_steps)
+    k_path, c_path = (np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in (k, c))
     costs = np.empty((n_gains, n_paths))
     good = np.empty((n_gains, n_paths), dtype=bool)
     states = np.empty((n_gains, keep, n_steps + 1))
     controls = np.empty((n_gains, keep, n_steps))
     sum_x, sum_u = np.empty((n_gains, n_steps + 1)), np.empty((n_gains, n_steps))
-    started = np.zeros(n_gains, dtype=bool)
-    finite = np.empty((width, n_steps + 1), dtype=bool)
+    started_x, started_u = np.zeros(n_gains, dtype=bool), np.zeros(n_gains, dtype=bool)
+    finite = np.empty((block, n_steps + 1), dtype=bool)
 
     def reduce_chunk(lo, hi):
         m = hi - lo
-        xs, us = x[:, 1:m + 1], u[:, 1:m + 1]
+        xs = x[:, 1:m + 1]
         if lo < keep:
             states[:, lo:hi] = xs[:, :keep - lo]
-            controls[:, lo:hi] = us[:, :keep - lo]
         ok = good[:, lo:hi]
-        # one gain at a time through the caller's scratch: the lane allocates
-        # nothing chunk-sized beside the next chunk's noise
-        for j, row in enumerate(ok):
-            np.isfinite(xs[j], out=finite[:m]).all(axis=1, out=row)
-            row &= np.isfinite(us[j], out=finite[:m, :n_steps]).all(axis=1)
-        np.abs(us, out=us)
+        # a diverging path's controls overflow here as in the kernel, and
         # finite paths near the float ceiling may sum to non-finite means,
         # kept as such; bad paths are dropped
         with np.errstate(over="ignore", invalid="ignore"):
-            _add_rows(sum_x, started, x, m, ok)
-            _add_rows(sum_u, started, u, m, ok)
-            started[:] |= ok.any(axis=1)
-            # |u| * |u| is u * u bit for bit, so the squares reuse the buffer
-            miss = xs[:, :, -1] - params.x0
-            us *= us
-            costs[:, lo:hi] = 0.5 * dt * np.sum(us, axis=2) + 0.5 * params.gamma * miss * miss
+            for r0 in range(0, m, block):
+                r1 = min(r0 + block, m)
+                us, ok_rows = u[:, 1:r1 - r0 + 1], ok[:, r0:r1]
+                # a = k x; a -= c, as the kernel steps it
+                np.multiply(k_path, xs[:, r0:r1, :-1], out=us)
+                us -= c_path
+                if lo + r0 < keep:
+                    controls[:, lo + r0:lo + r1] = us[:, :keep - lo - r0]
+                # one gain at a time through the caller's scratch: the lane
+                # allocates nothing chunk-sized beside the next chunk's noise
+                for j, row in enumerate(ok_rows):
+                    np.isfinite(xs[j, r0:r1], out=finite[:r1 - r0]).all(axis=1, out=row)
+                    row &= np.isfinite(us[j], out=finite[:r1 - r0, :n_steps]).all(axis=1)
+                np.abs(us, out=us)
+                _add_rows(sum_u, started_u, u, r1 - r0, ok_rows)
+                # |u| * |u| is u * u bit for bit, so the squares reuse the buffer
+                miss = xs[:, r0:r1, -1] - params.x0
+                us *= us
+                costs[:, lo + r0:lo + r1] = (0.5 * dt * np.sum(us, axis=2)
+                                             + 0.5 * params.gamma * miss * miss)
+            _add_rows(sum_x, started_x, x, m, ok)
 
     with ThreadPoolExecutor(max_workers=1) as lane:
         reduced = None
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
-            _euler_chunk(k, c, params, config, lo, hi, lane,
-                         x[:, 1:hi - lo + 1], u[:, 1:hi - lo + 1], reduced)
+            _euler_chunk(k, c, params, config, lo, hi, lane, x[:, 1:hi - lo + 1], reduced)
             reduced = lane.submit(reduce_chunk, lo, hi)
         reduced.result()
     for row in good:

@@ -1,5 +1,6 @@
 """Tests for the counter-based noise generator and the Euler cost machinery."""
 
+import hashlib
 import sys
 import threading
 import warnings
@@ -304,15 +305,18 @@ class TestLane:
     job's future is waited, and every job queued before an error still runs."""
 
     def test_a_reduction_error_is_raised_by_the_caller(self, monkeypatch):
-        # the retaining route reduces chunks on the lane; the second
-        # chunk's reduction fails there
+        # the retaining route reduces chunks on the lane; a chunk's reduction
+        # ends by adding its states, so the next call is the second chunk's
+        # first, and it fails there
         error = MemoryError("second chunk")
-        threads, real = [], montecarlo._add_rows
+        threads, chunks_done, real = [], [], montecarlo._add_rows
 
         def add_rows(total, started, buf, m, ok):
             threads.append(threading.get_ident())
-            if len(threads) > 2:
+            if chunks_done:
                 raise error
+            if total.shape[1] == 40 + 1:  # the states' sums, not the controls'
+                chunks_done.append(m)
             return real(total, started, buf, m, ok)
 
         monkeypatch.setattr(montecarlo, "_add_rows", add_rows)
@@ -322,6 +326,7 @@ class TestLane:
             compare_strategies(LqrParams(), SimConfig(n_paths=3 * _RETAIN_CHUNK, n_steps=40,
                                                       seed=2), gains)
         assert info.value is error
+        assert chunks_done == [_RETAIN_CHUNK]
         assert threading.get_ident() not in threads
         assert threading.enumerate() == before
 
@@ -783,6 +788,34 @@ class TestNonFinitePolicy:
         assert np.array_equal(run.controls[0], controls[:8])
 
 
+class TestReductionBits:
+    """Every field of the retaining route, pinned by one hash per mode.
+
+    The kept controls are recomputed from the kept states, so comparing them
+    with ``simulate_paths`` would be circular: these hashes were recorded when
+    the Euler kernel wrote the controls itself. Poisoned paths pin the bits of
+    non-finite rows too (stream 1500 is past an antithetic run's last stream).
+    """
+
+    PINNED = {
+        False: "b5c165511a91df06f33ad9056756064e7a6455aea58ff8777c2aa4770a79b04a",
+        True: "dfd836117316eba2d16f7c4756605c6a9f4cf55d1043199e8f817a9be5dc058e",
+    }
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_every_field_keeps_its_bits(self, antithetic, monkeypatch):
+        poison(monkeypatch, [3, 1500])
+        config = SimConfig(n_paths=3000, n_steps=10, seed=6, antithetic=antithetic)
+        gains = [constant_gain(0.4, 0.1, 10), constant_gain(1.1, -0.2, 10)]
+        run = _reduce_paths(gains, LqrParams(), config, config.n_paths)
+        assert not run.good.all()
+        h = hashlib.sha256()
+        for field in (run.costs, run.good, run.mean_state, run.mean_abs_control,
+                      run.states, run.controls):
+            h.update(np.ascontiguousarray(field).tobytes())
+        assert h.hexdigest() == self.PINNED[antithetic]
+
+
 class TestCompareStrategies:
     def test_equal_gains_under_common_noise_are_identical(self):
         params = LqrParams()
@@ -898,23 +931,31 @@ class TestChunking:
 
 
 class TestMemory:
-    # the unit is one chunk buffer: K x m x (2 n_steps + 1) floats of states
-    # and controls
-    N_STEPS = 50
-    CHUNK_BYTES = 3 * _RETAIN_CHUNK * (2 * N_STEPS + 1) * 8
+    # the unit is K x m x (2 n_steps + 1) floats, what one chunk's states and
+    # controls would take together; the retaining route keeps only the
+    # states, about half a unit, and recomputes the controls from them
 
-    def compare_peak(self, n_chunks: int) -> int:
-        gains = [constant_gain(k, 0.0, self.N_STEPS) for k in (0.2, 0.5, 0.9)]
-        config = SimConfig(n_paths=n_chunks * _RETAIN_CHUNK, n_steps=self.N_STEPS, seed=1)
+    @staticmethod
+    def unit(n_steps: int) -> int:
+        return 3 * _RETAIN_CHUNK * (2 * n_steps + 1) * 8
+
+    def compare_peak(self, n_chunks: int, n_steps: int = 50) -> int:
+        gains = [constant_gain(k, 0.0, n_steps) for k in (0.2, 0.5, 0.9)]
+        config = SimConfig(n_paths=n_chunks * _RETAIN_CHUNK, n_steps=n_steps, seed=1)
         return peak_traced_bytes(lambda: compare_strategies(LqrParams(), config, gains))
 
     def test_compare_holds_one_chunk_whatever_the_path_count(self):
         two, eight = self.compare_peak(2), self.compare_peak(8)
         assert eight <= 1.2 * two
-        # one chunk buffer, one chunk's noise, the Euler kernel's 32-step
-        # blocks and the per-path costs (~1.95 here); retaining every path
-        # would need 8 buffers' worth
-        assert eight <= 2.5 * self.CHUNK_BYTES
+        # one chunk's states, one chunk's noise, the Euler kernel's 32-step
+        # blocks and the per-path costs (~1.5 here); retaining every path
+        # would need 8 units' worth
+        assert eight <= 1.6 * self.unit(50)
+
+    def test_long_paths_keep_one_trajectory_buffer(self):
+        # at 1000 steps the chunk's states (~0.5) and noise (~0.17) dominate
+        # (~0.74 here); a second chunk-sized buffer of controls would add 0.5
+        assert self.compare_peak(4, n_steps=1000) <= 0.85 * self.unit(1000)
 
     def test_noise_holds_one_copy_of_its_output(self):
         # words are drawn a block of streams at a time straight into the
