@@ -5,10 +5,14 @@ is the block, word 1 the stream, the key is (seed, 0), and each stream starts on
 block back because numpy increments the counter before hashing. These are the
 words of the numpy-only emulation this replaced, so no noise byte changed. Each
 path's stream is a pure function of (seed, stream index, step): batches are
-bit-reproducible across runs, platforms, chunk sizes and thread counts, and one
-Euler kernel advances every gain of a call on each noise chunk (common random
-numbers). A chunk's noise is one buffer; an antithetic pair's stream is drawn
-into its even column and mirrored, negated, into its odd one.
+bit-reproducible across runs, platforms, chunk sizes, segment sizes and thread
+counts, and one Euler kernel advances every gain of a call on each noise chunk
+(common random numbers). A stream is positioned at any block by writing its
+generator's counter words through a guarded view, so the streaming route draws
+a chunk's noise in fixed segments of steps into one reused buffer, whatever
+n_steps is; the retaining route draws all its steps as one segment. A
+segment's noise is one buffer; an antithetic pair's stream is drawn into its
+even column and mirrored, negated, into its odd one.
 Each route call owns one lane: a one-worker ``ThreadPoolExecutor`` that runs,
 in order, the work which releases the GIL. It maps each finished stream group
 to normals while the calling thread draws the next, the last group in row
@@ -24,6 +28,7 @@ no bit.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,20 +41,29 @@ from .errors import ConfigError, NumericError
 from .model import LqrParams
 from .riccati import GainSchedule
 
+_MASK64 = (1 << 64) - 1
+_MASK192 = (1 << 192) - 1
 _MASK256 = (1 << 256) - 1
 
 # Paths are simulated in fixed-size chunks. Per-path values depend only on seed
 # and stream index, never on chunk boundaries, and both sizes are even, so a
 # mirrored antithetic pair never straddles two chunks. The streaming route
 # keeps 8192: at 1024 the mc_stream benchmark ran ~11% slower. Its chunk's
-# noise is one 65 MB float64 array at 1000 steps. The retaining route
-# (compare_strategies, the CLI's simulate) reduces each chunk on the lane
-# while the next chunk's words are drawn, so its peak memory is one noise
-# buffer and one trajectory buffer: ~25 MB of states at 1024 paths, three
-# gains and 1000 steps (the controls are recomputed from them). On the
-# mc_paths benchmark 1024 was no slower than 2048 or 8192 and faster than 512.
+# noise is one float64 buffer of _SEGMENT steps, ~23 MB whatever n_steps is.
+# The retaining route (compare_strategies, the CLI's simulate) reduces each
+# chunk on the lane while the next chunk's words are drawn, so its peak memory
+# is one noise buffer of all n_steps and one trajectory buffer: ~25 MB of
+# states at 1024 paths, three gains and 1000 steps (the controls are
+# recomputed from them). On the mc_paths benchmark 1024 was no slower than
+# 2048 or 8192 and faster than 512.
 _CHUNK = 8192
 _RETAIN_CHUNK = 1024
+# Steps of noise the streaming route draws at once into one reused buffer, each
+# stream's counter set to the segment's first block: a multiple of 4 (one Philox
+# block), here also of _BLOCK. 8192 x 352 floats is ~23 MB. The retaining route
+# draws all n_steps as one segment: its states grow with n_steps anyway, and
+# segments made mc_paths ~12% slower.
+_SEGMENT = 352
 # Steps buffered before a copy into path-major trajectories (one strided write
 # each); also the rows of the last noise group that the lane maps per job
 _BLOCK = 32
@@ -61,28 +75,71 @@ _STREAM_BLOCK = 64
 _GROUP = 16 * _STREAM_BLOCK
 
 
-def raw_blocks(seed: int, first_stream: int, n_streams: int, n_blocks: int = 1) -> np.ndarray:
+def _counter_view(gen: np.random.Philox, counter: int):
+    """A ctypes uint64 view of ``gen``'s 4-word counter, or None if numpy's
+    layout is not the expected one.
+
+    numpy's ``philox_state`` struct starts with a pointer to the counter,
+    which the generator object holds. Both the struct and the counter must lie
+    inside the object (its ``__sizeof__`` bytes from ``id(gen)``;
+    ``sys.getsizeof`` would add the GC header, which lies before it), and the
+    counter must read back ``counter``. A pointer outside the object is
+    rejected before anything is read through it.
+    """
+    lo, hi = id(gen), id(gen) + gen.__sizeof__()
+    state = gen.ctypes.state_address
+    if not lo <= state <= hi - 8:
+        return None
+    ptr = ctypes.c_void_p.from_address(state).value
+    if ptr is None or not lo <= ptr <= hi - 32:
+        return None
+    ctr = (ctypes.c_uint64 * 4).from_address(ptr)
+    if ctr[:] != [(counter >> (64 * i)) & _MASK64 for i in range(4)]:
+        return None
+    return ctr
+
+
+def raw_blocks(seed: int, first_stream: int, n_streams: int, n_blocks: int = 1,
+               first_block: int = 0) -> np.ndarray:
     """Raw 64-bit Philox words, one row per stream.
 
-    Row ``i`` holds the ``4 * n_blocks`` words of blocks 0 to
-    ``n_blocks - 1`` of stream ``first_stream + i``. One generator serves the
-    call, and one constant ``advance`` moves it from a row's end to the next
-    stream's start.
+    Row ``i`` holds the ``4 * n_blocks`` words of blocks ``first_block`` to
+    ``first_block + n_blocks - 1`` of stream ``first_stream + i``. One
+    generator serves the call and is positioned at each stream's start by
+    writing its counter's block and stream words through a view (see
+    ``_counter_view``); if numpy's layout is not the expected one, one
+    constant ``advance`` moves it from a row's end to the next stream's start
+    instead. Both give the same words; the streaming route positions each
+    stream once per segment, and ``advance`` alone made the mc_stream
+    benchmark ~28% slower.
     """
-    out = np.empty((n_streams, 4 * n_blocks), dtype=np.uint64)
     # numpy increments the counter before hashing, so start one block back
-    gen = np.random.Philox(key=seed, counter=((first_stream << 64) - 1) & _MASK256)
-    for row in out:
-        row[:] = gen.random_raw(4 * n_blocks)
-        gen.advance((1 << 64) - n_blocks)
-    return out
+    start = ((first_stream << 64) + first_block - 1) & _MASK256
+    gen = np.random.Philox(key=seed, counter=start)
+    ctr = _counter_view(gen, start)
+    block, upper = start & _MASK64, start >> 64
+    rows = []
+    for _ in range(n_streams):
+        rows.append(gen.random_raw(4 * n_blocks))
+        if ctr is None:
+            gen.advance((1 << 64) - n_blocks)
+            continue
+        # the next stream's start: word 0 back at the first block, the upper
+        # three words one on, written past word 1 only when it wraps
+        upper = (upper + 1) & _MASK192
+        ctr[0] = block
+        ctr[1] = upper & _MASK64
+        if not upper & _MASK64:
+            ctr[2], ctr[3] = (upper >> 64) & _MASK64, upper >> 128
+    return np.array(rows, dtype=np.uint64).reshape(n_streams, 4 * n_blocks)
 
 
-def _draw_uniforms(seed: int, first_stream: int, out: np.ndarray) -> None:
-    """(0, 1] uniforms from the first words of streams ``first_stream, ...``,
-    one column of the draw-major ``out`` per stream.
+def _draw_uniforms(seed: int, first_stream: int, first_draw: int, out: np.ndarray) -> None:
+    """(0, 1] uniforms from draws ``first_draw, ...`` of streams
+    ``first_stream, ...``, one column of the draw-major ``out`` per stream.
 
-    Each takes the top 53 bits of its word, offset by half a spacing. Only
+    ``first_draw`` is a multiple of 4, the start of a Philox block. Each
+    uniform takes the top 53 bits of its word, offset by half a spacing. Only
     the top word reaches 1: ``2**53 - 1 + 0.5`` rounds to ``2**53``. Words
     are drawn ``_STREAM_BLOCK`` streams at a time and cast into ``out`` as
     exact integers, so no word array of ``out``'s size exists.
@@ -91,7 +148,7 @@ def _draw_uniforms(seed: int, first_stream: int, out: np.ndarray) -> None:
     blocks = (n_draws + 3) // 4
     for s0 in range(0, n_streams, _STREAM_BLOCK):
         words = raw_blocks(seed, first_stream + s0, min(_STREAM_BLOCK, n_streams - s0),
-                           blocks)[:, :n_draws]
+                           blocks, first_draw // 4)[:, :n_draws]
         np.right_shift(words, np.uint64(11), out=words)
         out[:, s0:s0 + len(words)] = words.T
     out += 0.5
@@ -114,11 +171,12 @@ def _to_normals(block: np.ndarray, scale: float, antithetic: bool) -> None:
         np.negative(z, out=block[:, 1::2])
 
 
-def _noise(seed: int, first_stream: int, dw: np.ndarray, lane: ThreadPoolExecutor,
-           scale: float, antithetic: bool) -> list:
-    """Fill the draw-major ``dw``, one stream per column or, in antithetic
-    mode, per pair of columns: draw the uniforms of streams ``first_stream,
-    ...`` and queue their mapping to normals (see ``_to_normals``) on ``lane``.
+def _noise(seed: int, first_stream: int, first_draw: int, dw: np.ndarray,
+           lane: ThreadPoolExecutor, scale: float, antithetic: bool) -> list:
+    """Fill the draw-major ``dw`` with draws ``first_draw, ...`` (a multiple
+    of 4), one stream per column or, in antithetic mode, per pair of
+    columns: draw the uniforms of streams ``first_stream, ...`` and queue
+    their mapping to normals (see ``_to_normals``) on ``lane``.
 
     Each group of ``_GROUP`` streams but the last is queued whole once it is
     drawn, so the lane maps it while the next is drawn. The last group is
@@ -134,7 +192,7 @@ def _noise(seed: int, first_stream: int, dw: np.ndarray, lane: ThreadPoolExecuto
     groups = []
     for c0 in range(0, dw.shape[1], width):
         g = dw[:, c0:c0 + width]
-        _draw_uniforms(seed, first_stream + c0 // step, g[:, ::step])
+        _draw_uniforms(seed, first_stream + c0 // step, first_draw, g[:, ::step])
         if c0 + width < dw.shape[1]:
             groups.append(lane.submit(_to_normals, g, scale, antithetic))
     rows = [lane.submit(_to_normals, g[r:r + _BLOCK], scale, antithetic)
@@ -203,52 +261,59 @@ def _sim_gains(gains, params: LqrParams, n_steps: int):
 
 
 def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
-                 lane: ThreadPoolExecutor, states=None, ready=None):
+                 lane: ThreadPoolExecutor, segment: int, states=None, ready=None):
     """Advance K gains as one (K, m) state over paths ``[lo, hi)`` on one noise chunk.
 
     The scheme and path costs are those of ``estimate_cost_streaming``. The
-    chunk's noise is drawn here and mapped on ``lane``; each block of steps
-    waits only for its own rows' future. Writes the state trajectories into
-    ``states`` (K x m x (n_steps + 1)) when given, once the future ``ready``
-    (of the reduction still reading them), if any, is done; the controls
-    are a function of the states and are not kept. Otherwise returns the
-    (K, m) path costs, with the squared controls summed step by step.
+    chunk's noise is drawn here ``segment`` steps at a time (a multiple of 4)
+    into one buffer that every segment reuses, and mapped on ``lane``; each
+    block of steps waits only for its own rows' future. A segment is drawn
+    once the kernel has stepped through the one before, and the kernel's
+    buffers are allocated after the first segment's draw. Writes the state
+    trajectories into ``states`` (K x m x (n_steps + 1)) when given, once the
+    future ``ready`` (of the reduction still reading them), if any, is done;
+    the controls are a function of the states and are not kept. Otherwise
+    returns the (K, m) path costs, with the squared controls summed step by
+    step.
     """
     m, n_steps = hi - lo, config.n_steps
     dt = params.horizon / n_steps
     scale = params.sigma * math.sqrt(dt)
-    dw = np.empty((n_steps, m))  # antithetic: one stream per pair, from lo // 2
-    rows = _noise(config.seed, lo // 2 if config.antithetic else lo, dw, lane, scale,
-                  config.antithetic)
-    x = np.full((k.shape[1], m), params.x0)
-    run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
-    a_buf = np.empty((_BLOCK,) + x.shape)
-    if states is not None:
-        if ready is not None:
-            ready.result()
-        states[:, :, 0] = x
-        x_buf = np.empty_like(a_buf)
+    first_stream = lo // 2 if config.antithetic else lo  # antithetic: one per pair
+    dw = np.empty((min(segment, n_steps), m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n_steps, _BLOCK):
-            n = min(_BLOCK, n_steps - i0)
-            rows[i0 // _BLOCK].result()
-            for j in range(n):
-                # keeps the operation order of x + (a_bar x + b_bar a) dt + sigma sqrt(dt) z
-                a = np.multiply(k[i0 + j], x, out=a_buf[j])
-                a -= c[i0 + j]
-                np.multiply(params.a_bar, x, out=drift)
-                np.multiply(params.b_bar, a, out=tmp)
-                drift += tmp
-                drift *= dt
-                x += drift
-                x += dw[i0 + j]
+        for s0 in range(0, n_steps, len(dw)):
+            seg = dw[:n_steps - s0]
+            rows = _noise(config.seed, first_stream, s0, seg, lane, scale, config.antithetic)
+            if s0 == 0:  # once the first draw's word arrays are freed
+                x = np.full((k.shape[1], m), params.x0)
+                run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
+                a_buf = np.empty((_BLOCK,) + x.shape)
                 if states is not None:
-                    x_buf[j] = x
-            if states is None:
-                for a in a_buf[:n]:
-                    run += a * a
-            else:
-                states[:, :, i0 + 1:i0 + n + 1] = x_buf[:n].transpose(1, 2, 0)
+                    if ready is not None:
+                        ready.result()
+                    states[:, :, 0] = x
+                    x_buf = np.empty_like(a_buf)
+            for r0 in range(0, len(seg), _BLOCK):
+                n, i0 = min(_BLOCK, len(seg) - r0), s0 + r0
+                rows[r0 // _BLOCK].result()
+                for j in range(n):
+                    # keeps the operation order of x + (a_bar x + b_bar a) dt + sigma sqrt(dt) z
+                    a = np.multiply(k[i0 + j], x, out=a_buf[j])
+                    a -= c[i0 + j]
+                    np.multiply(params.a_bar, x, out=drift)
+                    np.multiply(params.b_bar, a, out=tmp)
+                    drift += tmp
+                    drift *= dt
+                    x += drift
+                    x += seg[r0 + j]
+                    if states is not None:
+                        x_buf[j] = x
+                if states is None:
+                    for a in a_buf[:n]:
+                        run += a * a
+                else:
+                    states[:, :, i0 + 1:i0 + n + 1] = x_buf[:n].transpose(1, 2, 0)
         if states is None:
             return 0.5 * dt * run + 0.5 * params.gamma * (x - params.x0) ** 2
 
@@ -382,7 +447,8 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
         reduced = None
         for lo in range(0, n_paths, width):
             hi = min(lo + width, n_paths)
-            _euler_chunk(k, c, params, config, lo, hi, lane, x[:, 1:hi - lo + 1], reduced)
+            _euler_chunk(k, c, params, config, lo, hi, lane, n_steps,
+                         x[:, 1:hi - lo + 1], reduced)
             reduced = lane.submit(reduce_chunk, lo, hi)
         reduced.result()
     for row in good:
@@ -406,7 +472,8 @@ def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
     los = range(0, config.n_paths, _CHUNK)
     with ThreadPoolExecutor(max_workers=1) as lane:
         def chunk(lo):
-            return _euler_chunk(k, c, params, config, lo, min(lo + _CHUNK, config.n_paths), lane)
+            return _euler_chunk(k, c, params, config, lo, min(lo + _CHUNK, config.n_paths), lane,
+                                _SEGMENT)
 
         if workers < 2 or len(los) < 2:
             parts = list(map(chunk, los))
@@ -426,10 +493,12 @@ def estimate_cost_streaming(gain: GainSchedule, params: LqrParams, config: SimCo
     (the grids must be refinement-compatible), and each costs
     ``sum_i a_i^2 dt / 2 + gamma/2 (X_T - x0)^2``: the left-endpoint rule
     matching the Euler drift. Chunks are reduced to per-path costs on the
-    fly, so path counts in the millions fit in memory, and reductions run in
-    fixed chunk order regardless of ``workers``. More than 0.1% non-finite
-    paths raise ``NumericError``; fewer are left out and counted in
-    ``n_dropped``, a mirrored antithetic pair whole.
+    fly, so path counts in the millions fit in memory; each chunk's noise is
+    drawn ``_SEGMENT`` steps at a time into one buffer, so its size does not
+    grow with ``n_steps``. Reductions run in fixed chunk order regardless of
+    ``workers``. More than 0.1% non-finite paths raise ``NumericError``;
+    fewer are left out and counted in ``n_dropped``, a mirrored antithetic
+    pair whole.
     """
     return _streaming_estimates([gain], params, config, workers)[0]
 

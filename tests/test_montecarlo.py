@@ -1,5 +1,6 @@
 """Tests for the counter-based noise generator and the Euler cost machinery."""
 
+import ctypes
 import hashlib
 import sys
 import threading
@@ -72,7 +73,7 @@ def lane_normals(seed: int, first_stream: int, n_streams: int, n_draws: int,
         with ThreadPoolExecutor(max_workers=1) as lane:
             return lane_normals(seed, first_stream, n_streams, n_draws, lane)
     z = np.empty((n_draws, n_streams))
-    for row in _noise(seed, first_stream, z, lane, 1.0, False):
+    for row in _noise(seed, first_stream, 0, z, lane, 1.0, False):
         row.result()
     return z.T
 
@@ -134,6 +135,80 @@ class TestRawBlocks:
             assert np.array_equal(row, numpy_block_words(7, 2 ** 64 - 2 + i, 0, n_words=12))
 
 
+# (first stream, streams): from the borrow of stream 7's start into the
+# stream word, across the carry of stream 2**64 into counter word 2, and
+# across the wraparound of the 256-bit counter
+FIRST_BLOCK_STREAMS = [(7, 3), (2 ** 64 - 2, 4), (2 ** 192 - 2, 3)]
+
+
+class TestFirstBlock:
+    """Rows that start at a later block, positioned through the counter view
+    or, when numpy's layout is not the expected one, by ``advance``."""
+
+    @pytest.mark.parametrize("case", sorted(KNOWN_WORDS))
+    def test_matches_known_answer_words(self, case):
+        seed, stream, block = case
+        expected = np.array(KNOWN_WORDS[case], dtype=np.uint64)
+        assert np.array_equal(raw_blocks(seed, stream, 1, first_block=block)[0], expected)
+
+    @pytest.mark.parametrize("first_block", [0, 1, 63, 2 ** 20])
+    def test_rows_match_numpy_words(self, first_block):
+        for first_stream, n_streams in FIRST_BLOCK_STREAMS:
+            rows = raw_blocks(11, first_stream, n_streams, 3, first_block)
+            assert rows.shape == (n_streams, 12)
+            for i, row in enumerate(rows):
+                expected = numpy_block_words(11, first_stream + i, first_block, n_words=12)
+                assert np.array_equal(row, expected), (first_stream + i, first_block)
+
+    @pytest.mark.parametrize("first_block", [0, 1, 63, 2 ** 20])
+    def test_the_advance_fallback_gives_the_same_words(self, first_block, monkeypatch):
+        # a generator that reports no size fails the layout check, so every
+        # row is positioned by advance
+        viewed = [raw_blocks(11, s, n, 3, first_block) for s, n in FIRST_BLOCK_STREAMS]
+        advances = []
+
+        class Unviewable(np.random.Philox):
+            def __sizeof__(self):
+                return 0
+
+            def advance(self, delta):
+                advances.append(delta)
+                return super().advance(delta)
+
+        monkeypatch.setattr(np.random, "Philox", Unviewable)
+        for (first_stream, n_streams), rows in zip(FIRST_BLOCK_STREAMS, viewed):
+            assert np.array_equal(raw_blocks(11, first_stream, n_streams, 3, first_block), rows)
+        assert advances == [2 ** 64 - 3] * sum(n for _, n in FIRST_BLOCK_STREAMS)
+
+    def test_the_view_reads_and_positions_the_counter(self):
+        start = (5 << 64) + 9
+        gen = np.random.Philox(key=3, counter=start)
+        ctr = montecarlo._counter_view(gen, start)
+        assert ctr is not None and ctr[:] == [9, 5, 0, 0]
+        ctr[0], ctr[1] = 2 ** 64 - 1, 6  # one block before block 0 of stream 7
+        assert np.array_equal(gen.random_raw(4), numpy_block_words(3, 7, 0))
+        # the wrong known counter fails the read-back
+        assert montecarlo._counter_view(np.random.Philox(key=3, counter=start), start + 1) is None
+
+    def test_a_pointer_outside_the_generator_is_rejected(self):
+        # the fake counter outside the object holds the right words, so only
+        # the bounds check can reject it, before anything is read through it;
+        # a pointer inside the object to other words fails the read-back
+        start = (5 << 64) + 9
+        gen = np.random.Philox(key=3, counter=start)
+        slot = ctypes.c_void_p.from_address(gen.ctypes.state_address)
+        real = slot.value
+        fake = (ctypes.c_uint64 * 4)(9, 5, 0, 0)
+        try:
+            slot.value = ctypes.addressof(fake)
+            assert montecarlo._counter_view(gen, start) is None
+            slot.value = id(gen)
+            assert montecarlo._counter_view(gen, start) is None
+        finally:
+            slot.value = real
+        assert montecarlo._counter_view(gen, start)[:] == [9, 5, 0, 0]
+
+
 class TestNormalStream:
     """The unit normals of consecutive streams, as the routes draw them."""
 
@@ -181,7 +256,7 @@ class TestNormalStream:
         # next word down keeps its uniform 1 - 2**-52
         top, below = 2 ** 64 - 1, 2 ** 64 - 1 - 2 ** 11
 
-        def top_words(seed, first_stream, n_streams, n_blocks=1):
+        def top_words(seed, first_stream, n_streams, n_blocks=1, first_block=0):
             words = np.full((n_streams, 4 * n_blocks), top, dtype=np.uint64)
             words[:, 1::2] = below
             return words
@@ -283,11 +358,11 @@ class TestNoiseHelper:
         error = MemoryError("second draw")
         calls, draws, real = record_ndtri(monkeypatch), [], montecarlo._draw_uniforms
 
-        def draw(seed, first_stream, out):
+        def draw(seed, first_stream, first_draw, out):
             draws.append(first_stream)
             if len(draws) == 2:
                 raise error
-            real(seed, first_stream, out)
+            real(seed, first_stream, first_draw, out)
 
         monkeypatch.setattr(montecarlo, "_draw_uniforms", draw)
         before = threading.enumerate()
@@ -708,11 +783,12 @@ def poison(monkeypatch, paths):
     """
     real = montecarlo._draw_uniforms
 
-    def poisoned(seed, first_stream, out):
-        real(seed, first_stream, out)
+    def poisoned(seed, first_stream, first_draw, out):
+        real(seed, first_stream, first_draw, out)
         for p in paths:
-            if first_stream <= p < first_stream + out.shape[1]:
-                out[2, p - first_stream] = 0.0
+            if first_stream <= p < first_stream + out.shape[1] \
+                    and first_draw <= 2 < first_draw + len(out):
+                out[2 - first_draw, p - first_stream] = 0.0
 
     monkeypatch.setattr(montecarlo, "_draw_uniforms", poisoned)
 
@@ -873,9 +949,9 @@ class TestCompareStrategies:
         calls = []
         real = montecarlo._draw_uniforms
 
-        def counted(seed, first_stream, out):
+        def counted(seed, first_stream, first_draw, out):
             calls.append((first_stream, out.shape[1]))
-            real(seed, first_stream, out)
+            real(seed, first_stream, first_draw, out)
 
         monkeypatch.setattr(montecarlo, "_draw_uniforms", counted)
         gains = [constant_gain(k, 0.0, 20) for k in (0.2, 0.5, 0.9)]
@@ -930,6 +1006,32 @@ class TestChunking:
             assert est == whole[2]
 
 
+class TestSegments:
+    """The streaming route draws its noise ``_SEGMENT`` steps at a time; no
+    segment size moves a bit of its estimates."""
+
+    # with 1024-path chunks, 2500 paths make three chunks, the last ragged;
+    # 250 steps make a ragged last segment of each size and 1000 steps one of
+    # 36 and of 96; seed 2**64 - 1 is the top key word
+    @pytest.mark.parametrize("n_paths, n_steps, seed, antithetic", [
+        (2500, 250, 2 ** 64 - 1, False),
+        (2500, 1000, 5, True),
+    ], ids=["plain", "antithetic"])
+    def test_segment_sizes_keep_every_bit(self, n_paths, n_steps, seed, antithetic,
+                                          monkeypatch):
+        params = LqrParams()
+        gains = [constant_gain(0.4, 0.1, n_steps), constant_gain(1.2, -0.3, n_steps)]
+        config = SimConfig(n_paths=n_paths, n_steps=n_steps, seed=seed, antithetic=antithetic)
+        monkeypatch.setattr(montecarlo, "_CHUNK", 1024)
+        monkeypatch.setattr(montecarlo, "_SEGMENT", n_steps)
+        whole = _streaming_estimates(gains, params, config)
+        for segment in (4, 36, 96):
+            monkeypatch.setattr(montecarlo, "_SEGMENT", segment)
+            for workers in (1, 4):
+                got = _streaming_estimates(gains, params, config, workers)
+                assert got == whole, (segment, workers)
+
+
 class TestMemory:
     # the unit is K x m x (2 n_steps + 1) floats, what one chunk's states and
     # controls would take together; the retaining route keeps only the
@@ -962,6 +1064,14 @@ class TestMemory:
         # float output, so no chunk-sized word array or transposed copy exists
         out_bytes = 4096 * 200 * 8
         assert peak_traced_bytes(lambda: lane_normals(5, 0, 4096, 200)) <= 1.25 * out_bytes
+
+    def test_streaming_noise_is_one_segment_whatever_the_step_count(self):
+        # 2000 steps of noise would be ~5.7 segment buffers; the route holds
+        # one segment's, reused, with the kernel's state and blocks beside it
+        config = SimConfig(n_paths=2048, n_steps=2000, seed=2)
+        gain = constant_gain(0.5, 0.0, 2000)
+        peak = peak_traced_bytes(lambda: estimate_cost_streaming(gain, LqrParams(), config))
+        assert peak <= 1.3 * 2048 * montecarlo._SEGMENT * 8
 
     def test_antithetic_chunk_mirrors_its_noise_in_place(self):
         # one noise buffer (1.2 with the kernel's state and blocks): each
