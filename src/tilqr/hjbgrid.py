@@ -6,9 +6,12 @@ nodes, and the value field is its diagonal ``V(t, x) = J(t, x, x)``.
 Backward in time the two fields advance together: each step reads the
 parameter-coupling derivatives of the indexed field on the diagonal,
 optimizes the control through the corrected Hamiltonian, then updates both
-fields with that control. One backward pass serves both modes, with the
+fields with that control. Both modes take the same steps, with the
 coupling read from the current iterate (a single sweep) or from the
-previous one (Picard fixed-point passes, repeated to a tolerance).
+previous one (Picard fixed-point passes, repeated to a tolerance). Either
+way the solve holds one set of fields: a Picard pass overwrites the
+previous iterate slice by slice, having taken the little it still needs
+from it before the first step.
 
 The scheme is explicit, so a diffusion stability bound on the time step is
 enforced up front. Boundaries close with quadratic extrapolation, which is
@@ -152,16 +155,20 @@ def _check_cfl(st: _Stepper, grid: GridSpec2) -> tuple:
 
 
 def _diag_fields(jslice: np.ndarray, dx: float):
-    """Parameter-coupling derivatives on the diagonal at interior state nodes."""
-    # diagonals as views: mid[i] = jslice[i, i]; at interior node i, entry
-    # i - 1 of up, down, diagonal(-2) and diagonal(2) is jslice[i, i + 1],
-    # jslice[i, i - 1], jslice[i + 1, i - 1] and jslice[i - 1, i + 1]
-    mid = jslice.diagonal()
-    up = jslice.diagonal(1)[1:]
-    down = jslice.diagonal(-1)[:-1]
+    """Parameter-coupling derivatives on the diagonal at interior state nodes,
+    of one slice or, along the leading axis, of a stack of slices."""
+    # diagonals as views: mid[..., i] = jslice[..., i, i]; at interior node i,
+    # entry i - 1 of up, down, diag(-2) and diag(2) is jslice[..., i, i + 1],
+    # jslice[..., i, i - 1], jslice[..., i + 1, i - 1] and jslice[..., i - 1, i + 1]
+    def diag(offset):
+        return np.diagonal(jslice, offset, axis1=-2, axis2=-1)
+
+    mid = diag(0)
+    up = diag(1)[..., 1:]
+    down = diag(-1)[..., :-1]
     d_y = (up - down) / (2.0 * dx)
-    d_yy = (up - 2.0 * mid[1:-1] + down) / dx ** 2
-    d_xy = (mid[2:] - jslice.diagonal(-2) - jslice.diagonal(2) + mid[:-2]) / (4.0 * dx * dx)
+    d_yy = (up - 2.0 * mid[..., 1:-1] + down) / dx ** 2
+    d_xy = (mid[..., 2:] - diag(-2) - diag(2) + mid[..., :-2]) / (4.0 * dx * dx)
     return d_y, d_yy, d_xy
 
 
@@ -185,48 +192,55 @@ def _stepper(model: ModelSpec, grid: GridSpec2) -> _Stepper:
                     dt=grid.dt, dx=grid.dx, scratch=np.empty((xs.size, xs.size)))
 
 
-def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray,
-                   coupling_slice: np.ndarray, a_out: np.ndarray):
+def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray, derivs: tuple,
+                   a_out: np.ndarray):
     """Optimize the control on one time slice and return the update pieces.
 
-    Returns (value_rate, a_interior, sigma): the corrected Hamiltonian value
-    at interior nodes, the optimizing control there (a view of ``a_out``),
-    and the volatility there at ``t``. The control extended to the boundary
-    by extrapolation is written into ``a_out``.
+    ``derivs`` holds the parameter-coupling derivatives ``(d_y, d_yy, d_xy)``
+    at interior nodes, as ``_diag_fields`` gives them. Returns (value_rate,
+    a_interior, half_var): the corrected Hamiltonian value at interior
+    nodes, the optimizing control there (a view of ``a_out``), and
+    ``0.5 * sigma ** 2`` there at ``t``, which the step reads twice. The
+    control extended to the boundary by extrapolation is written into
+    ``a_out``.
 
     The maximizer maps the effective gradient ``g = z / sigma - d_y``, with
     ``z = sigma * v_x``, to the action ``a``; the value is
     ``running_cost(t, x, x, a) + drift(t, x, a) * g - sigma^2/2 * d_yy -
     sigma * mixed`` with ``mixed = sigma * d_xy``. The volatility is
-    evaluated once. The four slots are checked for finiteness, then the
-    volatility for positivity; ``t`` and the nodes are grid constants,
-    finite by construction.
+    evaluated once. The four slots are scanned for finiteness only where
+    the value is not finite, which any non-finite slot makes it: each slot
+    enters the value multiplied by the volatility or by the drift. They are
+    scanned in the order above, so the error names the first. Then the
+    volatility is checked for positivity; ``t`` and the nodes are grid
+    constants, finite by construction.
     """
     model, xi = st.model, st.xi
+    d_y, d_yy, d_xy = derivs
     v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * st.dx)
     sigma = np.asarray(model.vol(t, xi), dtype=float)
-    d_y, d_yy, d_xy = _diag_fields(coupling_slice, st.dx)
     z, mixed = sigma * v_x, sigma * d_xy
-    for name, slot in (("z", z), ("grad_param", d_y), ("hess_param", d_yy),
-                       ("mixed", mixed)):
-        if not np.all(np.isfinite(slot)):
-            raise NumericError(f"non-finite value in Hamiltonian slot '{name}'")
-    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-        raise ConfigError("model volatility must be positive and finite")
     g = z / sigma - d_y
     a = model.maximizer(g)
     value_rate = (model.running_cost(t, xi, xi, a) + model.drift(t, xi, a) * g
                   - 0.5 * sigma * sigma * d_yy - sigma * mixed)
+    if not np.all(np.isfinite(value_rate)):
+        for name, slot in (("z", z), ("grad_param", d_y), ("hess_param", d_yy),
+                           ("mixed", mixed)):
+            if not np.all(np.isfinite(slot)):
+                raise NumericError(f"non-finite value in Hamiltonian slot '{name}'")
+    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
+        raise ConfigError("model volatility must be positive and finite")
     a_out[1:-1] = a
     _extrapolate_edges(a_out)
-    return value_rate, a_out[1:-1], sigma
+    return value_rate, a_out[1:-1], 0.5 * sigma ** 2
 
 
 def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
                    j_next: np.ndarray, value_rate: np.ndarray, a_int: np.ndarray,
-                   sigma: np.ndarray, v_out: np.ndarray, j_out: np.ndarray):
+                   half_var: np.ndarray, v_out: np.ndarray, j_out: np.ndarray):
     """One explicit backward step of both fields given the slice control and
-    the volatility at ``t_next``, written into ``v_out`` and ``j_out``.
+    ``0.5 * sigma ** 2`` at ``t_next``, written into ``v_out`` and ``j_out``.
 
     The indexed field is updated in place, on ``j_out`` and the scratch, in
     the operation order of
@@ -237,7 +251,7 @@ def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
     dt, dx = st.dt, st.dx
 
     v_xx = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / dx ** 2
-    v_out[1:-1] = v_next[1:-1] + dt * (value_rate + 0.5 * sigma ** 2 * v_xx)
+    v_out[1:-1] = v_next[1:-1] + dt * (value_rate + half_var * v_xx)
     _extrapolate_edges(v_out)
 
     mu = np.asarray(model.drift(t_next, xi, a_int), dtype=float)
@@ -253,7 +267,7 @@ def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
     np.subtract(up, j_xx, out=j_xx)
     np.add(j_xx, down, out=j_xx)
     np.divide(j_xx, dx ** 2, out=j_xx)                  # j_xx
-    np.multiply(0.5 * np.reshape(sigma ** 2, (-1, 1)), j_xx, out=j_xx)
+    np.multiply(np.reshape(half_var, (-1, 1)), j_xx, out=j_xx)
     np.add(acc, j_xx, out=acc)
     np.multiply(dt, acc, out=acc)
     np.add(mid, acc, out=acc)
@@ -291,50 +305,60 @@ def _check_iteration_settings(tol: float, max_iter: int):
         raise ConfigError(f"max_iter must be >= 2, got {max_iter}")
 
 
-def _backward(st: _Stepper, lo: int, fields: tuple, coupling: np.ndarray,
-              prev: Optional[tuple] = None):
-    """Step ``fields = (v, j, alpha)`` from their last slice, which holds
-    terminal data, back to slice 0; slice ``k`` is time slice ``lo + k``.
+def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple) -> tuple:
+    """One Picard pass in window ``lo .. hi``: step ``fields = (v, j, alpha)``
+    in place from slice ``lo + top``, which already holds the pass's result,
+    down to slice ``lo``, setting the control on every slice it steps from
+    and on ``lo``.
 
-    Each step reads the coupling derivatives from ``coupling``: the sweep
-    passes the indexed field it computes, a Picard pass the previous
-    iterate's. Given that iterate ``prev = (v, j, alpha)``, which is finite,
-    the pass returns ``(distance, settled)``: the sup distance of the three
-    fields from it, with those of ``v`` and ``j`` taken slice by slice while
-    the slice is hot, and the number of slices, counted down from the last
-    stepped one, whose ``v`` and ``j`` distances are exactly 0. Raises
-    NumericError, naming the slice, when a field loses finiteness; a Picard
-    pass scans a slice for that only when one of its distances is not
-    finite, which a non-finite slice always makes it.
+    Slices ``lo .. lo + top`` of the fields hold the previous iterate, which
+    is finite. Before the first step the pass takes that iterate's coupling
+    derivatives on all these slices in one ``_diag_fields`` call, and copies
+    of their ``v`` and ``alpha`` rows. Each step writes ``v`` in place and
+    ``j`` into one extra slice buffer, takes the ``j`` distance against the
+    slice it replaces, then copies the new slice in. A pass scans a slice
+    for non-finite values only when one of its distances is not finite,
+    which a non-finite slice always makes it. Where that scan or a
+    Hamiltonian slot fails, the pass stops rather than raises.
+
+    Returns the record ``(dist, valid)``. ``dist[:, i]`` holds the sup
+    distances of slice ``lo + i`` of ``v``, ``j`` and ``alpha`` from the
+    previous iterate, those of ``v`` and ``j`` taken while the slice is
+    hot, and 0 on the slices the pass did not step; ``valid`` is the lowest
+    slice that holds the pass's ``v``, ``j`` and ``alpha``: ``lo`` unless
+    the pass stopped early.
     """
     v, j, alpha = fields
-    m = v.shape[0] - 1
-    dist = np.empty((2, m))  # the terminal slices coincide
-    # a blow-up surfaces through the finiteness check, not as a warning
+    dist = np.zeros((3, hi - lo + 1))
+    coupling = _diag_fields(j[lo:lo + top + 1], st.dx)
+    v_prev, a_prev = v[lo:lo + top].copy(), alpha[lo:lo + top + 1].copy()
+    j_new = np.empty_like(j[lo])
+    valid = lo + top + 1
+    # expected transient blow-ups stop the pass; silence their warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(m - 1, -1, -1):
-            t1 = st.nodes[lo + k + 1]
-            rate, a_int, sigma = _slice_control(st, t1, v[k + 1], coupling[k + 1],
-                                                alpha[k + 1])
-            _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, sigma, v[k], j[k])
-            if prev is not None:
-                dist[0, k] = np.max(np.abs(v[k] - prev[0][k]))
-                diff = np.subtract(j[k], prev[1][k], out=st.scratch)
+        try:
+            for k in range(lo + top - 1, lo - 1, -1):
+                t1 = st.nodes[k + 1]
+                rate, a_int, half_var = _slice_control(
+                    st, t1, v[k + 1], tuple(c[k + 1 - lo] for c in coupling), alpha[k + 1])
+                valid = k + 1
+                _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, half_var, v[k], j_new)
+                d = dist[:2, k - lo]
+                d[0] = np.max(np.abs(v[k] - v_prev[k - lo]))
+                diff = np.subtract(j_new, j[k], out=st.scratch)
                 # + 0.0 turns a -0.0 maximum into 0.0, as abs would
-                dist[1, k] = max(diff.max(), -diff.min()) + 0.0
-                if math.isfinite(dist[0, k]) and math.isfinite(dist[1, k]):
-                    continue
-            _check_finite("value field", v[k], lo + k)
-            _check_finite("indexed field", j[k], lo + k)
-        _slice_control(st, st.nodes[lo], v[0], coupling[0], alpha[0])
-        if prev is not None:
-            moved = np.flatnonzero(dist.any(axis=0))
-            settled = m - 1 - int(moved[-1]) if moved.size else m
-            # the max of the slice maxima is the window's max, NaN included;
-            # a pass that copies every slice steps none
-            return max(float(np.max(dist[0], initial=0.0)),
-                       float(np.max(dist[1], initial=0.0)),
-                       float(np.max(np.abs(alpha - prev[2])))), settled
+                d[1] = max(diff.max(), -diff.min()) + 0.0
+                j[k] = j_new
+                if not (math.isfinite(d[0]) and math.isfinite(d[1])):
+                    _check_finite("value field", v[k], k)
+                    _check_finite("indexed field", j[k], k)
+            _slice_control(st, st.nodes[lo], v[lo], tuple(c[0] for c in coupling), alpha[lo])
+            valid = lo
+        except NumericError:
+            pass
+        i = valid - lo
+        dist[2, i:top + 1] = np.max(np.abs(alpha[valid:lo + top + 1] - a_prev[i:]), axis=1)
+    return dist, valid
 
 
 def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
@@ -354,72 +378,100 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     st = _stepper(model, grid)
     sigma_max, ratio = _check_cfl(st, grid)
     v, j, alpha = _terminal_fields(st, grid.n_t)
-    _backward(st, 0, (v, j, alpha), coupling=j)
+    # a blow-up surfaces through the finiteness check, not as a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(grid.n_t - 1, -1, -1):
+            t1 = st.nodes[k + 1]
+            rate, a_int, half_var = _slice_control(st, t1, v[k + 1],
+                                                   _diag_fields(j[k + 1], st.dx), alpha[k + 1])
+            _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, half_var, v[k], j[k])
+            _check_finite("value field", v[k], k)
+            _check_finite("indexed field", j[k], k)
+        _slice_control(st, st.nodes[0], v[0], _diag_fields(j[0], st.dx), alpha[0])
     _check_finite("control field", alpha)  # slice 0's is set after the last field check
     report = SchemeReport(mode="sweep", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=1)
     return GridSolution(grid=grid, v=v, j=j, alpha=alpha, report=report)
 
 
-def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, spare: tuple,
-                    tol: float, max_iter: int):
-    """Fixed-point iteration on slices ``lo .. hi`` of ``fields = (v, j, alpha)``,
-    from the terminal data in slice ``hi`` extended constantly. Returns
-    ``(status, distances)`` where status is ``"ok"`` (converged, with the
-    last iterate in ``fields``), ``"grow"`` (distances stopped decreasing:
-    the map does not contract at this window length), ``"blowup"`` (a pass
-    lost finiteness), or ``"maxiter"``; other than on ``"ok"``, slices
-    ``lo .. hi - 1`` hold no usable data.
+def _distance(dist: np.ndarray, top: int) -> tuple:
+    """``(distance, top)`` after a pass that stepped the lowest ``top`` of
+    the slices that ``dist`` covers (as ``_backward`` returns it, lowest
+    first): the sup distance of the three fields from the previous iterate,
+    and the number of slices the next pass steps.
 
-    Passes alternate between the window of ``fields`` and the same window of
-    ``spare``, a same-shaped scratch set: each writes one while reading the
-    previous iterate from the other. No pass writes slice ``hi`` of ``v`` or
-    ``j``.
-
-    A pass copies from the previous iterate, rather than steps, the slices
-    whose result it already knows. If the last ``Z`` slices below ``hi``
-    all had ``v`` and ``j`` distance exactly 0 in one pass, the next pass
-    would step those slices and the one below them from the inputs the
-    pass before used: the slice above, just reproduced, and the previous
-    iterate's indexed field there as coupling, which the zero distance says
-    did not move. So the next pass copies these ``Z + 1`` slices of ``v``
-    and ``j``, and the controls on the ``Z + 1`` slices up to ``hi``, and
-    steps only the slices below; the copied slices' distance is exactly 0.
-    The controls come from the previous iterate because the buffer being
-    written may hold an older pass's.
+    If the last ``Z`` slices below the window's terminal slice all had
+    ``v`` and ``j`` distance exactly 0 in this pass, the next pass would
+    step those slices and the one below them from the inputs this pass
+    used: the slice above, just reproduced, and the previous iterate's
+    indexed field there as coupling, which the zero distance says did not
+    move. So the next pass steps only the slices below these ``Z + 1``,
+    which already hold its result, with distance exactly 0.
     """
-    out = tuple(f[lo:hi + 1] for f in fields)
-    cur, prev = out, tuple(f[lo:hi + 1] for f in spare)
-    v_hi, j_hi = out[0][-1], out[1][-1]
-    prev[0][:], prev[1][:] = v_hi, j_hi
-    # expected transient blow-ups abort the window; silence their warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _slice_control(st, st.nodes[hi], v_hi, j_hi, prev[2][-1])
-    prev[2][:-1] = prev[2][-1]
+    moved = np.flatnonzero(dist[:2, :top].any(axis=0))
+    settled = top - 1 - int(moved[-1]) if moved.size else top
+    # the max of the slice maxima is the window's max, NaN included; a pass
+    # that steps no slice has v and j distance 0
+    distance = max(float(np.max(dist[0, :top], initial=0.0)),
+                   float(np.max(dist[1, :top], initial=0.0)),
+                   float(np.max(dist[2, :top + 1])))
+    return distance, max(top - settled - 1, 0)
+
+
+def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, tol: float,
+                    max_iter: int, passes: list):
+    """Fixed-point iteration on slices ``lo .. hi`` of ``fields = (v, j, alpha)``,
+    in place, from the terminal data in slice ``hi`` extended constantly.
+    Returns ``(status, distances, passes)`` where status is ``"ok"``
+    (converged, with the last iterate in ``fields``), ``"grow"`` (distances
+    stopped decreasing: the map does not contract at this window length),
+    ``"blowup"`` (a pass lost finiteness), or ``"maxiter"``.
+
+    Each pass overwrites the previous iterate slice by slice (``_backward``)
+    and leaves in place the slices whose result it already knows
+    (``_distance``). No pass writes slice ``hi`` of ``v`` or ``j``.
+
+    ``passes`` holds one ``(dist, valid)`` record per pass already run on
+    this window's slices, as ``_backward`` returns it, with the last column
+    of ``dist`` on slice ``hi``.
+    A failed window's passes are bitwise those of its upper half
+    ``(mid, hi)`` on every slice from ``mid`` up, since both start from the
+    same terminal data; so the failed window returns its records, and the
+    upper half replays them: distances, settled slices, the ok and grow
+    checks, and a blowup where a pass stopped above ``mid``. If the half
+    needs more passes, it steps on from the fields in place, which hold the
+    last record's pass from that record's ``valid`` slice up. It starts
+    over only if its replay converges before the last record, because the
+    fields then hold a later pass. Other than on ``"ok"``, slices
+    ``lo .. hi - 1`` hold no usable data for this window.
+    """
+    v, j, alpha = fields
+    if not passes:
+        v[lo:hi], j[lo:hi] = v[hi], j[hi]
+        # expected transient blow-ups abort the window; silence their warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _slice_control(st, st.nodes[hi], v[hi], _diag_fields(j[hi], st.dx), alpha[hi])
+        alpha[lo:hi] = alpha[hi]
 
     distances = []
-    top = hi - lo  # a pass copies slices top .. hi - lo - 1 and steps the rest
-    for _ in range(max_iter):
-        for dst, src in zip(cur, prev):
-            dst[top:] = src[top:]
-        try:
-            dist, settled = _backward(st, lo, tuple(f[:top + 1] for f in cur),
-                                      prev[1][:top + 1], tuple(f[:top + 1] for f in prev))
-        except NumericError:
-            return "blowup", distances
-        top = max(top - settled - 1, 0)
-        distances.append(dist)
-        prev, cur = cur, prev
-        if dist <= tol:
-            if prev is not out:  # the last pass wrote the scratch
-                for dst, src in zip(out, prev):
-                    dst[:] = src
-            return "ok", distances
+    top = hi - lo  # a pass steps slices lo .. lo + top - 1
+    for p in range(max_iter):
+        if p == len(passes):
+            passes.append(_backward(st, lo, hi, top, fields))
+        dist, valid = passes[p]
+        if valid > lo:
+            return "blowup", distances, passes
+        d, top = _distance(dist[:, lo - hi - 1:], top)
+        distances.append(d)
+        if d <= tol:
+            if p + 1 < len(passes):  # the fields hold a later pass
+                return _iterate_window(st, lo, hi, fields, tol, max_iter, [])
+            return "ok", distances, passes
         # contraction check from the second distance on; the first pass
         # only measures how far the constant extension sits from one solve
         if len(distances) >= 3 and distances[-1] >= distances[-2]:
-            return "grow", distances
-    return "maxiter", distances
+            return "grow", distances, passes
+    return "maxiter", distances, passes
 
 
 def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
@@ -445,15 +497,18 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
 
     A pass skips work whose result it already knows bit for bit. Slices
     below a window's terminal slice that the pass before reproduced exactly
-    (``v`` and ``j`` distance 0), and the slice below them, are copied from
-    the previous iterate instead of stepped; and a new slice is scanned for
-    non-finite values only when its distance is not finite, which any
-    non-finite value in it makes it. Pass counts, distances and fields are
-    those of stepping and scanning every slice.
+    (``v`` and ``j`` distance 0), and the slice below them, are not
+    stepped; a new slice is scanned for non-finite values only when its
+    distance is not finite, which any non-finite value in it makes it; and
+    the upper half of a failed window replays the failed window's passes,
+    which are bitwise its own on its slices, instead of stepping them
+    again. Pass counts, distances and fields are those of stepping and
+    scanning every slice of every pass.
 
-    Memory: the output fields plus one same-shaped ``(v, j, alpha)`` scratch
-    set, allocated once per solve; every window iterates in the output and
-    the matching slices of the scratch.
+    Memory: the output fields, in which every window iterates in place,
+    plus a few slices' worth per pass: one slice buffer, the previous
+    iterate's ``v`` and ``alpha`` rows and its coupling derivatives on the
+    diagonal, and the per-slice distances each pass records.
 
     Raises
     ------
@@ -469,15 +524,16 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     st = _stepper(model, grid)
     sigma_max, ratio = _check_cfl(st, grid)
     fields = _terminal_fields(st, grid.n_t)
-    spare = tuple(np.empty_like(f) for f in fields)
 
-    trace = []
+    trace, passes = [], []
     pending = [(0, grid.n_t)]
     while pending:
         lo, hi = pending.pop()
-        status, distances = _iterate_window(st, lo, hi, fields, spare, tol, max_iter)
+        status, distances, passes = _iterate_window(st, lo, hi, fields, tol, max_iter,
+                                                    passes)
         if status == "ok":
             trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
+            passes = []  # the next window ends at lo
             continue
         if hi - lo < 2:
             trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
@@ -488,14 +544,14 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
                 trace=tuple(trace))
         mid = (lo + hi) // 2
         pending.append((lo, mid))
-        pending.append((mid, hi))
+        pending.append((mid, hi))  # next, with this window's passes
 
     # converged everywhere: each window's first control slice was rewritten
     # by the window ending there; slice 0 takes its control from the final
     # fields, as in the sweep
     v, j, alpha = fields
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in _backward
-        _slice_control(st, st.nodes[0], v[0], j[0], alpha[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in the sweep
+        _slice_control(st, st.nodes[0], v[0], _diag_fields(j[0], st.dx), alpha[0])
     _check_finite("control field", alpha)  # as in the sweep
     report = SchemeReport(mode="picard", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=sum(len(w.distances) for w in trace),

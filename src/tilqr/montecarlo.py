@@ -274,7 +274,7 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
     future ``ready`` (of the reduction still reading them), if any, is done;
     the controls are a function of the states and are not kept. Otherwise
     returns the (K, m) path costs, with the squared controls summed step by
-    step.
+    step. The control is one (K, m) array that every step overwrites.
     """
     m, n_steps = hi - lo, config.n_steps
     dt = params.horizon / n_steps
@@ -287,19 +287,19 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
             rows = _noise(config.seed, first_stream, s0, seg, lane, scale, config.antithetic)
             if s0 == 0:  # once the first draw's word arrays are freed
                 x = np.full((k.shape[1], m), params.x0)
-                run, drift, tmp = np.zeros_like(x), np.empty_like(x), np.empty_like(x)
-                a_buf = np.empty((_BLOCK,) + x.shape)
+                run, a = np.zeros_like(x), np.empty_like(x)
+                drift, tmp = np.empty_like(x), np.empty_like(x)
                 if states is not None:
                     if ready is not None:
                         ready.result()
                     states[:, :, 0] = x
-                    x_buf = np.empty_like(a_buf)
+                    x_buf = np.empty((_BLOCK,) + x.shape)
             for r0 in range(0, len(seg), _BLOCK):
                 n, i0 = min(_BLOCK, len(seg) - r0), s0 + r0
                 rows[r0 // _BLOCK].result()
                 for j in range(n):
                     # keeps the operation order of x + (a_bar x + b_bar a) dt + sigma sqrt(dt) z
-                    a = np.multiply(k[i0 + j], x, out=a_buf[j])
+                    np.multiply(k[i0 + j], x, out=a)
                     a -= c[i0 + j]
                     np.multiply(params.a_bar, x, out=drift)
                     np.multiply(params.b_bar, a, out=tmp)
@@ -307,12 +307,11 @@ def _euler_chunk(k, c, params: LqrParams, config: SimConfig, lo: int, hi: int,
                     drift *= dt
                     x += drift
                     x += seg[r0 + j]
-                    if states is not None:
+                    if states is None:
+                        run += np.multiply(a, a, out=tmp)
+                    else:
                         x_buf[j] = x
-                if states is None:
-                    for a in a_buf[:n]:
-                        run += a * a
-                else:
+                if states is not None:
                     states[:, :, i0 + 1:i0 + n + 1] = x_buf[:n].transpose(1, 2, 0)
         if states is None:
             return 0.5 * dt * run + 0.5 * params.gamma * (x - params.x0) ** 2

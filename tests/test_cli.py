@@ -756,6 +756,10 @@ PDE_NAN_CONTROL = (
     "[model]\nb_bar = 1e154\nx0 = 0.0\n[pde]\nn_t = 1\nn_x = 5\nn_y = 5\nx_hi = 0.0\n",
 )
 
+# the default model on this grid fails its first Picard window, [0, 25], so
+# its upper half replays the failed window's passes
+PDE_HANDOVER = "[pde]\nn_t = 25\nn_x = 40\nn_y = 40\n"
+
 # floats at the edges of the double range, and plain ones between them
 EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-10, 0.5, 1.0, -1.0, 3.0, 1e154, -1e154,
                   1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
@@ -820,6 +824,7 @@ def run_in_process(command, text):
 @example(["pde", "--mode", "picard"], PDE_NAN_CONTROL[0])
 @example(["pde", "--mode", "sweep"], PDE_NAN_CONTROL[1])
 @example(["pde", "--mode", "picard"], PDE_NAN_CONTROL[1])
+@example(["pde", "--mode", "picard"], PDE_HANDOVER)
 @settings(max_examples=300)
 @given(st.sampled_from(FUZZ_COMMANDS), fuzzed_config_text())
 def test_any_config_exits_cleanly_with_at_most_one_record(command, text):

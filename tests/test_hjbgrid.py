@@ -340,12 +340,29 @@ SOLVED_VARYING_VOL_25X40_SHA256 = (
     "5e340372a00d1aca3480f8cb186b8bd56fbfb01a903d4508df9ae564dbce7f48")
 
 
-def solutions_sha256(sweep, picard) -> str:
+# The same digest of Picard alone, for solves whose windows take each of the
+# paths of the upper half-window's handover: failures nested three deep,
+# failed windows whose last pass lost finiteness part way, and a half that
+# steps on in place and then fails too (horizon 3 at 300 x 60, and a_bar = -1
+# with gamma = 20 at 200 x 60), and an upper half that converges inside the
+# failed window's passes (tol 70, max_iter 2 at 100 x 80).
+HORIZON_3_300X60_SHA256 = "d1c01161a9fa18a51848f91bf252dc0a7090e54b472f304a566e2d6528a2f5a2"
+STABLE_DRIFT_200X60_SHA256 = "34b621203b61e761e4e887f86be1444bbb25ce6eeef7abd59672703511e03443"
+LOOSE_TOL_100X80_SHA256 = "9375ca4695dc84248a404dd16123255f7f0da2d26a462b711bcb42d49ad15974"
+# The digest of the trace of a PicardError reached through a chain of failed
+# upper halves (tol 0.1, max_iter 2 at 100 x 80).
+ONE_SLICE_FAILURE_TRACE_SHA256 = (
+    "692a3aba9df8f54f6a3aaa1fd90e7c52b29aadba943dc7de858264613fa4f4cf")
+
+
+def solutions_sha256(*solutions, trace=None) -> str:
+    """The fields of each solution, then the trace: by default the last
+    solution's."""
     h = hashlib.sha256()
-    for sol in (sweep, picard):
+    for sol in solutions:
         for field in (sol.v, sol.j, sol.alpha):
             h.update(np.ascontiguousarray(field, dtype=np.float64).tobytes())
-    for window in picard.report.trace:
+    for window in solutions[-1].report.trace if trace is None else trace:
         h.update(np.array([window.k_lo, window.k_hi], dtype=np.int64).tobytes())
         h.update(np.array(window.distances, dtype=np.float64).tobytes())
     return h.hexdigest()
@@ -393,10 +410,35 @@ class TestPicard:
         picard = solve_extended_hjb_picard(model, grid)
         assert solutions_sha256(sweep, picard) == SOLVED_VARYING_VOL_25X40_SHA256
 
+    @pytest.mark.parametrize("params, grid, kwargs, digest", [
+        (replace(PARAMS, horizon=3.0), GridSpec2(n_t=300, n_x=60, x_lo=-3.0, x_hi=5.0,
+                                                 horizon=3.0), {}, HORIZON_3_300X60_SHA256),
+        (replace(PARAMS, a_bar=-1.0, gamma=20.0), benchmark_grid(200, 60), {},
+         STABLE_DRIFT_200X60_SHA256),
+        (PARAMS, benchmark_grid(100, 80), {"tol": 70.0, "max_iter": 2},
+         LOOSE_TOL_100X80_SHA256),
+    ], ids=["horizon-3", "stable-drift", "upper-half-starts-over"])
+    def test_handed_over_passes_are_bitwise_the_recorded_ones(self, params, grid, kwargs,
+                                                              digest):
+        # recorded when every window ran all its passes itself
+        picard = solve_extended_hjb_picard(lqr_model(params), grid, **kwargs)
+        assert solutions_sha256(picard) == digest
+
+    def test_a_failure_after_handed_over_passes_keeps_its_trace_and_message(self):
+        # every window from [0, 100] down to [99, 100] fails at max_iter, and
+        # each upper half replays the passes of the window above it
+        with pytest.raises(PicardError) as info:
+            solve_extended_hjb_picard(MODEL, benchmark_grid(100, 80), tol=0.1, max_iter=2)
+        assert str(info.value) == ("no convergence on slices [99, 100] (maxiter after 2 "
+                                   "passes, last distances ['1.01', '0.125'])")
+        assert solutions_sha256(trace=info.value.trace) == ONE_SLICE_FAILURE_TRACE_SHA256
+
     def test_settled_slices_are_copied_not_stepped(self, monkeypatch):
         # 2150 slice steps when every pass steps every slice of its window,
         # 1834 when a pass copies only the slices that had distance 0 in the
-        # pass before, and 1797 when it also copies the one below them
+        # pass before, 1797 when it also copies the one below them, and 1650
+        # when the upper half [50, 100] of the failed window [0, 100] replays
+        # that window's three passes instead of stepping slices 50-99 again
         steps = 0
         advance = hjbgrid._advance_slice
 
@@ -407,7 +449,7 @@ class TestPicard:
 
         monkeypatch.setattr(hjbgrid, "_advance_slice", counted)
         solve_extended_hjb_picard(MODEL, benchmark_grid(100, 80))
-        assert steps == 1797
+        assert steps == 1650
 
     def test_no_distance_is_a_negative_zero(self, solved_100x80):
         _, picard = solved_100x80
@@ -557,9 +599,18 @@ class TestMemory:
 
     def test_picard_holds_the_fields_and_one_scratch_copy(self):
         # the windows here are [12 25] and [0 12] after an aborted full-horizon
-        # attempt; all three iterate in the output and one output-sized scratch
+        # attempt; all three iterate in place in the output (1.33 here: on 26
+        # slices the few slices each pass holds weigh more than on 101)
         peak = peak_traced_bytes(lambda: solve_extended_hjb_picard(MODEL, self.GRID))
         assert peak <= 2.5 * self.FIELD_BYTES
+
+    def test_picard_holds_one_field_set(self):
+        # each pass overwrites the previous iterate slice by slice, so beside
+        # the output there are only a few slices per pass (1.14 here; 2.09
+        # with an output-sized scratch set)
+        grid = benchmark_grid(100, 80)
+        peak = peak_traced_bytes(lambda: solve_extended_hjb_picard(MODEL, grid))
+        assert peak <= 1.3 * 101 * 81 * 81 * 8
 
 
 class TestDiagonalIdentity:
