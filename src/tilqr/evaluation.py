@@ -117,9 +117,9 @@ def exact_cost(gain: GainSchedule, params: LqrParams) -> CostReport:
         raise ConfigError(f"exact cost needs an even n_steps, got {grid.n_steps}")
     mom = solve_moments(gain, params)
     k, c = gain.k_state, gain.c_offset
-    phi = 0.5 * (k * k * mom.second_moment + 2.0 * k * c * mom.mean + c * c)
-    running = simpson_uniform(phi, grid.dt)
     with np.errstate(over="ignore", invalid="ignore"):
+        phi = 0.5 * (k * k * mom.second_moment + 2.0 * k * c * mom.mean + c * c)
+        running = simpson_uniform(phi, grid.dt)
         terminal = 0.5 * params.gamma * (
             mom.second_moment[-1] - 2.0 * params.x0 * mom.mean[-1] + params.x0 ** 2)
         total = running + terminal

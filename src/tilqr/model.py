@@ -3,21 +3,21 @@
 :class:`ModelSpec`, the one model record, bundles the coefficient functions
 of a controlled diffusion with a parameter-indexed cost family: the running
 and terminal costs take an extra *parameter* slot (the state value, or the
-clock, at which preferences were anchored), and the spec also carries the
-cost derivatives in that slot, which is what the equilibrium correction
-terms consume.
+clock, at which preferences were anchored). Its five slots are what the grid
+solver reads.
 
-Two concrete constructions are provided: the linear-quadratic family with a
-quadratic move-penalty anchored at the parameter (:func:`lqr_model`), and the
-clock augmentation (:func:`augment_time_dependent`), which turns a spec whose
-parameter is the issuance time into a state-anchored one on the extended
-state (clock, space).
+:func:`lqr_model` builds the linear-quadratic family with a quadratic
+move-penalty anchored at the parameter. The clock augmentation
+(:func:`augment_time_dependent`) turns a spec whose parameter is the
+issuance time, with the cost derivatives in that parameter, into
+state-anchored costs and derivatives on the extended state (clock, space).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -75,12 +75,8 @@ class ModelSpec:
 
     Evaluator signatures (y is the preference parameter, x the state):
 
-    - ``drift(t, x, a)``, ``vol(t, x)`` with ``vol > 0`` for scalar-state
-      models; the clock-augmented construction returns vector/matrix values
-      here and is meant for the correction-term algebra, not the grid solver.
+    - ``drift(t, x, a)``, ``vol(t, x)`` with ``vol > 0``.
     - ``running_cost(t, y, x, a)``, ``terminal_cost(y, x)``.
-    - ``dy_running``/``dyy_running`` and ``dy_terminal``/``dyy_terminal``:
-      first and second derivatives of the costs in the parameter slot.
     - ``maximizer(g)``: the closed-form action ``a`` that optimizes
       ``running_cost(t, x, x, a) + drift(t, x, a) * g`` for the effective
       gradient ``g`` of the grid solver's corrected Hamiltonian.
@@ -93,10 +89,6 @@ class ModelSpec:
     vol: Callable
     running_cost: Callable
     terminal_cost: Callable
-    dy_running: Callable
-    dyy_running: Callable
-    dy_terminal: Callable
-    dyy_terminal: Callable
     maximizer: Callable
 
 
@@ -111,8 +103,6 @@ def lqr_model(params: LqrParams) -> ModelSpec:
     >>> spec = lqr_model(LqrParams())
     >>> spec.running_cost(0.0, 0.0, 0.0, 2.0)
     2.0
-    >>> spec.dy_terminal(0.0, 2.0)   # gamma * (y - x) at gamma = 5
-    -10.0
     """
     p = params
 
@@ -130,18 +120,6 @@ def lqr_model(params: LqrParams) -> ModelSpec:
         d = x - y
         return 0.5 * p.gamma * d * d
 
-    def dy_running(t, y, x, a):
-        return 0.0 * y + 0.0 * x + 0.0 * a
-
-    def dyy_running(t, y, x, a):
-        return 0.0 * y + 0.0 * x + 0.0 * a
-
-    def dy_terminal(y, x):
-        return p.gamma * (y - x)
-
-    def dyy_terminal(y, x):
-        return p.gamma + 0.0 * y + 0.0 * x
-
     def argopt(g):
         return -p.b_bar * g
 
@@ -150,10 +128,6 @@ def lqr_model(params: LqrParams) -> ModelSpec:
         vol=vol,
         running_cost=running_cost,
         terminal_cost=terminal_cost,
-        dy_running=dy_running,
-        dyy_running=dyy_running,
-        dy_terminal=dy_terminal,
-        dyy_terminal=dyy_terminal,
         maximizer=argopt,
     )
 
@@ -198,12 +172,15 @@ def inconsistency_adjustment(*, drift_vec, sigma_mat, grad_y, hess_yy,
     return float(b @ gy + np.trace((0.5 * hyy + hxy) @ cov))
 
 
-def augment_time_dependent(td: ModelSpec) -> ModelSpec:
+def augment_time_dependent(td: ModelSpec, *, dy_running: Callable,
+                           dyy_running: Callable, dy_terminal: Callable,
+                           dyy_terminal: Callable) -> SimpleNamespace:
     """Recast time-dependent preferences as state-anchored ones.
 
     ``td`` is a scalar-state spec whose parameter slot is the issuance time
-    ``pref``: ``running_cost(t, pref, x, a)``, ``terminal_cost(pref, x)``, and
-    their ``dy*``/``dyy*`` derivatives in ``pref``.
+    ``pref``: ``running_cost(t, pref, x, a)`` and ``terminal_cost(pref, x)``.
+    The keyword callbacks are their first and second derivatives in ``pref``,
+    with the same signatures as the costs.
 
     The state is extended to (clock, space): the clock component has unit
     drift and no noise, so anchoring costs at the extended *state* value seen
@@ -212,45 +189,24 @@ def augment_time_dependent(td: ModelSpec) -> ModelSpec:
     space component of the state; the spatial component of every parameter
     derivative is exactly zero, and the clock drift is exactly one.
 
-    The returned spec's drift/vol are vector/matrix valued, so it feeds
-    :func:`inconsistency_adjustment` but not the scalar-state grid solver.
+    Returns a record of the extended ``drift``, ``vol`` (vector and matrix
+    valued, for :func:`inconsistency_adjustment`), ``running_cost``,
+    ``terminal_cost`` and the four derivatives, named as the keywords.
     """
 
-    def drift(t, xv, a):
-        return np.array([1.0, td.drift(t, xv[1], a)], dtype=float)
+    def vector(d):
+        return np.array([d, 0.0])
 
-    def vol(t, xv):
-        return np.array([[0.0], [td.vol(t, xv[1])]], dtype=float)
+    def matrix(d):
+        return np.array([[d, 0.0], [0.0, 0.0]])
 
-    def running_cost(t, yv, xv, a):
-        return td.running_cost(t, yv[0], xv[1], a)
-
-    def terminal_cost(yv, xv):
-        return td.terminal_cost(yv[0], xv[1])
-
-    def dy_running(t, yv, xv, a):
-        return np.array([td.dy_running(t, yv[0], xv[1], a), 0.0])
-
-    def dyy_running(t, yv, xv, a):
-        return np.array([[td.dyy_running(t, yv[0], xv[1], a), 0.0],
-                         [0.0, 0.0]])
-
-    def dy_terminal(yv, xv):
-        return np.array([td.dy_terminal(yv[0], xv[1]), 0.0])
-
-    def dyy_terminal(yv, xv):
-        return np.array([[td.dyy_terminal(yv[0], xv[1]), 0.0],
-                         [0.0, 0.0]])
-
-    return ModelSpec(
-        drift=drift,
-        vol=vol,
-        running_cost=running_cost,
-        terminal_cost=terminal_cost,
-        dy_running=dy_running,
-        dyy_running=dyy_running,
-        dy_terminal=dy_terminal,
-        dyy_terminal=dyy_terminal,
-        maximizer=td.maximizer,
+    return SimpleNamespace(
+        drift=lambda t, xv, a: np.array([1.0, td.drift(t, xv[1], a)], dtype=float),
+        vol=lambda t, xv: np.array([[0.0], [td.vol(t, xv[1])]], dtype=float),
+        running_cost=lambda t, yv, xv, a: td.running_cost(t, yv[0], xv[1], a),
+        terminal_cost=lambda yv, xv: td.terminal_cost(yv[0], xv[1]),
+        dy_running=lambda t, yv, xv, a: vector(dy_running(t, yv[0], xv[1], a)),
+        dyy_running=lambda t, yv, xv, a: matrix(dyy_running(t, yv[0], xv[1], a)),
+        dy_terminal=lambda yv, xv: vector(dy_terminal(yv[0], xv[1])),
+        dyy_terminal=lambda yv, xv: matrix(dyy_terminal(yv[0], xv[1])),
     )
-

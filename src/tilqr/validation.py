@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -250,7 +251,7 @@ def _check_diagonal_identity() -> CheckResult:
     return CheckResult(10, "diagonal-identity", passed, detail)
 
 
-def _clock_preference_model(rng: np.random.Generator) -> ModelSpec:
+def _clock_preference_model(rng: np.random.Generator) -> SimpleNamespace:
     c = rng.normal(size=8)
 
     def drift(t, x, a):
@@ -265,14 +266,13 @@ def _clock_preference_model(rng: np.random.Generator) -> ModelSpec:
     def terminal_cost(pref, x):
         return c[4] * (x - c[5] * pref) ** 2
 
-    return ModelSpec(
-        drift=drift, vol=vol,
-        running_cost=running_cost, terminal_cost=terminal_cost,
+    return augment_time_dependent(
+        ModelSpec(drift=drift, vol=vol, running_cost=running_cost,
+                  terminal_cost=terminal_cost, maximizer=lambda g: -c[1] * g),
         dy_running=lambda t, pref, x, a: c[3] * x,
         dyy_running=lambda t, pref, x, a: 0.0,
         dy_terminal=lambda pref, x: -2.0 * c[4] * c[5] * (x - c[5] * pref),
         dyy_terminal=lambda pref, x: 2.0 * c[4] * c[5] ** 2,
-        maximizer=lambda g: -c[1] * g,
     )
 
 
@@ -294,7 +294,7 @@ def _check_clock_augmentation() -> CheckResult:
         )
         worst = max(worst, abs(adjustment - g_clock))
 
-        aug = augment_time_dependent(_clock_preference_model(rng))
+        aug = _clock_preference_model(rng)
         t, pref, x, a = rng.normal(size=4)
         yv, xv = np.array([pref, rng.normal()]), np.array([t, x])
         spatial_zero = spatial_zero and (

@@ -129,6 +129,14 @@ def test_criterion_11_clock_augmentation(suite):
     check(suite, 11)
 
 
+def test_criterion_11_detail_is_pinned():
+    # the validate tree's row 11, called directly so it runs in milliseconds
+    result = validation._check_clock_augmentation()
+    assert result.detail == (
+        "max|adjustment - clock drift term| = 0.000e+00 over 100 draws; "
+        "spatial parameter slots exactly zero: True")
+
+
 def test_criterion_12_determinism(suite):
     # rerunning a simulation and changing the worker count both leave the
     # results bitwise unchanged

@@ -756,6 +756,10 @@ PDE_NAN_CONTROL = (
     "[model]\nb_bar = 1e154\nx0 = 0.0\n[pde]\nn_t = 1\nn_x = 5\nn_y = 5\nx_hi = 0.0\n",
 )
 
+# a config on which the exact cost's quadrature overflowed and numpy warned
+# on stderr beside the one JSON record (or, for sweep, beside a clean exit)
+HUGE_X0 = "[model]\nx0 = 1e153\n[numerics]\nn_paths = 10\n"
+
 # the default model on this grid fails its first Picard window, [0, 25], so
 # its upper half replays the failed window's passes
 PDE_HANDOVER = "[pde]\nn_t = 25\nn_x = 40\nn_y = 40\n"
@@ -825,6 +829,9 @@ def run_in_process(command, text):
 @example(["pde", "--mode", "sweep"], PDE_NAN_CONTROL[1])
 @example(["pde", "--mode", "picard"], PDE_NAN_CONTROL[1])
 @example(["pde", "--mode", "picard"], PDE_HANDOVER)
+@example(["cost", "--strategy", "naive"], HUGE_X0)
+@example(["sweep"], HUGE_X0)
+@example(["simulate", "--strategy", "naive"], HUGE_X0)
 @settings(max_examples=300)
 @given(st.sampled_from(FUZZ_COMMANDS), fuzzed_config_text())
 def test_any_config_exits_cleanly_with_at_most_one_record(command, text):

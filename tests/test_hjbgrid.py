@@ -45,9 +45,7 @@ def time_consistent_model():
     """Benchmark dynamics with a parameter-free terminal cost."""
     return replace(
         MODEL,
-        terminal_cost=lambda y, x: 0.5 * np.asarray(x, dtype=float) ** 2 + 0.0 * y,
-        dy_terminal=lambda y, x: 0.0 * y + 0.0 * x,
-        dyy_terminal=lambda y, x: 0.0 * y + 0.0 * x)
+        terminal_cost=lambda y, x: 0.5 * np.asarray(x, dtype=float) ** 2 + 0.0 * y)
 
 
 def quartic_perturbed_model(eps: float = 0.1):
@@ -62,9 +60,7 @@ def quartic_perturbed_model(eps: float = 0.1):
     g = PARAMS.gamma
     return replace(
         MODEL,
-        terminal_cost=lambda y, x: 0.5 * g * (x - y) ** 2 + 0.25 * eps * (x - y) ** 4,
-        dy_terminal=lambda y, x: -g * (x - y) - eps * (x - y) ** 3,
-        dyy_terminal=lambda y, x: g + 3.0 * eps * (x - y) ** 2)
+        terminal_cost=lambda y, x: 0.5 * g * (x - y) ** 2 + 0.25 * eps * (x - y) ** 4)
 
 
 def hopeless_model():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import doctest
 import importlib
 import inspect
@@ -9,6 +10,7 @@ import pytest
 
 import tilqr
 import tilqr.cli
+import tilqr.hjbgrid
 
 MODULES = ["tilqr"] + sorted(
     info.name for info in pkgutil.iter_modules(tilqr.__path__, "tilqr."))
@@ -34,6 +36,16 @@ def test_docstring_examples_pass(name):
 def test_model_examples_are_collected():
     # the lqr_model example pins running_cost(..., 2.0) == 2.0
     assert doctest.testmod(tilqr.model).attempted >= 2
+
+
+def test_model_spec_holds_exactly_what_the_grid_solver_reads():
+    # a slot the solver never reads is a contract no caller can rely on
+    source = Path(tilqr.hjbgrid.__file__).read_text(encoding="utf-8")
+    read = {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and ast.unparse(node.value) in ("model", "st.model")}
+    assert "terminal_cost" in read  # the scan sees the solver's reads
+    assert sorted(f.name for f in dataclasses.fields(tilqr.ModelSpec)) == sorted(read)
 
 
 def test_readme_library_example_prints_its_comment(capsys):
