@@ -46,7 +46,7 @@ from .hjbgrid import (
     solve_extended_hjb_sweep,
 )
 from .model import LqrParams, lqr_model
-from .montecarlo import SimConfig, _reduce_paths, compare_strategies
+from .montecarlo import SimConfig, compare_strategies
 from .riccati import STRATEGY_LABELS, GainLabel, TimeGrid, strategy_gains
 from .svgplot import PlotStyle, Series, render_svg
 
@@ -407,7 +407,7 @@ def _cmd_simulate(config: RunConfig, args, out_dir: Path) -> int:
     (gain,) = strategy_gains(params, config.sim_grid(), [label]).values()
     # one chunk of paths in memory at a time; only the first few are kept
     shown = min(8, sim.n_paths)
-    run = _reduce_paths([gain], params, sim, shown)
+    run = compare_strategies(params, sim, [gain], keep=shown)
     est = run.estimate()
     # reference cost on the ODE grid, so an odd sim step count stays usable
     if config.ode_grid() != config.sim_grid():
@@ -419,11 +419,10 @@ def _cmd_simulate(config: RunConfig, args, out_dir: Path) -> int:
     paths = _emit_table(config, out_dir, "simulate",
                         ("strategy", "mc_mean", "mc_stderr", "n_paths",
                          "exact_total", "abs_error", "within_three_stderr"), rows)
-    times = np.linspace(0.0, params.horizon, sim.n_steps + 1)
     path_rows = []
     for i in range(shown):
         for k in range(sim.n_steps + 1):
-            path_rows.append((i, times[k], run.states[0, i, k],
+            path_rows.append((i, run.times[k], run.states[0, i, k],
                               run.controls[0, i, min(k, sim.n_steps - 1)]))
     comments = (f"note: first {shown} of {sim.n_paths} paths",
                 "note: the control column repeats its last sample on the terminal row")

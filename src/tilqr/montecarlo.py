@@ -344,16 +344,23 @@ def _estimate(costs: np.ndarray, good: np.ndarray, antithetic: bool) -> CostEsti
 
 
 @dataclass(frozen=True)
-class _Reduction:
-    """What the retaining route keeps of K gains' paths."""
+class StrategyComparison:
+    """What the retaining route keeps of K strategies on common noise, every array read-only."""
 
     config: SimConfig
-    costs: np.ndarray             # K x n_paths
-    good: np.ndarray              # K x n_paths, True where a path stayed finite
+    labels: tuple
+    times: np.ndarray             # n_steps + 1
     mean_state: np.ndarray        # K x (n_steps + 1), over the good paths
     mean_abs_control: np.ndarray  # K x n_steps, over the good paths
+    costs: np.ndarray             # K x n_paths
+    good: np.ndarray              # K x n_paths, True where a path stayed finite
     states: np.ndarray            # K x keep x (n_steps + 1), the first paths
     controls: np.ndarray          # K x keep x n_steps
+
+    def __post_init__(self):
+        for name in ("times", "mean_state", "mean_abs_control", "costs", "states", "controls"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+        self.good.setflags(write=False)  # readonly() would cast it to float
 
     def estimate(self, j: int = 0) -> CostEstimate:
         return _estimate(self.costs[j], self.good[j], self.config.antithetic)
@@ -379,20 +386,30 @@ def _add_rows(total, started, buf, m: int, ok) -> None:
             started[j] = True
 
 
-def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Reduction:
-    """Simulate K gains on shared noise, reducing each chunk as it is simulated.
+def compare_strategies(params: LqrParams, config: SimConfig, strategies,
+                       keep: int = 0) -> StrategyComparison:
+    """Simulate every strategy on identical noise, reducing each chunk as it is simulated.
 
-    For each chunk, in path order: per-path costs and finite masks, running
-    sums of the valid states and |controls|, and a copy of the paths below
-    ``keep``. One trajectory buffer, the chunk's states, exists; one lane maps
+    Common random numbers are automatic: each noise chunk is drawn once and
+    drives every strategy. For each chunk, in path order: per-path costs and
+    finite masks, running sums of the valid states and |controls|, and a
+    copy of the first ``keep`` paths (``0 <= keep <= n_paths``). Each mean
+    equals the mean over the valid paths of all that gain's trajectories bit
+    for bit. One trajectory buffer, the chunk's states, exists; one lane maps
     the noise and reduces each chunk while the calling thread draws the next
     chunk's words. The reduction recomputes the controls ``-k_i X_i - c_i``
     from the states in blocks of ``_STREAM_BLOCK`` paths, with the kernel's
     operations on the kernel's operands, so every bit is the kernel's. The
     kernel waits for the previous chunk's reduction before it writes the
     buffer, and the last reduction is waited after the loop. More than 0.1%
-    non-finite paths in any gain raise ``NumericError``.
+    non-finite paths in any gain raise ``NumericError``. Duplicate labels
+    get an ordinal suffix so downstream columns stay distinguishable.
     """
+    gains = list(strategies)
+    if not gains:
+        raise ConfigError("comparison needs at least one strategy")
+    if not 0 <= keep <= config.n_paths:
+        raise ConfigError(f"keep must lie in 0..{config.n_paths}, got {keep}")
     k, c = _sim_gains(gains, params, config.n_steps)
     n_gains, n_paths, n_steps = len(gains), config.n_paths, config.n_steps
     dt = params.horizon / n_steps
@@ -453,8 +470,12 @@ def _reduce_paths(gains, params: LqrParams, config: SimConfig, keep: int) -> _Re
     for row in good:
         _checked(row)
     n_good = np.count_nonzero(good, axis=1)[:, None]
-    return _Reduction(config=config, costs=costs, good=good, mean_state=sum_x / n_good,
-                      mean_abs_control=sum_u / n_good, states=states, controls=controls)
+    labels = [g.label.value if sum(s.label is g.label for s in gains) == 1
+              else f"{g.label.value}_{i}" for i, g in enumerate(gains)]
+    return StrategyComparison(config=config, labels=tuple(labels),
+                              times=np.linspace(0.0, params.horizon, n_steps + 1),
+                              mean_state=sum_x / n_good, mean_abs_control=sum_u / n_good,
+                              costs=costs, good=good, states=states, controls=controls)
 
 
 def _streaming_estimates(gains, params: LqrParams, config: SimConfig,
@@ -500,40 +521,3 @@ def estimate_cost_streaming(gain: GainSchedule, params: LqrParams, config: SimCo
     pair whole.
     """
     return _streaming_estimates([gain], params, config, workers)[0]
-
-
-@dataclass(frozen=True)
-class StrategyComparison:
-    """Mean paths of several strategies simulated under common noise."""
-
-    params: LqrParams
-    config: SimConfig
-    labels: tuple
-    times: np.ndarray
-    mean_state: np.ndarray       # n_strategies x (n_steps + 1)
-    mean_abs_control: np.ndarray  # n_strategies x n_steps
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", readonly(self.times))
-        object.__setattr__(self, "mean_state", readonly(self.mean_state))
-        object.__setattr__(self, "mean_abs_control", readonly(self.mean_abs_control))
-
-
-def compare_strategies(params: LqrParams, config: SimConfig, strategies) -> StrategyComparison:
-    """Simulate every strategy on identical noise and average across paths.
-
-    Common random numbers are automatic: each noise chunk is drawn once and
-    drives every strategy. Each chunk is reduced as it is simulated, so no
-    trajectory is kept, yet each row equals the mean over the valid paths of
-    all that gain's trajectories bit for bit. Duplicate labels get an
-    ordinal suffix so downstream columns stay distinguishable.
-    """
-    strategies = list(strategies)
-    if len(strategies) < 2:
-        raise ConfigError("comparison needs at least two strategies")
-    run = _reduce_paths(strategies, params, config, 0)
-    labels = [g.label.value if sum(s.label is g.label for s in strategies) == 1
-              else f"{g.label.value}_{i}" for i, g in enumerate(strategies)]
-    return StrategyComparison(params=params, config=config, labels=tuple(labels),
-                              times=np.linspace(0.0, params.horizon, config.n_steps + 1),
-                              mean_state=run.mean_state, mean_abs_control=run.mean_abs_control)

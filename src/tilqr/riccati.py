@@ -189,7 +189,7 @@ def equilibrium_gain(sol: RiccatiSolution, params: LqrParams) -> GainSchedule:
                         c_offset=np.zeros_like(k), label=GainLabel.EQUILIBRIUM)
 
 
-def equilibrium_value(sol: RiccatiSolution, params: LqrParams, t_index: int, x):
+def equilibrium_value(sol: RiccatiSolution, t_index: int, x):
     """Diagonal value ``(a + b + c) x^2 + h`` at node ``t_index``."""
     n = sol.grid.n_steps
     if not 0 <= t_index <= n:

@@ -36,7 +36,7 @@ from .model import (
     inconsistency_adjustment,
     lqr_model,
 )
-from .montecarlo import (_CHUNK, SimConfig, _reduce_paths, _streaming_estimates,
+from .montecarlo import (_CHUNK, SimConfig, _streaming_estimates, compare_strategies,
                          estimate_cost_streaming)
 from .riccati import (
     GainLabel,
@@ -150,7 +150,7 @@ def _check_ansatz_moment_match() -> CheckResult:
     grid = TimeGrid(n_steps=1000, horizon=p.horizon)
     sol = solve_equilibrium_riccati(p, grid)
     via_moments = exact_cost(equilibrium_gain(sol, p), p).total
-    via_ansatz = equilibrium_value(sol, p, 0, p.x0)
+    via_ansatz = equilibrium_value(sol, 0, p.x0)
     err = abs(via_moments - via_ansatz)
     detail = f"moment route {via_moments:.10f} vs ansatz {via_ansatz:.10f}; |diff| = {_e(err)}"
     return CheckResult(5, "ansatz-moment-match", err <= 1e-6, detail)
@@ -315,8 +315,8 @@ def _check_determinism() -> CheckResult:
     config = SimConfig(n_paths=2000, n_steps=200, seed=42)
     (gain,) = strategy_gains(p, TimeGrid(config.n_steps, p.horizon),
                              [GainLabel.EQUILIBRIUM]).values()
-    b1 = _reduce_paths([gain], p, config, config.n_paths)
-    b2 = _reduce_paths([gain], p, config, config.n_paths)
+    b1 = compare_strategies(p, config, [gain], keep=config.n_paths)
+    b2 = compare_strategies(p, config, [gain], keep=config.n_paths)
     rerun_equal = bool(np.array_equal(b1.states, b2.states)
                        and np.array_equal(b1.controls, b2.controls))
     # the worker half needs more than one chunk, or neither run pools its chunks

@@ -115,7 +115,7 @@ class TestExactCost:
         sol = solve_equilibrium_riccati(benchmark_params, TimeGrid(1000, 1.0))
         gain = equilibrium_gain(sol, benchmark_params)
         total = exact_cost(gain, benchmark_params).total
-        ansatz = equilibrium_value(sol, benchmark_params, 0, benchmark_params.x0)
+        ansatz = equilibrium_value(sol, 0, benchmark_params.x0)
         assert total == pytest.approx(ansatz, abs=1e-6)
 
     def test_decomposition_sums(self, benchmark_params):

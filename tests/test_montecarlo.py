@@ -33,7 +33,7 @@ from tilqr import (
 )
 from tilqr import montecarlo
 from tilqr.montecarlo import (_BLOCK, _CHUNK, _GROUP, _RETAIN_CHUNK, _estimate,
-                              _gain_on_sim_grid, _noise, _reduce_paths, _streaming_estimates)
+                              _gain_on_sim_grid, _noise, _streaming_estimates)
 
 from test_hjbgrid import peak_traced_bytes
 
@@ -270,7 +270,7 @@ class TestNormalStream:
         gain, params = constant_gain(0.4, 0.1, 10), LqrParams()
         config = SimConfig(n_paths=20, n_steps=10, seed=1, antithetic=antithetic)
         for est in (estimate_cost_streaming(gain, params, config),
-                    _reduce_paths([gain], params, config, 0).estimate()):
+                    compare_strategies(params, config, [gain], 0).estimate()):
             assert est.n_dropped == 0 and np.isfinite(est.mean)
 
     def test_a_pipelined_chunk_equals_its_one_group_calls(self):
@@ -418,7 +418,7 @@ class TestLane:
         before = threading.enumerate()
         with pytest.raises(FloatingPointError) as info:
             if route == "retaining":
-                _reduce_paths([gain], LqrParams(), config, 0)
+                compare_strategies(LqrParams(), config, [gain], 0)
             else:
                 estimate_cost_streaming(gain, LqrParams(), config)
         assert info.value is error
@@ -533,7 +533,7 @@ class TestGainResampling:
 
 def simulate_paths(gain, params, config):
     """Every path of one gain, as (states, controls): the retaining route keeping all."""
-    run = _reduce_paths([gain], params, config, config.n_paths)
+    run = compare_strategies(params, config, [gain], config.n_paths)
     return run.states[0], run.controls[0]
 
 
@@ -644,7 +644,7 @@ class TestEstimateCost:
         # the retaining route reads the same three from its own parameters
         gain = constant_gain(0.4, 0.1, 20, horizon=4.0)
         config = SimConfig(n_paths=40, n_steps=20, seed=3)
-        run = _reduce_paths([gain], params, config, 0)
+        run = compare_strategies(params, config, [gain], 0)
         assert run.estimate() == batch_estimate(*simulate_paths(gain, params, config), params)
 
     def test_cost_estimate_defaults_to_nothing_dropped(self):
@@ -702,7 +702,7 @@ class TestEstimateCost:
         grid = TimeGrid(200, params.horizon)
         gain = equilibrium_gain(solve_equilibrium_riccati(params, grid), params)
         config = SimConfig(n_paths=20_000, n_steps=200, seed=42)
-        est = _reduce_paths([gain], params, config, 0).estimate()
+        est = compare_strategies(params, config, [gain], 0).estimate()
         reference = exact_cost(gain, params).total
         assert est.stderr > 0.0
         assert abs(est.mean - reference) <= 3.0 * est.stderr
@@ -803,7 +803,7 @@ class TestNonFinitePolicy:
         config = SimConfig(n_paths=1000, n_steps=10, seed=6)
         states, controls = simulate_paths(self.gain, self.params, config)
         poison(monkeypatch, [17])
-        run = _reduce_paths([self.gain], self.params, config, 0)
+        run = compare_strategies(self.params, config, [self.gain], 0)
         assert np.flatnonzero(~run.good[0]).tolist() == [17]
         streamed = estimate_cost_streaming(self.gain, self.params, config)
         keep = np.arange(1000) != 17
@@ -855,7 +855,7 @@ class TestNonFinitePolicy:
         # the CLI's simulate keeps 8 paths and reduces the rest chunk by chunk
         poison(monkeypatch, bad)
         config = SimConfig(n_paths=2000, n_steps=10, seed=6, antithetic=antithetic)
-        run = _reduce_paths([self.gain], self.params, config, 8)
+        run = compare_strategies(self.params, config, [self.gain], 8)
         states, controls = simulate_paths(self.gain, self.params, config)
         est = batch_estimate(states, controls, self.params, antithetic)
         assert est.n_dropped == (2 if antithetic else 1)
@@ -883,7 +883,7 @@ class TestReductionBits:
         poison(monkeypatch, [3, 1500])
         config = SimConfig(n_paths=3000, n_steps=10, seed=6, antithetic=antithetic)
         gains = [constant_gain(0.4, 0.1, 10), constant_gain(1.1, -0.2, 10)]
-        run = _reduce_paths(gains, LqrParams(), config, config.n_paths)
+        run = compare_strategies(LqrParams(), config, gains, config.n_paths)
         assert not run.good.all()
         h = hashlib.sha256()
         for field in (run.costs, run.good, run.mean_state, run.mean_abs_control,
@@ -925,7 +925,7 @@ class TestCompareStrategies:
                  naive_gain(solve_naive(params, grid), params), constant_gain(0.0, 0.0, 20)]
         config = SimConfig(n_paths=2 * _CHUNK + 6, n_steps=20, seed=4, antithetic=antithetic)
         result = compare_strategies(params, config, gains)
-        shared = _reduce_paths(gains, params, config, config.n_paths)
+        shared = compare_strategies(params, config, gains, config.n_paths)
         for j, gain in enumerate(gains):
             states, controls = simulate_paths(gain, params, config)
             assert np.array_equal(shared.states[j], states)
@@ -960,10 +960,41 @@ class TestCompareStrategies:
         assert calls == [(0, _RETAIN_CHUNK), (_RETAIN_CHUNK, _RETAIN_CHUNK),
                          (2 * _RETAIN_CHUNK, 6)]
 
-    def test_needs_at_least_two_strategies(self):
+    def test_one_strategy_equals_its_simulation(self):
+        params = LqrParams()
+        gain = constant_gain(0.4, 0.1, 30)
+        config = SimConfig(n_paths=64, n_steps=30, seed=2)
+        result = compare_strategies(params, config, [gain], keep=3)
+        states, controls = simulate_paths(gain, params, config)
+        assert result.labels == ("custom",)
+        assert np.array_equal(result.states[0], states[:3])
+        assert np.array_equal(result.controls[0], controls[:3])
+        assert np.array_equal(result.mean_state[0], states.mean(axis=0))
+        assert np.array_equal(result.mean_abs_control[0], np.abs(controls).mean(axis=0))
+        assert result.estimate() == batch_estimate(states, controls, params)
+
+    @pytest.mark.parametrize("keep", [-1, 5])
+    def test_keep_outside_the_paths_is_rejected(self, keep):
         gain = constant_gain(0.1, 0.0, 8)
-        with pytest.raises(ConfigError, match="two strategies"):
-            compare_strategies(LqrParams(), SimConfig(n_paths=4, n_steps=8, seed=0), [gain])
+        with pytest.raises(ConfigError, match=rf"keep must lie in 0\.\.4, got {keep}"):
+            compare_strategies(LqrParams(), SimConfig(n_paths=4, n_steps=8, seed=0), [gain],
+                               keep)
+
+    def test_needs_a_strategy(self):
+        with pytest.raises(ConfigError, match="at least one strategy"):
+            compare_strategies(LqrParams(), SimConfig(n_paths=4, n_steps=8, seed=0), [])
+
+    def test_every_array_is_read_only(self):
+        gains = [constant_gain(0.1, 0.0, 8), constant_gain(0.5, 0.2, 8)]
+        result = compare_strategies(LqrParams(), SimConfig(n_paths=4, n_steps=8, seed=0),
+                                    gains, keep=2)
+        arrays = {name: value for name, value in vars(result).items()
+                  if isinstance(value, np.ndarray)}
+        assert sorted(arrays) == ["controls", "costs", "good", "mean_abs_control",
+                                  "mean_state", "states", "times"]
+        assert result.good.dtype == bool
+        for name, value in arrays.items():
+            assert not value.flags.writeable, name
 
 
 class TestChunking:

@@ -142,3 +142,29 @@ def test_every_exported_name_has_a_reader_outside_the_tests():
                if path.name != "__init__.py"] + [WORKLOADS]
     read = set().union(*(_names_read(path.read_text(encoding="utf-8")) for path in readers))
     assert sorted(set(tilqr.__all__) - read) == []
+
+
+# the private names one module may take from another: the CLI checks the
+# Picard settings as the solver does, and check 12 pools the streaming route
+PRIVATE_IMPORTS = {("cli", "_check_iteration_settings"), ("validation", "_CHUNK"),
+                   ("validation", "_streaming_estimates")}
+
+
+def _private_imports(source: str) -> set:
+    """The ``_``-prefixed names ``source`` imports from a ``tilqr`` module,
+    dunders such as ``__version__`` aside."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "tilqr")
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")}
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a private name is free to change with its module; one read from another
+    # module is an entry nobody declared
+    assert _private_imports("from .a import _b, c\nfrom tilqr.d import _e\n"
+                            "from . import __version__\nfrom os import _exit\n") == {"_b", "_e"}
+    found = {(path.stem, name) for path in Path(tilqr.__file__).parent.glob("*.py")
+             for name in _private_imports(path.read_text(encoding="utf-8"))}
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)

@@ -146,13 +146,13 @@ class TestEquilibriumSystem:
 
     def test_value_at_time_zero_matches_oracle(self, benchmark_params):
         sol = solve_equilibrium_riccati(benchmark_params, grid())
-        assert equilibrium_value(sol, benchmark_params, 0, 1.0) == \
+        assert equilibrium_value(sol, 0, 1.0) == \
             pytest.approx(EQ_VALUE_0, abs=1e-9)
 
     def test_value_index_out_of_range(self, benchmark_params):
         sol = solve_equilibrium_riccati(benchmark_params, grid(10))
         with pytest.raises(IndexError):
-            equilibrium_value(sol, benchmark_params, 11, 1.0)
+            equilibrium_value(sol, 11, 1.0)
 
     def test_constant_term_nonnegative(self, benchmark_params):
         # h(t) integrates sigma^2 * a over [t, T] and a stays positive
