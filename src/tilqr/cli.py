@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(kind: str, exc: Exception):
+def _emit_error(kind: str, exc: Exception | str):
     sys.stderr.write(json.dumps({"error": kind, "message": str(exc)},
                                 sort_keys=True) + "\n")
 
@@ -604,6 +604,10 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         _emit_error("io", exc)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a run sized past this machine's memory is a configuration problem
+        _emit_error("config", f"not enough memory: {exc}")
         return EXIT_CONFIG
 
 

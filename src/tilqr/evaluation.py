@@ -15,7 +15,7 @@ import numpy as np
 from ._util import readonly
 from .errors import ConfigError, NumericError
 from .model import LqrParams
-from .riccati import GainLabel, GainSchedule, TimeGrid, strategy_gains
+from .riccati import GainSchedule, TimeGrid, strategy_gains
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class CostReport:
     running_cost: float
     terminal_cost: float
     total: float
-    gain_label: GainLabel
 
 
 def simpson_uniform(values: np.ndarray, h: float) -> float:
@@ -125,8 +124,7 @@ def exact_cost(gain: GainSchedule, params: LqrParams) -> CostReport:
         total = running + terminal
     if not np.isfinite(total):
         raise NumericError(f"exact cost is not finite with x0 = {params.x0!r}")
-    return CostReport(running_cost=running, terminal_cost=terminal,
-                      total=total, gain_label=gain.label)
+    return CostReport(running_cost=running, terminal_cost=terminal, total=total)
 
 
 @dataclass(frozen=True)

@@ -133,11 +133,12 @@ def _extrapolate_edges(arr: np.ndarray):
     arr[-1] = 3.0 * arr[-2] - 3.0 * arr[-3] + arr[-4]
 
 
-def _check_cfl(st: _Stepper, grid: GridSpec2) -> tuple:
+def _check_cfl(model: ModelSpec, nodes: np.ndarray, xs: np.ndarray,
+               grid: GridSpec2) -> tuple:
     # bound the diffusion coefficient at every time node the solver evaluates
     sigma_max = 0.0
-    for t in st.nodes:
-        sigma_max = max(sigma_max, float(np.max(np.asarray(st.model.vol(t, st.xs)))))
+    for t in nodes:
+        sigma_max = max(sigma_max, float(np.max(np.asarray(model.vol(t, xs)))))
     # the stability bound divides by sigma_max^2
     if not 0.0 < sigma_max * sigma_max < math.inf:
         raise ConfigError(
@@ -185,11 +186,15 @@ class _Stepper:
     scratch: np.ndarray  # (n_x+1)^2
 
 
-def _stepper(model: ModelSpec, grid: GridSpec2) -> _Stepper:
+def _stepper(model: ModelSpec, grid: GridSpec2) -> tuple:
+    """``(stepper, sigma_max, stability_ratio)``; the stability check runs
+    before anything sized by the grid squared is allocated."""
     xs = grid.xs
-    return _Stepper(model=model, xs=xs, xi=xs[1:-1],
-                    nodes=grid.horizon * np.linspace(0.0, 1.0, grid.n_t + 1),
-                    dt=grid.dt, dx=grid.dx, scratch=np.empty((xs.size, xs.size)))
+    nodes = grid.horizon * np.linspace(0.0, 1.0, grid.n_t + 1)
+    sigma_max, ratio = _check_cfl(model, nodes, xs, grid)
+    st = _Stepper(model=model, xs=xs, xi=xs[1:-1], nodes=nodes, dt=grid.dt,
+                  dx=grid.dx, scratch=np.empty((xs.size, xs.size)))
+    return st, sigma_max, ratio
 
 
 def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray, derivs: tuple,
@@ -375,8 +380,7 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     NumericError
         Non-finite field values, controls too, with the slice and node named.
     """
-    st = _stepper(model, grid)
-    sigma_max, ratio = _check_cfl(st, grid)
+    st, sigma_max, ratio = _stepper(model, grid)
     v, j, alpha = _terminal_fields(st, grid.n_t)
     # a blow-up surfaces through the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -521,8 +525,7 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
         carrying the full distance trace for diagnosis.
     """
     _check_iteration_settings(tol, max_iter)
-    st = _stepper(model, grid)
-    sigma_max, ratio = _check_cfl(st, grid)
+    st, sigma_max, ratio = _stepper(model, grid)
     fields = _terminal_fields(st, grid.n_t)
 
     trace, passes = [], []

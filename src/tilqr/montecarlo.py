@@ -338,7 +338,12 @@ def _estimate(costs: np.ndarray, good: np.ndarray, antithetic: bool) -> CostEsti
         n = samples.size
         if n == 0:
             raise ConfigError("no finite paths left to average")
-        stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / math.sqrt(n))
+        # the spread is taken at a power-of-two scale near 1: exact, so no
+        # bit moves, and the squares of costs below ~1e-154 or above ~1e154
+        # no longer underflow to a zero standard error or overflow to inf
+        e = math.frexp(float(np.max(np.abs(samples))))[1]
+        stderr = 0.0 if n < 2 else math.ldexp(
+            float(np.std(np.ldexp(samples, -e), ddof=1)), e) / math.sqrt(n)
         mean = float(np.mean(samples))
     return CostEstimate(mean=mean, stderr=stderr, n_paths=n, n_dropped=good.size - kept.size)
 

@@ -132,6 +132,17 @@ def render_svg(series: Sequence[Series], style: PlotStyle = PlotStyle()) -> str:
     def py(y: float) -> float:
         return MARGIN_T + (1.0 - (y - y_min) / (y_max - y_min)) * plot_h
 
+    def line(x1, y1, x2, y2, color="#000000", width="1"):
+        out.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
+                   f'y2="{_fmt(y2)}" stroke="{color}" stroke-width="{width}"/>')
+
+    def text(x, y, size, body, anchor="", extra=""):
+        # a str y is written as given: the title sits at y="24", not 24.000
+        y = y if isinstance(y, str) else _fmt(y)
+        anchor = f' text-anchor="{anchor}"' if anchor else ""
+        out.append(f'<text x="{_fmt(x)}" y="{y}" font-family="monospace" '
+                   f'font-size="{size}"{anchor}{extra}>{_esc(body)}</text>')
+
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     if style.header:
         body = "\n".join(style.header.replace("--", "- -").splitlines())
@@ -145,58 +156,35 @@ def render_svg(series: Sequence[Series], style: PlotStyle = PlotStyle()) -> str:
     out.append(f'<rect x="{_fmt(MARGIN_L)}" y="{_fmt(MARGIN_T)}" '
                f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
                f'fill="none" stroke="#000000" stroke-width="1"/>')
+    y0 = MARGIN_T + plot_h
     for t in _ticks(x_min, x_max):
-        x = px(t)
-        y0 = MARGIN_T + plot_h
-        out.append(f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" '
-                   f'y2="{_fmt(y0 + 5)}" stroke="#000000" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(x)}" y="{_fmt(y0 + 18)}" '
-                   f'font-family="monospace" font-size="11" '
-                   f'text-anchor="middle">{_tick_label(t)}</text>')
+        line(px(t), y0, px(t), y0 + 5)
+        text(px(t), y0 + 18, 11, _tick_label(t), "middle")
     for t in _ticks(y_min, y_max):
-        y = py(t)
-        out.append(f'<line x1="{_fmt(MARGIN_L - 5)}" y1="{_fmt(y)}" '
-                   f'x2="{_fmt(MARGIN_L)}" y2="{_fmt(y)}" '
-                   f'stroke="#000000" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(MARGIN_L - 8)}" y="{_fmt(y + 4)}" '
-                   f'font-family="monospace" font-size="11" '
-                   f'text-anchor="end">{_tick_label(t)}</text>')
+        line(MARGIN_L - 5, py(t), MARGIN_L, py(t))
+        text(MARGIN_L - 8, py(t) + 4, 11, _tick_label(t), "end")
 
     for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}"
                        for x, y in zip(s.xs, s.ys))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                   f'stroke-width="1.5"/>')
+        out.append(f'<polyline points="{pts}" fill="none" '
+                   f'stroke="{PALETTE[idx % len(PALETTE)]}" stroke-width="1.5"/>')
 
     # legend, top-right inside the plot box
+    lx = WIDTH - MARGIN_R - 180
     for idx, s in enumerate(series):
-        color = PALETTE[idx % len(PALETTE)]
         ly = MARGIN_T + 16 + 16 * idx
-        lx = WIDTH - MARGIN_R - 180
-        out.append(f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" '
-                   f'x2="{_fmt(lx + 22)}" y2="{_fmt(ly - 4)}" '
-                   f'stroke="{color}" stroke-width="1.5"/>')
-        out.append(f'<text x="{_fmt(lx + 28)}" y="{_fmt(ly)}" '
-                   f'font-family="monospace" font-size="11">'
-                   f'{_esc(s.label)}</text>')
+        line(lx, ly - 4, lx + 22, ly - 4, PALETTE[idx % len(PALETTE)], "1.5")
+        text(lx + 28, ly, 11, s.label)
 
     if style.title:
-        out.append(f'<text x="{_fmt(WIDTH / 2)}" y="24" '
-                   f'font-family="monospace" font-size="14" '
-                   f'text-anchor="middle">{_esc(style.title)}</text>')
+        text(WIDTH / 2, "24", 14, style.title, "middle")
     if style.x_label:
-        out.append(f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" '
-                   f'y="{_fmt(HEIGHT - 12)}" font-family="monospace" '
-                   f'font-size="12" text-anchor="middle">'
-                   f'{_esc(style.x_label)}</text>')
+        text(MARGIN_L + plot_w / 2, HEIGHT - 12, 12, style.x_label, "middle")
     if style.y_label:
         cx, cy = 18.0, MARGIN_T + plot_h / 2
-        out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" '
-                   f'font-family="monospace" font-size="12" '
-                   f'text-anchor="middle" '
-                   f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">'
-                   f'{_esc(style.y_label)}</text>')
+        text(cx, cy, 12, style.y_label, "middle",
+             f' transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})"')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -36,6 +36,7 @@ from tilqr.cli import (
 )
 from tilqr.errors import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION
 from tilqr.validation import CheckResult
+from toolchain import pin_mismatch
 
 SMALL_CONFIG = """\
 [numerics]
@@ -373,7 +374,7 @@ def test_output_tree_matches_the_recorded_digests(command, tmp_path, monkeypatch
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in Path("out").iterdir()}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digests == GOLDEN_SHA256[command]
+    assert digests == GOLDEN_SHA256[command], pin_mismatch(f"GOLDEN_SHA256[{command!r}]")
 
 
 MULTI_CHUNK_CONFIG = """\
@@ -427,7 +428,8 @@ def test_multi_chunk_output_tree_matches_the_recorded_digests(mode, command, tmp
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in Path("out").iterdir()}
     digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digests == MULTI_CHUNK_SHA256[mode, command]
+    assert digests == MULTI_CHUNK_SHA256[mode, command], pin_mismatch(
+        f"MULTI_CHUNK_SHA256[{mode!r}, {command!r}]")
 
 
 class TestMainEntry:
@@ -720,6 +722,18 @@ class TestMainEntry:
         rc = run_cli(["gains"], small_config, blocker)
         assert rc == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+    def test_a_failed_allocation_exits_config_with_one_record(self, monkeypatch):
+        # n_paths = 1e9 made compare exit 1 with numpy's "Unable to allocate
+        # 22.4 GiB" traceback; the stand-in raises without allocating
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB")
+        monkeypatch.setattr(cli, "compare_strategies", too_big)
+        rc, stderr, caught, files = run_in_process(["compare"], SMALL_CONFIG)
+        assert rc == EXIT_CONFIG
+        assert files == []
+        assert json.loads(stderr) == {
+            "error": "config", "message": "not enough memory: Unable to allocate 22.4 GiB"}
 
     def test_validation_failure_exits_four(self, monkeypatch, tmp_path, capsys):
         fake = [CheckResult(1, "fake-check", False, "synthetic failure")]

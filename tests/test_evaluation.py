@@ -126,7 +126,6 @@ class TestExactCost:
             benchmark_params)
         assert report.total == report.running_cost + report.terminal_cost
         assert report.running_cost > 0 and report.terminal_cost > 0
-        assert report.gain_label is GainLabel.EQUILIBRIUM
 
     def test_odd_step_count_rejected(self, benchmark_params):
         with pytest.raises(ConfigError, match="even"):

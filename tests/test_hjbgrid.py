@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilqr import hjbgrid
 from tilqr import (
@@ -18,15 +20,20 @@ from tilqr import (
     NumericError,
     PicardError,
     SchemeReport,
+    SimConfig,
     TimeGrid,
     diagonal_residual,
     equilibrium_gain,
+    equilibrium_value,
+    estimate_cost_streaming,
+    exact_cost,
     extract_gain,
     lqr_model,
     solve_equilibrium_riccati,
     solve_extended_hjb_picard,
     solve_extended_hjb_sweep,
 )
+from toolchain import pin_mismatch
 
 PARAMS = LqrParams()
 MODEL = lqr_model(PARAMS)
@@ -120,16 +127,16 @@ def lqr_grid_coefficients(params: LqrParams, n_t: int) -> np.ndarray:
     return out
 
 
-def assert_solves_the_recursion(sol: GridSolution):
+def assert_solves_the_recursion(sol: GridSolution, params: LqrParams = PARAMS):
     """Gains to 1e-12, fields to 1e-12 of their largest value."""
     A, B, C, D, E, F, P, Q, R = (c[:, None, None] for c in
-                                 lqr_grid_coefficients(PARAMS, sol.grid.n_t).T)
+                                 lqr_grid_coefficients(params, sol.grid.n_t).T)
     x, y = sol.grid.xs[:, None], sol.grid.xs[None, :]
     j = A * x * x + B * x * y + C * y * y + D * x + E * y + F
     v = (P * x * x + Q * x + R)[:, :, 0]
-    gain = extract_gain(sol, PARAMS)
-    assert np.max(np.abs(gain.k_state - PARAMS.b_bar * (2.0 * P - B - 2.0 * C).ravel())) < 1e-12
-    assert np.max(np.abs(gain.c_offset - PARAMS.b_bar * (Q - E).ravel())) < 1e-12
+    gain = extract_gain(sol, params)
+    assert np.max(np.abs(gain.k_state - params.b_bar * (2.0 * P - B - 2.0 * C).ravel())) < 1e-12
+    assert np.max(np.abs(gain.c_offset - params.b_bar * (Q - E).ravel())) < 1e-12
     assert np.max(np.abs(sol.v - v)) < 1e-12 * np.max(np.abs(v))
     assert np.max(np.abs(sol.j - j)) < 1e-12 * np.max(np.abs(j))
 
@@ -397,14 +404,16 @@ class TestPicard:
             assert all(d[i + 1] < d[i] for i in range(1, len(d) - 1))
 
     def test_fields_and_distances_are_bitwise_the_recorded_ones(self, solved_100x80):
-        assert solutions_sha256(*solved_100x80) == SOLVED_100X80_SHA256
+        assert solutions_sha256(*solved_100x80) == SOLVED_100X80_SHA256, \
+            pin_mismatch("SOLVED_100X80_SHA256")
 
     def test_state_and_time_dependent_volatility_is_bitwise_the_recorded_one(self):
         model = replace(MODEL, vol=lambda t, x: 0.5 * (1.0 + 0.2 * t) * (1.0 + 0.1 * np.tanh(x)))
         grid = benchmark_grid(25, 40)
         sweep = solve_extended_hjb_sweep(model, grid)
         picard = solve_extended_hjb_picard(model, grid)
-        assert solutions_sha256(sweep, picard) == SOLVED_VARYING_VOL_25X40_SHA256
+        assert solutions_sha256(sweep, picard) == SOLVED_VARYING_VOL_25X40_SHA256, \
+            pin_mismatch("SOLVED_VARYING_VOL_25X40_SHA256")
 
     @pytest.mark.parametrize("params, grid, kwargs, digest", [
         (replace(PARAMS, horizon=3.0), GridSpec2(n_t=300, n_x=60, x_lo=-3.0, x_hi=5.0,
@@ -418,7 +427,7 @@ class TestPicard:
                                                               digest):
         # recorded when every window ran all its passes itself
         picard = solve_extended_hjb_picard(lqr_model(params), grid, **kwargs)
-        assert solutions_sha256(picard) == digest
+        assert solutions_sha256(picard) == digest, pin_mismatch(f"the digest {digest}")
 
     def test_a_failure_after_handed_over_passes_keeps_its_trace_and_message(self):
         # every window from [0, 100] down to [99, 100] fails at max_iter, and
@@ -427,7 +436,8 @@ class TestPicard:
             solve_extended_hjb_picard(MODEL, benchmark_grid(100, 80), tol=0.1, max_iter=2)
         assert str(info.value) == ("no convergence on slices [99, 100] (maxiter after 2 "
                                    "passes, last distances ['1.01', '0.125'])")
-        assert solutions_sha256(trace=info.value.trace) == ONE_SLICE_FAILURE_TRACE_SHA256
+        assert solutions_sha256(trace=info.value.trace) == ONE_SLICE_FAILURE_TRACE_SHA256, \
+            pin_mismatch("ONE_SLICE_FAILURE_TRACE_SHA256")
 
     def test_settled_slices_are_copied_not_stepped(self, monkeypatch):
         # 2150 slice steps when every pass steps every slice of its window,
@@ -567,6 +577,58 @@ class TestCoefficientOracle:
         assert np.all((orders > 0.95) & (orders < 1.05)), orders
 
 
+def euler_expected_cost(gain, params: LqrParams, n_steps: int) -> float:
+    """Exact expectation of the Monte Carlo cost: the Euler scheme's mean and
+    second moment stepped forward, with left-endpoint gains every
+    ``gain.grid.n_steps // n_steps`` nodes."""
+    dt, stride = params.horizon / n_steps, gain.grid.n_steps // n_steps
+    m, s, running = params.x0, params.x0 ** 2, 0.0
+    for k, c in zip(gain.k_state[:-1:stride], gain.c_offset[:-1:stride]):
+        running += 0.5 * (k * k * s + 2.0 * k * c * m + c * c) * dt
+        g, h = 1.0 + (params.a_bar - params.b_bar * k) * dt, -params.b_bar * c * dt
+        m, s = g * m + h, g * g * s + 2.0 * g * h * m + h * h + params.sigma ** 2 * dt
+    return running + 0.5 * params.gamma * (s - 2.0 * params.x0 * m + params.x0 ** 2)
+
+
+# the box of test_riccati's structural property, x0 = 1 as there
+@settings(max_examples=30)
+@given(a_bar=st.floats(-2, 2), b_bar=st.floats(0.2, 2), sigma=st.floats(0.1, 1),
+       gamma=st.floats(0, 10), horizon=st.floats(0.2, 2))
+def test_the_three_routes_agree_off_the_benchmark(a_bar, b_bar, sigma, gamma, horizon):
+    params = LqrParams(a_bar=a_bar, b_bar=b_bar, sigma=sigma, gamma=gamma,
+                       horizon=horizon, x0=1.0)
+    # every bound below is relative, so each allows the smallest normal float
+    # too: a tiny gamma puts fields and costs in the subnormal range
+    tiny = np.finfo(float).tiny
+    # grid vs recursion. Each slice step is also a forward-Euler step of the
+    # Riccati system, so n_t resolves its rate b_bar^2 gamma + |a_bar| as well
+    # as the diffusion bound; 8 nodes keep the centered drift stencil from
+    # amplifying rounding (the 40-node grid loses up to 1e-4 in this box)
+    n_t = max(25, math.ceil(1.1 * 1.05 * sigma ** 2 * horizon),
+              math.ceil(horizon * (b_bar ** 2 * gamma + abs(a_bar))))
+    grid = GridSpec2(n_t=n_t, n_x=8, x_lo=-3.0, x_hi=5.0, horizon=horizon)  # dx = 1
+    sol = solve_extended_hjb_sweep(lqr_model(params), grid)
+    if 32.0 * gamma >= tiny:  # the terminal |j| peaks at 32 gamma
+        assert_solves_the_recursion(sol, params)
+    else:
+        assert max(np.max(np.abs(sol.j)), np.max(np.abs(sol.v))) < tiny
+    # moments vs ansatz, check 5's identity. Its 1e-6 holds at the benchmark
+    # point; the moment route's linear gain interpolation is second order, up
+    # to 4.2e-5 off, relative, at 1000 steps in this box
+    sol = solve_equilibrium_riccati(params, TimeGrid(1000, horizon))
+    gain = equilibrium_gain(sol, params)
+    exact = exact_cost(gain, params).total
+    assert abs(exact - equilibrium_value(sol, 0, params.x0)) <= 1e-4 * exact + tiny
+    # Monte Carlo vs exact. At 100 steps the Euler bias alone reaches 11
+    # standard errors (sigma = 0.1), so the estimate is held to 5 standard
+    # errors of its scheme's exact expectation, and that expectation to the
+    # exact cost: its first-order bias reaches 1.6% at 1000 steps in this box
+    # (a_bar = 2, horizon = 2, gamma near 0)
+    est = estimate_cost_streaming(gain, params, SimConfig(n_paths=2000, n_steps=100, seed=7))
+    assert abs(est.mean - euler_expected_cost(gain, params, 100)) <= 5.0 * est.stderr + tiny
+    assert abs(euler_expected_cost(gain, params, 1000) - exact) <= 0.05 * exact + tiny
+
+
 def peak_traced_bytes(solve) -> int:
     """Peak bytes traced by tracemalloc while ``solve()`` runs, over what was
     traced before; the solution stays alive until the peak is read."""
@@ -607,6 +669,17 @@ class TestMemory:
         grid = benchmark_grid(100, 80)
         peak = peak_traced_bytes(lambda: solve_extended_hjb_picard(MODEL, grid))
         assert peak <= 1.3 * 101 * 81 * 81 * 8
+
+    @pytest.mark.parametrize("solver", [solve_extended_hjb_sweep, solve_extended_hjb_picard])
+    def test_an_unstable_grid_is_refused_before_a_slice_is_allocated(self, solver):
+        # one (n_x+1)^2 slice of this grid is 128 MB, which the solvers
+        # allocated before the stability check refused the time step
+        grid = GridSpec2(n_t=400, n_x=4000, x_lo=-3.0, x_hi=5.0, horizon=1.0)
+
+        def solve():
+            with pytest.raises(ConfigError, match=r"unstable.*n_t >= 65625$"):
+                solver(MODEL, grid)
+        assert peak_traced_bytes(solve) < 8e6
 
 
 class TestDiagonalIdentity:

@@ -36,6 +36,7 @@ from tilqr.montecarlo import (_BLOCK, _CHUNK, _GROUP, _RETAIN_CHUNK, _estimate,
                               _gain_on_sim_grid, _noise, _streaming_estimates)
 
 from test_hjbgrid import peak_traced_bytes
+from toolchain import pin_mismatch
 
 
 def constant_gain(k: float, c: float, n_steps: int, horizon: float = 1.0) -> GainSchedule:
@@ -109,7 +110,7 @@ class TestRawBlocks:
     @pytest.mark.parametrize("case", sorted(KNOWN_WORDS))
     def test_matches_known_answer_words(self, case):
         expected = np.array(KNOWN_WORDS[case], dtype=np.uint64)
-        assert np.array_equal(one_block(*case), expected)
+        assert np.array_equal(one_block(*case), expected), pin_mismatch(f"KNOWN_WORDS[{case}]")
 
     def test_matches_numpy_philox_word_for_word(self):
         for seed, stream, block in KNOWN_WORDS:
@@ -149,7 +150,8 @@ class TestFirstBlock:
     def test_matches_known_answer_words(self, case):
         seed, stream, block = case
         expected = np.array(KNOWN_WORDS[case], dtype=np.uint64)
-        assert np.array_equal(raw_blocks(seed, stream, 1, first_block=block)[0], expected)
+        assert np.array_equal(raw_blocks(seed, stream, 1, first_block=block)[0], expected), \
+            pin_mismatch(f"KNOWN_WORDS[{case}]")
 
     @pytest.mark.parametrize("first_block", [0, 1, 63, 2 ** 20])
     def test_rows_match_numpy_words(self, first_block):
@@ -656,6 +658,14 @@ class TestEstimateCost:
         est = batch_estimate([[1.0, 1.0]], [[0.3]])
         assert est.stderr == 0.0
         assert est.n_paths == 1
+
+    @pytest.mark.parametrize("scale", [2.0 ** -700, 2.0 ** 600], ids=["tiny", "huge"])
+    def test_the_standard_error_scales_with_the_costs(self, scale):
+        # the squared deviations underflowed to a zero standard error near
+        # 1e-200 and overflowed to an infinite one near 1e180
+        costs, good = np.array([1.0, 2.0, 4.0, 7.0]), np.ones(4, dtype=bool)
+        unit, est = _estimate(costs, good, False), _estimate(scale * costs, good, False)
+        assert (est.mean, est.stderr) == (scale * unit.mean, scale * unit.stderr)
 
     def test_non_finite_paths_are_excluded(self):
         states = np.array([[1.0, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 2.0, 1.0]])
