@@ -299,22 +299,24 @@ def _write_text(path: Path, text: str):
 
 
 def _emit_table(config: RunConfig, out_dir: Path, name: str,
-                columns, rows, comments=()) -> list:
-    """Write ``name.csv`` and, when requested, ``name.json``.
+                columns, rows, comments=(), plot=None) -> list:
+    """Write ``name.csv``, when requested ``name.json``, and with ``plot``,
+    a ``(series, title, x_label, y_label)`` tuple, ``name.svg``.
 
     ``comments`` are extra header lines (already prefixed ``note:`` or
-    ``report:``) so the config echo stays re-parsable around them.
+    ``report:``) so the config echo stays re-parsable around them. Every
+    text, the plot's included, is made before any file is written, so a
+    plot that cannot be drawn leaves no file. Returns the paths in that
+    order.
     """
     rows = [list(row) for row in rows]
-    written = []
+    texts = {}
     if "csv" in config.output.formats:
         lines = [f"# {line}" for line in config_echo(config)]
         lines += [f"# {line}" for line in comments]
         lines.append(",".join(columns))
         lines += [",".join(_format_cell(v) for v in row) for row in rows]
-        path = out_dir / f"{name}.csv"
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+        texts["csv"] = "\n".join(lines) + "\n"
     if "json" in config.output.formats:
         doc = {
             "version": __version__,
@@ -324,19 +326,16 @@ def _emit_table(config: RunConfig, out_dir: Path, name: str,
             "columns": list(columns),
             "rows": [[_json_cell(v) for v in row] for row in rows],
         }
-        path = out_dir / f"{name}.json"
-        _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
-
-
-def _emit_svg(config: RunConfig, out_dir: Path, name: str, series, title: str,
-              x_label: str, y_label: str) -> Path:
-    style = PlotStyle(title=title, x_label=x_label, y_label=y_label,
-                      header="\n".join(config_echo(config)))
-    path = out_dir / f"{name}.svg"
-    _write_text(path, render_svg(series, style))
-    return path
+        texts["json"] = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if plot is not None:
+        series, title, x_label, y_label = plot
+        texts["svg"] = render_svg(series, PlotStyle(
+            title=title, x_label=x_label, y_label=y_label,
+            header="\n".join(config_echo(config))))
+    paths = [out_dir / f"{name}.{ext}" for ext in texts]
+    for path, text in zip(paths, texts.values()):
+        _write_text(path, text)
+    return paths
 
 
 def _report_written(paths):
@@ -376,26 +375,18 @@ def _cmd_sweep(config: RunConfig, args, out_dir: Path) -> int:
         # nothing to tabulate or plot; fail before writing a partial tree
         raise NumericError(f"all {len(table.notes)} sweep rows failed numerically; "
                            f"first: {table.notes[0]}")
-    series = []
-    for label, ys in (("equilibrium", table.j_equilibrium),
-                      ("naive", table.j_naive),
-                      ("precommitted", table.j_precommitted)):
-        mask = np.isfinite(ys)
-        if mask.any():
-            series.append(Series(label, table.gammas[mask], ys[mask]))
-    # the plot goes first, so that one that cannot be drawn leaves no file
-    svg = _emit_svg(config, out_dir, "sweep", series,
-                    title="Time-zero cost against the terminal penalty weight",
-                    x_label="gamma", y_label="expected cost")
-    rows = zip(table.gammas, table.j_equilibrium, table.j_naive, table.j_precommitted)
+    series = [Series(label, table.gammas[mask], ys[mask])
+              for label, ys, mask in zip(_STRATEGIES, table.costs, np.isfinite(table.costs))
+              if mask.any()]
     comments = [f"note: {n}" for n in table.notes if n]
     paths = _emit_table(config, out_dir, "sweep",
-                        ("gamma", "j_equilibrium", "j_naive", "j_precommitted"),
-                        rows, comments) + [svg]
-    bad = sum(1 for n in table.notes if n)
+                        ("gamma", *(f"j_{label}" for label in _STRATEGIES)),
+                        zip(table.gammas, *table.costs), comments,
+                        plot=(series, "Time-zero cost against the terminal penalty weight",
+                              "gamma", "expected cost"))
     print(f"swept {table.gammas.size} penalty weights in "
           f"[{table.gammas[0]:g}, {table.gammas[-1]:g}]"
-          + (f" ({bad} rows failed numerically)" if bad else ""))
+          + (f" ({len(comments)} rows failed numerically)" if comments else ""))
     _report_written(paths)
     return EXIT_OK
 
@@ -452,13 +443,11 @@ def _cmd_compare(config: RunConfig, args, out_dir: Path) -> int:
               for j, lab in enumerate(comp.labels)]
     series += [Series(f"mean |control| {lab}", comp.times[:-1], comp.mean_abs_control[j])
                for j, lab in enumerate(comp.labels)]
-    # the plot goes first, so that one that cannot be drawn leaves no file
-    svg = _emit_svg(config, out_dir, "compare", series,
-                    title="Sample averages under common random numbers",
-                    x_label="t", y_label="sample average")
     comments = ("note: strategies share one noise stream (common random numbers)",
                 "note: mean_abs_control columns repeat their last sample on the terminal row")
-    paths = _emit_table(config, out_dir, "compare", columns, rows, comments) + [svg]
+    paths = _emit_table(config, out_dir, "compare", columns, rows, comments,
+                        plot=(series, "Sample averages under common random numbers",
+                              "t", "sample average"))
     print(f"compared {len(comp.labels)} strategies over {sim.n_paths} shared paths")
     _report_written(paths)
     return EXIT_OK

@@ -15,7 +15,7 @@ import numpy as np
 from ._util import readonly
 from .errors import ConfigError, NumericError
 from .model import LqrParams
-from .riccati import GainSchedule, TimeGrid, strategy_gains
+from .riccati import STRATEGY_LABELS, GainSchedule, TimeGrid, strategy_gains
 
 
 @dataclass(frozen=True)
@@ -129,41 +129,38 @@ def exact_cost(gain: GainSchedule, params: LqrParams) -> CostReport:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Costs of the three laws across terminal penalty weights.
+    """Costs of the laws across terminal penalty weights.
 
-    Rows that failed numerically hold NaN and carry a note; clean rows have
-    an empty note.
+    ``costs[i, j]`` is the cost of law ``STRATEGY_LABELS[i]`` at
+    ``gammas[j]``. A weight whose solve failed numerically holds NaN for
+    every law and carries a note; clean weights have an empty note.
     """
 
     gammas: np.ndarray
-    j_equilibrium: np.ndarray
-    j_naive: np.ndarray
-    j_precommitted: np.ndarray
+    costs: np.ndarray
     notes: tuple
 
     def __post_init__(self):
-        for name in ("gammas", "j_equilibrium", "j_naive", "j_precommitted"):
-            object.__setattr__(self, name, readonly(getattr(self, name)))
-        n = self.gammas.size
-        for name in ("j_equilibrium", "j_naive", "j_precommitted"):
-            if getattr(self, name).shape != (n,):
-                raise ConfigError(f"sweep column {name} has wrong length")
-        if len(self.notes) != n:
+        object.__setattr__(self, "gammas", readonly(self.gammas))
+        object.__setattr__(self, "costs", readonly(self.costs))
+        shape = (len(STRATEGY_LABELS), self.gammas.size)
+        if self.costs.shape != shape:
+            raise ConfigError(f"sweep costs must have shape {shape}, got {self.costs.shape}")
+        if len(self.notes) != self.gammas.size:
             raise ConfigError("sweep notes must have one entry per gamma")
 
 
 def gamma_sweep(params: LqrParams, gammas, grid: TimeGrid) -> SweepTable:
-    """Exact costs of the three laws for each terminal weight in ``gammas``.
+    """Exact costs of the laws for each terminal weight in ``gammas``.
 
-    Rows are computed independently in the given order; a numerical blow-up
-    in one row is recorded in its note and does not abort the sweep.
+    Weights are computed independently in the given order; a numerical
+    blow-up at one weight is recorded in its note and does not abort the
+    sweep.
     """
     gs = np.asarray(gammas, dtype=float)
     if gs.ndim != 1 or gs.size == 0:
         raise ConfigError("gammas must be a nonempty 1-d sequence")
-    # one row per law, in the equilibrium, naive, precommitted order that
-    # strategy_gains returns them in
-    costs = np.full((3, gs.size), np.nan)
+    costs = np.full((len(STRATEGY_LABELS), gs.size), np.nan)
     notes = []
     for i, g in enumerate(gs):
         row_params = replace(params, gamma=float(g))
@@ -173,5 +170,4 @@ def gamma_sweep(params: LqrParams, gammas, grid: TimeGrid) -> SweepTable:
             notes.append("")
         except NumericError as e:
             notes.append(f"gamma={float(g)!r}: {e}")
-    return SweepTable(gammas=gs, j_equilibrium=costs[0], j_naive=costs[1],
-                      j_precommitted=costs[2], notes=tuple(notes))
+    return SweepTable(gammas=gs, costs=costs, notes=tuple(notes))

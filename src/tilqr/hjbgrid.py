@@ -135,10 +135,15 @@ def _extrapolate_edges(arr: np.ndarray):
 
 def _check_cfl(model: ModelSpec, nodes: np.ndarray, xs: np.ndarray,
                grid: GridSpec2) -> tuple:
-    # bound the diffusion coefficient at every time node the solver evaluates
+    # bound the diffusion coefficient at every time node the solver evaluates;
+    # a NaN at any node fails the test, where max alone would skip its node
     sigma_max = 0.0
     for t in nodes:
-        sigma_max = max(sigma_max, float(np.max(np.asarray(model.vol(t, xs)))))
+        row = np.asarray(model.vol(t, xs), dtype=float)
+        hi = float(np.max(row))
+        if not 0.0 < np.min(row) <= hi < math.inf:
+            raise ConfigError("model volatility must be positive and finite")
+        sigma_max = max(sigma_max, hi)
     # the stability bound divides by sigma_max^2
     if not 0.0 < sigma_max * sigma_max < math.inf:
         raise ConfigError(

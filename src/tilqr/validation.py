@@ -69,6 +69,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # a check's verdict is often a numpy bool, which json cannot write
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 def _e(v: float) -> str:
     return f"{float(v):.3e}"
@@ -177,10 +181,9 @@ def _check_gamma_sweep_dominance() -> CheckResult:
     p = BENCHMARK
     grid = TimeGrid(n_steps=1000, horizon=p.horizon)
     gammas = np.linspace(0.0, 10.0, 20)
-    table = gamma_sweep(p, gammas, grid)
-    worst = float(np.max(table.j_equilibrium - table.j_naive))
-    at_zero = max(abs(table.j_equilibrium[0]), abs(table.j_naive[0]),
-                  abs(table.j_precommitted[0]))
+    eq, naive, pre = gamma_sweep(p, gammas, grid).costs
+    worst = float(np.max(eq - naive))
+    at_zero = max(abs(eq[0]), abs(naive[0]), abs(pre[0]))
     passed = worst <= 1e-9 and at_zero <= 1e-12
     detail = (f"max(J_eq - J_naive) = {_e(worst)} over 20 gammas in [0 10]; "
               f"costs at gamma=0 bounded by {_e(at_zero)}")

@@ -3,6 +3,8 @@
 # through `tilqr validate`, so this file and the CLI cannot drift apart.
 # Wall-clock budgets are asserted where a check carries one.
 
+import dataclasses
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -160,6 +162,13 @@ def test_criterion_12_worker_comparison_starts_a_pool(monkeypatch):
     assert result.passed, result.detail
     lane = {"max_workers": 1}
     assert pools == [lane] * 4 + [{"max_workers": 4}]
+
+
+def test_every_verdict_is_a_bool_that_json_can_write(first_validate):
+    # checks 4, 5, 6, 7 and 11 reach their verdicts through numpy comparisons
+    results = first_validate.results
+    assert [type(r.passed) for r in results] == [bool] * len(results)
+    json.dumps([dataclasses.asdict(r) for r in results])
 
 
 def test_criterion_12_repeat_validate_byte_identical(first_validate):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import tilqr.validation
 from tilqr import cli
-from tilqr import ConfigError, LqrParams, TimeGrid, equilibrium_gain, exact_cost, solve_equilibrium_riccati
+from tilqr import ConfigError, LqrParams, NumericError, TimeGrid, equilibrium_gain, exact_cost, solve_equilibrium_riccati
 from tilqr.cli import (
     NumericsSection,
     OutputSection,
@@ -734,6 +734,16 @@ class TestMainEntry:
         assert files == []
         assert json.loads(stderr) == {
             "error": "config", "message": "not enough memory: Unable to allocate 22.4 GiB"}
+
+    @pytest.mark.parametrize("command", ["sweep", "compare"])
+    def test_a_plot_that_cannot_be_drawn_leaves_no_file(self, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise NumericError("synthetic plot failure")
+        monkeypatch.setattr(cli, "render_svg", refuse)
+        rc, stderr, caught, files = run_in_process([command], SMALL_CONFIG)
+        assert rc == EXIT_NUMERIC
+        assert files == []
+        assert json.loads(stderr) == {"error": "numeric", "message": "synthetic plot failure"}
 
     def test_validation_failure_exits_four(self, monkeypatch, tmp_path, capsys):
         fake = [CheckResult(1, "fake-check", False, "synthetic failure")]

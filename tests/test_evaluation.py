@@ -13,6 +13,7 @@ from tilqr import (
     GainSchedule,
     LqrParams,
     NumericError,
+    SweepTable,
     TimeGrid,
     equilibrium_gain,
     equilibrium_value,
@@ -188,17 +189,19 @@ class TestGammaSweep:
     def test_dominance_and_zero_row(self, benchmark_params):
         table = gamma_sweep(benchmark_params, np.linspace(0.0, 10.0, 20),
                             TimeGrid(1000, 1.0))
-        assert np.all(table.j_equilibrium <= table.j_naive + 1e-9)
-        assert table.j_equilibrium[0] == 0.0
-        assert table.j_naive[0] == 0.0
-        assert table.j_precommitted[0] == 0.0
+        j_eq, j_naive, j_pre = table.costs
+        assert np.all(j_eq <= j_naive + 1e-9)
+        assert j_eq[0] == 0.0
+        assert j_naive[0] == 0.0
+        assert j_pre[0] == 0.0
         assert all(n == "" for n in table.notes)
 
     def test_costs_increase_with_penalty(self, benchmark_params):
         table = gamma_sweep(benchmark_params, np.linspace(0.0, 10.0, 10),
                             TimeGrid(500, 1.0))
-        assert np.all(np.diff(table.j_equilibrium) > 0)
-        assert np.all(np.diff(table.j_naive) > 0)
+        j_eq, j_naive, _ = table.costs
+        assert np.all(np.diff(j_eq) > 0)
+        assert np.all(np.diff(j_naive) > 0)
 
     def test_failed_row_gets_nan_and_note(self, benchmark_params, monkeypatch):
         real = evaluation.strategy_gains
@@ -211,15 +214,27 @@ class TestGammaSweep:
         monkeypatch.setattr(evaluation, "strategy_gains", flaky)
         table = gamma_sweep(benchmark_params, np.array([1.0, 5.0, 9.0]),
                             TimeGrid(200, 1.0))
-        assert math.isnan(table.j_equilibrium[1])
+        j_eq = table.costs[0]
+        assert math.isnan(j_eq[1])
         assert table.notes[1].startswith("gamma=5.0: ")
         assert "synthetic blow-up" in table.notes[1]
         assert table.notes[0] == "" and table.notes[2] == ""
-        assert np.isfinite(table.j_equilibrium[[0, 2]]).all()
+        assert np.isfinite(j_eq[[0, 2]]).all()
 
     def test_empty_gammas_rejected(self, benchmark_params):
         with pytest.raises(ConfigError):
             gamma_sweep(benchmark_params, np.array([]), TimeGrid(100, 1.0))
+
+    def test_one_cost_row_per_law(self):
+        # row i is the law STRATEGY_LABELS[i]
+        with pytest.raises(ConfigError, match=r"must have shape \(3, 2\), got \(2, 2\)"):
+            SweepTable(gammas=[0.0, 1.0], costs=np.zeros((2, 2)), notes=("", ""))
+        with pytest.raises(ConfigError, match=r"must have shape \(3, 2\), got \(3, 3\)"):
+            SweepTable(gammas=[0.0, 1.0], costs=np.zeros((3, 3)), notes=("", ""))
+
+    def test_one_note_per_gamma(self):
+        with pytest.raises(ConfigError, match="one entry per gamma"):
+            SweepTable(gammas=[0.0, 1.0], costs=np.zeros((3, 2)), notes=("",))
 
 
 @given(k=st.floats(-1.0, 2.0), c=st.floats(-1.0, 1.0))

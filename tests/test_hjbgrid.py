@@ -202,6 +202,26 @@ class TestStability:
         with pytest.raises(ConfigError, match=r"unstable.*n_t >= 2625$"):
             solver(model, benchmark_grid(100, 80))
 
+    @pytest.mark.parametrize("solver", [solve_extended_hjb_sweep, solve_extended_hjb_picard])
+    def test_a_nan_volatility_on_the_boundary_cannot_hide_a_spike(self, solver):
+        # the spike above, NaN on the two boundary nodes of its time node: the
+        # maximum skipped that node, and the solvers ran at a diffusion ratio
+        # of 25 while reporting sigma_max = 0.5
+        def vol(t, x):
+            x = np.asarray(x, dtype=float)
+            if 0.505 < t < 0.52:
+                return np.where((x == -3.0) | (x == 5.0), np.nan, 5.0)
+            return 0.5 + 0.0 * x
+        with pytest.raises(ConfigError, match="^model volatility must be positive and finite$"):
+            solver(replace(MODEL, vol=vol), benchmark_grid(100, 80))
+
+    @pytest.mark.parametrize("solver", [solve_extended_hjb_sweep, solve_extended_hjb_picard])
+    def test_a_volatility_zero_only_on_the_boundary_is_rejected(self, solver):
+        # the slice step reads the volatility at interior nodes only
+        model = replace(MODEL, vol=lambda t, x: np.where(np.abs(x - 1.0) < 4.0, 0.5, 0.0))
+        with pytest.raises(ConfigError, match="^model volatility must be positive and finite$"):
+            solver(model, benchmark_grid(25, 40))
+
     def test_nonpositive_volatility_rejected(self):
         flat = replace(MODEL, vol=lambda t, x: 0.0 * np.asarray(x, dtype=float))
         with pytest.raises(ConfigError, match="volatility"):
@@ -237,8 +257,18 @@ class TestCorrectedHamiltonian:
     @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
                              ids=["sweep", "picard"])
     def test_a_volatility_negative_on_part_of_the_grid_is_rejected(self, solve):
-        # the stability bound reads only the largest volatility, 0.5
+        # the stability check refuses it at every node before the first step
         model = replace(MODEL, vol=lambda t, x: np.where(x < 0, -0.5, 0.5))
+        with pytest.raises(ConfigError, match="^model volatility must be positive and finite$"):
+            solve(model, benchmark_grid(25, 40))
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_a_volatility_negative_only_where_the_step_reads_it_is_rejected(self, solve):
+        # the stability check reads all 41 nodes, the slice step the 39
+        # interior ones; a callback may answer the two calls differently
+        model = replace(MODEL, vol=lambda t, x: (0.5 if np.size(x) == 41 else -0.5)
+                        + 0.0 * np.asarray(x, dtype=float))
         with pytest.raises(ConfigError, match="^model volatility must be positive and finite$"):
             solve(model, benchmark_grid(25, 40))
 

@@ -168,3 +168,29 @@ def test_no_module_imports_another_modules_private_names():
     found = {(path.stem, name) for path in Path(tilqr.__file__).parent.glob("*.py")
              for name in _private_imports(path.read_text(encoding="utf-8"))}
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
+
+
+def _callers(source: str, name: str) -> list:
+    """The innermost function around each call of ``name`` in ``source``
+    (None at module level), in source order."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_every_plot_is_drawn_by_the_table_emitter():
+    # _emit_table draws the plot before it writes any file, so a plot that
+    # cannot be drawn leaves none; a command that drew its own would not
+    assert _callers("h()\ndef f():\n    g(h(1))\ndef k():\n    def m():\n        h()\n",
+                    "h") == [None, "f", "m"]
+    source = Path(tilqr.cli.__file__).read_text(encoding="utf-8")
+    assert _callers(source, "render_svg") == ["_emit_table"]
