@@ -46,7 +46,6 @@ from .montecarlo import (
     StrategyComparison,
     compare_strategies,
     estimate_cost_streaming,
-    raw_blocks,
 )
 from .hjbgrid import (
     GridSolution,
@@ -100,7 +99,6 @@ __all__ = [
     "lqr_model",
     "naive_gain",
     "precommitted_policy",
-    "raw_blocks",
     "render_svg",
     "rk4_backward",
     "run_all",

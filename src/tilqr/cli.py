@@ -289,7 +289,7 @@ def _json_cell(v):
     if isinstance(v, (int, np.integer)):
         return int(v)
     if isinstance(v, (float, np.floating)):
-        return float(v)
+        return float(v) if math.isfinite(v) else None  # JSON has no NaN or Infinity
     return str(v)
 
 
@@ -326,7 +326,7 @@ def _emit_table(config: RunConfig, out_dir: Path, name: str,
             "columns": list(columns),
             "rows": [[_json_cell(v) for v in row] for row in rows],
         }
-        texts["json"] = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        texts["json"] = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if plot is not None:
         series, title, x_label, y_label = plot
         texts["svg"] = render_svg(series, PlotStyle(

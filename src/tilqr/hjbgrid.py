@@ -135,29 +135,36 @@ def _extrapolate_edges(arr: np.ndarray):
 
 def _check_cfl(model: ModelSpec, nodes: np.ndarray, xs: np.ndarray,
                grid: GridSpec2) -> tuple:
-    # bound the diffusion coefficient at every time node the solver evaluates;
-    # a NaN at any node fails the test, where max alone would skip its node
-    sigma_max = 0.0
+    """``(sigma, sigma_max, stability_ratio)``, ``sigma[k]`` the interior row of
+    the one volatility evaluation at time node ``k``, which the slice steps
+    read. A NaN at any node fails the bound. From the first row that breaks
+    it, only the maximum the error names is kept: a refused grid holds none."""
+    sigma, sigma_max, dt_max = [], 0.0, math.inf
     for t in nodes:
-        row = np.asarray(model.vol(t, xs), dtype=float)
+        row = np.broadcast_to(np.asarray(model.vol(t, xs), dtype=float), xs.shape)
         hi = float(np.max(row))
         if not 0.0 < np.min(row) <= hi < math.inf:
             raise ConfigError("model volatility must be positive and finite")
-        sigma_max = max(sigma_max, hi)
+        if hi > sigma_max:
+            # dt_max is zero when the bound underflows or its denominator
+            # overflows; then no slice count is enough
+            sigma_max, dt_max = hi, (grid.dx ** 2 / (1.05 * hi ** 2)
+                                     if 0.0 < hi * hi < math.inf else 0.0)
+        if sigma is not None and grid.dt <= dt_max:
+            sigma.append(row[1:-1])
+        else:
+            sigma = None
     # the stability bound divides by sigma_max^2
     if not 0.0 < sigma_max * sigma_max < math.inf:
         raise ConfigError(
             f"model volatility must have a square that is a positive finite number on "
             f"the grid, got a maximum of {sigma_max}")
-    dt_max = grid.dx ** 2 / (1.05 * sigma_max ** 2)
-    if grid.dt > dt_max:
-        # dt_max is zero when the bound underflows or its denominator
-        # overflows; then no slice count is enough
+    if sigma is None:
         n_min = np.ceil(grid.horizon / dt_max) if dt_max > 0 else math.inf
         raise ConfigError(
             f"explicit scheme unstable: dt = {grid.dt:.6g} exceeds the admissible "
             f"{dt_max:.6g}; use n_t >= {n_min:.0f}")
-    return sigma_max, sigma_max ** 2 * grid.dt / grid.dx ** 2
+    return sigma, sigma_max, sigma_max ** 2 * grid.dt / grid.dx ** 2
 
 
 def _diag_fields(jslice: np.ndarray, dx: float):
@@ -186,87 +193,81 @@ class _Stepper:
     xs: np.ndarray
     xi: np.ndarray       # interior state nodes
     nodes: np.ndarray    # time nodes, n_t + 1
+    sigma: list          # volatility at the interior nodes, per time node
     dt: float
     dx: float
     scratch: np.ndarray  # (n_x+1)^2
 
 
 def _stepper(model: ModelSpec, grid: GridSpec2) -> tuple:
-    """``(stepper, sigma_max, stability_ratio)``; the stability check runs
-    before anything sized by the grid squared is allocated."""
+    """``(stepper, sigma_max, stability_ratio)``, checked before any slice is allocated."""
     xs = grid.xs
     nodes = grid.horizon * np.linspace(0.0, 1.0, grid.n_t + 1)
-    sigma_max, ratio = _check_cfl(model, nodes, xs, grid)
-    st = _Stepper(model=model, xs=xs, xi=xs[1:-1], nodes=nodes, dt=grid.dt,
-                  dx=grid.dx, scratch=np.empty((xs.size, xs.size)))
-    return st, sigma_max, ratio
+    sigma, sigma_max, ratio = _check_cfl(model, nodes, xs, grid)
+    return (_Stepper(model=model, xs=xs, xi=xs[1:-1], nodes=nodes, sigma=sigma, dt=grid.dt,
+                     dx=grid.dx, scratch=np.empty((xs.size, xs.size))), sigma_max, ratio)
 
 
-def _slice_control(st: _Stepper, t: float, v_slice: np.ndarray, derivs: tuple,
+def _slice_control(st: _Stepper, k: int, v_slice: np.ndarray, derivs: tuple,
                    a_out: np.ndarray):
-    """Optimize the control on one time slice and return the update pieces.
+    """Optimize the control on time slice ``k`` and return the update pieces.
 
     ``derivs`` holds the parameter-coupling derivatives ``(d_y, d_yy, d_xy)``
     at interior nodes, as ``_diag_fields`` gives them. Returns (value_rate,
-    a_interior, half_var): the corrected Hamiltonian value at interior
-    nodes, the optimizing control there (a view of ``a_out``), and
-    ``0.5 * sigma ** 2`` there at ``t``, which the step reads twice. The
-    control extended to the boundary by extrapolation is written into
-    ``a_out``.
+    a_interior, mu): the corrected Hamiltonian value at interior nodes, the
+    optimizing control there (a view of ``a_out``), and the drift under it,
+    which the step reads again. The control extended to the boundary by
+    extrapolation is written into ``a_out``.
 
     The maximizer maps the effective gradient ``g = z / sigma - d_y``, with
     ``z = sigma * v_x``, to the action ``a``; the value is
     ``running_cost(t, x, x, a) + drift(t, x, a) * g - sigma^2/2 * d_yy -
-    sigma * mixed`` with ``mixed = sigma * d_xy``. The volatility is
-    evaluated once. The four slots are scanned for finiteness only where
-    the value is not finite, which any non-finite slot makes it: each slot
-    enters the value multiplied by the volatility or by the drift. They are
-    scanned in the order above, so the error names the first. Then the
-    volatility is checked for positivity; ``t`` and the nodes are grid
-    constants, finite by construction.
+    sigma * mixed`` with ``mixed = sigma * d_xy``, where ``sigma`` is the
+    stability check's row, positive and finite. The four slots are scanned
+    for finiteness only where the value is not finite, which any non-finite
+    slot makes it: each slot enters the value multiplied by the volatility
+    or by the drift. They are scanned in the order above, so the error
+    names the first.
     """
-    model, xi = st.model, st.xi
+    model, xi, t, sigma = st.model, st.xi, st.nodes[k], st.sigma[k]
     d_y, d_yy, d_xy = derivs
     v_x = (v_slice[2:] - v_slice[:-2]) / (2.0 * st.dx)
-    sigma = np.asarray(model.vol(t, xi), dtype=float)
     z, mixed = sigma * v_x, sigma * d_xy
     g = z / sigma - d_y
     a = model.maximizer(g)
-    value_rate = (model.running_cost(t, xi, xi, a) + model.drift(t, xi, a) * g
+    mu = np.asarray(model.drift(t, xi, a), dtype=float)
+    value_rate = (model.running_cost(t, xi, xi, a) + mu * g
                   - 0.5 * sigma * sigma * d_yy - sigma * mixed)
     if not np.all(np.isfinite(value_rate)):
         for name, slot in (("z", z), ("grad_param", d_y), ("hess_param", d_yy),
                            ("mixed", mixed)):
             if not np.all(np.isfinite(slot)):
                 raise NumericError(f"non-finite value in Hamiltonian slot '{name}'")
-    if np.any(sigma <= 0) or not np.all(np.isfinite(sigma)):
-        raise ConfigError("model volatility must be positive and finite")
     a_out[1:-1] = a
     _extrapolate_edges(a_out)
-    return value_rate, a_out[1:-1], 0.5 * sigma ** 2
+    return value_rate, a_out[1:-1], mu
 
 
-def _advance_slice(st: _Stepper, t_next: float, v_next: np.ndarray,
-                   j_next: np.ndarray, value_rate: np.ndarray, a_int: np.ndarray,
-                   half_var: np.ndarray, v_out: np.ndarray, j_out: np.ndarray):
-    """One explicit backward step of both fields given the slice control and
-    ``0.5 * sigma ** 2`` at ``t_next``, written into ``v_out`` and ``j_out``.
+def _advance_slice(st: _Stepper, k: int, v_next: np.ndarray, j_next: np.ndarray,
+                   value_rate: np.ndarray, a_int: np.ndarray, mu: np.ndarray,
+                   v_out: np.ndarray, j_out: np.ndarray):
+    """One explicit backward step of both fields from slice ``k``, given what
+    ``_slice_control`` returns there, written into ``v_out`` and ``j_out``.
 
     The indexed field is updated in place, on ``j_out`` and the scratch, in
     the operation order of
     ``j_next + dt * (f + mu * j_x + 0.5 * sigma^2 * j_xx)``, so every value
     is bitwise that of the expression.
     """
-    model, xs, xi = st.model, st.xs, st.xi
-    dt, dx = st.dt, st.dx
+    xs, xi, dt, dx = st.xs, st.xi, st.dt, st.dx
+    half_var = 0.5 * st.sigma[k] ** 2
 
     v_xx = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / dx ** 2
     v_out[1:-1] = v_next[1:-1] + dt * (value_rate + half_var * v_xx)
     _extrapolate_edges(v_out)
 
-    mu = np.asarray(model.drift(t_next, xi, a_int), dtype=float)
-    f = np.asarray(model.running_cost(t_next, xs[None, :], xi[:, None],
-                                      a_int[:, None]), dtype=float)
+    f = np.asarray(st.model.running_cost(st.nodes[k], xs[None, :], xi[:, None],
+                                         a_int[:, None]), dtype=float)
     up, mid, down = j_next[2:], j_next[1:-1], j_next[:-2]
     acc, j_xx = j_out[1:-1], st.scratch[1:-1]
     np.subtract(up, down, out=acc)
@@ -348,11 +349,10 @@ def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple) -> tuple:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             for k in range(lo + top - 1, lo - 1, -1):
-                t1 = st.nodes[k + 1]
-                rate, a_int, half_var = _slice_control(
-                    st, t1, v[k + 1], tuple(c[k + 1 - lo] for c in coupling), alpha[k + 1])
+                rate, a_int, mu = _slice_control(
+                    st, k + 1, v[k + 1], tuple(c[k + 1 - lo] for c in coupling), alpha[k + 1])
                 valid = k + 1
-                _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, half_var, v[k], j_new)
+                _advance_slice(st, k + 1, v[k + 1], j[k + 1], rate, a_int, mu, v[k], j_new)
                 d = dist[:2, k - lo]
                 d[0] = np.max(np.abs(v[k] - v_prev[k - lo]))
                 diff = np.subtract(j_new, j[k], out=st.scratch)
@@ -362,7 +362,7 @@ def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple) -> tuple:
                 if not (math.isfinite(d[0]) and math.isfinite(d[1])):
                     _check_finite("value field", v[k], k)
                     _check_finite("indexed field", j[k], k)
-            _slice_control(st, st.nodes[lo], v[lo], tuple(c[0] for c in coupling), alpha[lo])
+            _slice_control(st, lo, v[lo], tuple(c[0] for c in coupling), alpha[lo])
             valid = lo
         except NumericError:
             pass
@@ -390,13 +390,12 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     # a blow-up surfaces through the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(grid.n_t - 1, -1, -1):
-            t1 = st.nodes[k + 1]
-            rate, a_int, half_var = _slice_control(st, t1, v[k + 1],
-                                                   _diag_fields(j[k + 1], st.dx), alpha[k + 1])
-            _advance_slice(st, t1, v[k + 1], j[k + 1], rate, a_int, half_var, v[k], j[k])
+            rate, a_int, mu = _slice_control(st, k + 1, v[k + 1],
+                                             _diag_fields(j[k + 1], st.dx), alpha[k + 1])
+            _advance_slice(st, k + 1, v[k + 1], j[k + 1], rate, a_int, mu, v[k], j[k])
             _check_finite("value field", v[k], k)
             _check_finite("indexed field", j[k], k)
-        _slice_control(st, st.nodes[0], v[0], _diag_fields(j[0], st.dx), alpha[0])
+        _slice_control(st, 0, v[0], _diag_fields(j[0], st.dx), alpha[0])
     _check_finite("control field", alpha)  # slice 0's is set after the last field check
     report = SchemeReport(mode="sweep", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=1)
@@ -459,7 +458,7 @@ def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, tol: float,
         v[lo:hi], j[lo:hi] = v[hi], j[hi]
         # expected transient blow-ups abort the window; silence their warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            _slice_control(st, st.nodes[hi], v[hi], _diag_fields(j[hi], st.dx), alpha[hi])
+            _slice_control(st, hi, v[hi], _diag_fields(j[hi], st.dx), alpha[hi])
         alpha[lo:hi] = alpha[hi]
 
     distances = []
@@ -559,7 +558,7 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     # fields, as in the sweep
     v, j, alpha = fields
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in the sweep
-        _slice_control(st, st.nodes[0], v[0], _diag_fields(j[0], st.dx), alpha[0])
+        _slice_control(st, 0, v[0], _diag_fields(j[0], st.dx), alpha[0])
     _check_finite("control field", alpha)  # as in the sweep
     report = SchemeReport(mode="picard", sigma_max=sigma_max, stability_ratio=ratio,
                           iterations=sum(len(w.distances) for w in trace),

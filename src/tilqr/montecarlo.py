@@ -99,6 +99,29 @@ def _counter_view(gen: np.random.Philox, counter: int):
     return ctr
 
 
+def _stream_rows(seed: int, first_stream: int, n_blocks: int, first_block: int):
+    """Rows of ``raw_blocks``, streams ``first_stream, ...`` in turn, as long
+    as they are asked for, all from one generator."""
+    # numpy increments the counter before hashing, so start one block back
+    start = ((first_stream << 64) + first_block - 1) & _MASK256
+    gen = np.random.Philox(key=seed, counter=start)
+    ctr = _counter_view(gen, start)
+    block, upper = start & _MASK64, start >> 64
+    while True:
+        row = gen.random_raw(4 * n_blocks)
+        if ctr is None:
+            gen.advance((1 << 64) - n_blocks)
+        else:
+            # the next stream's start: word 0 back at the first block, the
+            # upper three words one on, written past word 1 only when it wraps
+            upper = (upper + 1) & _MASK192
+            ctr[0] = block
+            ctr[1] = upper & _MASK64
+            if not upper & _MASK64:
+                ctr[2], ctr[3] = (upper >> 64) & _MASK64, upper >> 128
+        yield row
+
+
 def raw_blocks(seed: int, first_stream: int, n_streams: int, n_blocks: int = 1,
                first_block: int = 0) -> np.ndarray:
     """Raw 64-bit Philox words, one row per stream.
@@ -113,25 +136,9 @@ def raw_blocks(seed: int, first_stream: int, n_streams: int, n_blocks: int = 1,
     stream once per segment, and ``advance`` alone made the mc_stream
     benchmark ~28% slower.
     """
-    # numpy increments the counter before hashing, so start one block back
-    start = ((first_stream << 64) + first_block - 1) & _MASK256
-    gen = np.random.Philox(key=seed, counter=start)
-    ctr = _counter_view(gen, start)
-    block, upper = start & _MASK64, start >> 64
-    rows = []
-    for _ in range(n_streams):
-        rows.append(gen.random_raw(4 * n_blocks))
-        if ctr is None:
-            gen.advance((1 << 64) - n_blocks)
-            continue
-        # the next stream's start: word 0 back at the first block, the upper
-        # three words one on, written past word 1 only when it wraps
-        upper = (upper + 1) & _MASK192
-        ctr[0] = block
-        ctr[1] = upper & _MASK64
-        if not upper & _MASK64:
-            ctr[2], ctr[3] = (upper >> 64) & _MASK64, upper >> 128
-    return np.array(rows, dtype=np.uint64).reshape(n_streams, 4 * n_blocks)
+    rows = _stream_rows(seed, first_stream, n_blocks, first_block)
+    return np.array([next(rows) for _ in range(n_streams)],
+                    dtype=np.uint64).reshape(n_streams, 4 * n_blocks)
 
 
 def _draw_uniforms(seed: int, first_stream: int, first_draw: int, out: np.ndarray) -> None:
@@ -140,15 +147,16 @@ def _draw_uniforms(seed: int, first_stream: int, first_draw: int, out: np.ndarra
 
     ``first_draw`` is a multiple of 4, the start of a Philox block. Each
     uniform takes the top 53 bits of its word, offset by half a spacing. Only
-    the top word reaches 1: ``2**53 - 1 + 0.5`` rounds to ``2**53``. Words
-    are drawn ``_STREAM_BLOCK`` streams at a time and cast into ``out`` as
+    the top word reaches 1: ``2**53 - 1 + 0.5`` rounds to ``2**53``. One
+    generator draws the words of every stream, as ``raw_blocks`` does,
+    ``_STREAM_BLOCK`` streams at a time, and they are cast into ``out`` as
     exact integers, so no word array of ``out``'s size exists.
     """
     n_draws, n_streams = out.shape
-    blocks = (n_draws + 3) // 4
+    rows = _stream_rows(seed, first_stream, (n_draws + 3) // 4, first_draw // 4)
     for s0 in range(0, n_streams, _STREAM_BLOCK):
-        words = raw_blocks(seed, first_stream + s0, min(_STREAM_BLOCK, n_streams - s0),
-                           blocks, first_draw // 4)[:, :n_draws]
+        words = np.array([next(rows) for _ in range(min(_STREAM_BLOCK, n_streams - s0))],
+                         dtype=np.uint64)[:, :n_draws]
         np.right_shift(words, np.uint64(11), out=words)
         out[:, s0:s0 + len(words)] = words.T
     out += 0.5

@@ -112,8 +112,11 @@ class TestParseConfig:
         ("[model]\nsigma = 1\nsigma = 2\n", r"cfg:3: duplicate key 'sigma'"),
         ("[model]\nnonsense\n", r"cfg:2: expected 'key = value'"),
         ("[numerics]\nseed = pi\n", r"cfg:2: bad value for 'seed': expected an integer"),
+        ("[model]\nsigma = abc\n", r"cfg:2: bad value for 'sigma': expected a number"),
         ("[numerics]\nantithetic = maybe\n", r"expected a boolean"),
         ("[output]\nformats = xml\n", r"unknown format 'xml'"),
+        ("[output]\nformats = ,\n", r"cfg:2: bad value for 'formats': formats must name "
+                                     r"at least one of csv/json"),
         ("[output]\ndirectory =\n", r"nonempty"),
     ])
     def test_parse_errors_name_the_file_and_line(self, text, match):
@@ -504,6 +507,26 @@ class TestMainEntry:
         assert "(2 rows failed numerically)" in capsys.readouterr().out
         assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep.svg"]
         assert (out / "sweep.csv").read_text(encoding="utf-8").count("# note: gamma=") == 2
+
+    def test_failed_sweep_rows_are_null_in_the_json_mirror(self, capsys, tmp_path):
+        # at this drift the exact solves blow up above gamma = 0; the mirror
+        # wrote their cells as bare NaN tokens, which RFC 8259 has no room for
+        config = tmp_path / "run.ini"
+        config.write_text("[model]\na_bar = 30\nb_bar = 5\n[sweep]\ngamma_max = 1000\n"
+                          "gamma_steps = 5\n[output]\nformats = csv,json\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert "(4 rows failed numerically)" in capsys.readouterr().out
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads((out / "sweep.json").read_text(encoding="utf-8"),
+                         parse_constant=refuse)
+        assert doc["rows"] == [[0.0, 0.0, 0.0, 0.0]] + [[g, None, None, None]
+                                                        for g in (250.0, 500.0, 750.0, 1000.0)]
+        _, _, rows = read_csv(out / "sweep.csv")
+        assert [row[1:] for row in rows[1:]] == [["nan"] * 3] * 4  # the CSV keeps nan
 
     @pytest.mark.parametrize("command", [["cost", "--strategy", "equilibrium"], ["sweep"]],
                              ids=["cost", "sweep"])

@@ -240,8 +240,9 @@ class TestStability:
 
 
 class TestCorrectedHamiltonian:
-    """The slot and volatility checks of the corrected Hamiltonian, which
-    each solve step runs before it optimizes the control."""
+    """The slot checks of the corrected Hamiltonian, which each solve step
+    runs before it optimizes the control, and the volatility and drift that
+    the step reads."""
 
     @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
                              ids=["sweep", "picard"])
@@ -264,13 +265,38 @@ class TestCorrectedHamiltonian:
 
     @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
                              ids=["sweep", "picard"])
-    def test_a_volatility_negative_only_where_the_step_reads_it_is_rejected(self, solve):
-        # the stability check reads all 41 nodes, the slice step the 39
-        # interior ones; a callback may answer the two calls differently
-        model = replace(MODEL, vol=lambda t, x: (0.5 if np.size(x) == 41 else -0.5)
+    def test_the_steps_read_the_volatility_the_bound_checked(self, solve, solved_100x80):
+        # the stability check reads all 81 nodes; a slice step that asked
+        # again for the 79 interior ones stepped this callback at a diffusion
+        # ratio of 1.21 while the report read 0.25
+        model = replace(MODEL, vol=lambda t, x: (0.5 if np.size(x) == 81 else 1.1)
                         + 0.0 * np.asarray(x, dtype=float))
-        with pytest.raises(ConfigError, match="^model volatility must be positive and finite$"):
-            solve(model, benchmark_grid(25, 40))
+        sol = solve(model, benchmark_grid(100, 80))
+        ref = solved_100x80[solve is solve_extended_hjb_picard]
+        for name in ("v", "j", "alpha"):
+            assert np.array_equal(getattr(sol, name), getattr(ref, name))
+        assert sol.report == ref.report
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_volatility_once_per_time_node_and_drift_once_per_slice_control(
+            self, solve, monkeypatch):
+        calls = dict.fromkeys(("vol", "drift", "control"), 0)
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(hjbgrid, "_slice_control",
+                            counting("control", hjbgrid._slice_control))
+        model = replace(MODEL, vol=counting("vol", MODEL.vol),
+                        drift=counting("drift", MODEL.drift))
+        grid = benchmark_grid(25, 40)
+        passes = solve(model, grid).report.iterations
+        assert calls["vol"] == grid.n_t + 1  # whatever the number of passes
+        assert calls["drift"] == calls["control"] > grid.n_t * min(passes, 2)
 
 
 class TestSweep:
@@ -491,26 +517,6 @@ class TestPicard:
         _, picard = solved_100x80
         for window in picard.report.trace:
             assert all(math.copysign(1.0, d) == 1.0 for d in window.distances)
-
-    def test_volatility_is_evaluated_once_per_slice_control(self, monkeypatch):
-        vol_calls = controls = 0
-        grid = benchmark_grid(25, 40)
-
-        def vol(t, x):
-            nonlocal vol_calls
-            vol_calls += 1
-            return MODEL.vol(t, x)
-
-        slice_control = hjbgrid._slice_control
-
-        def counted(*args):
-            nonlocal controls
-            controls += 1
-            return slice_control(*args)
-
-        monkeypatch.setattr(hjbgrid, "_slice_control", counted)
-        solve_extended_hjb_picard(replace(MODEL, vol=vol), grid)
-        assert vol_calls == controls + grid.n_t + 1  # plus the stability bound's
 
     def test_scalar_volatility_gives_the_broadcast_one_bitwise(self):
         grid = benchmark_grid(25, 40)

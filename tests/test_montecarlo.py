@@ -2,6 +2,7 @@
 
 import ctypes
 import hashlib
+import itertools
 import sys
 import threading
 import warnings
@@ -27,13 +28,12 @@ from tilqr import (
     estimate_cost_streaming,
     exact_cost,
     naive_gain,
-    raw_blocks,
     solve_equilibrium_riccati,
     solve_naive,
 )
 from tilqr import montecarlo
 from tilqr.montecarlo import (_BLOCK, _CHUNK, _GROUP, _RETAIN_CHUNK, _estimate,
-                              _gain_on_sim_grid, _noise, _streaming_estimates)
+                              _gain_on_sim_grid, _noise, _streaming_estimates, raw_blocks)
 
 from test_hjbgrid import peak_traced_bytes
 from toolchain import pin_mismatch
@@ -211,6 +211,31 @@ class TestFirstBlock:
         assert montecarlo._counter_view(gen, start)[:] == [9, 5, 0, 0]
 
 
+class TestOneGenerator:
+    """``_draw_uniforms`` draws all its streams through one generator."""
+
+    @pytest.mark.parametrize("positioning", ["view", "advance"])
+    def test_one_generator_draws_every_stream_of_a_call(self, positioning, monkeypatch):
+        # 130 streams span three word blocks of 64, and the stream index
+        # carries into counter word 2 inside the second block
+        first, n_streams, n_draws = 2 ** 64 - 100, 130, 7
+        words = raw_blocks(5, first, n_streams, 2, first_block=2)[:, :n_draws]
+        expected = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+        builds, philox = [], np.random.Philox
+
+        def counted(*args, **kwargs):
+            builds.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        if positioning == "advance":
+            monkeypatch.setattr(montecarlo, "_counter_view", lambda gen, counter: None)
+        out = np.empty((n_draws, n_streams))
+        montecarlo._draw_uniforms(5, first, 8, out)
+        assert len(builds) == 1
+        assert np.array_equal(out.T, expected)
+
+
 class TestNormalStream:
     """The unit normals of consecutive streams, as the routes draw them."""
 
@@ -258,12 +283,12 @@ class TestNormalStream:
         # next word down keeps its uniform 1 - 2**-52
         top, below = 2 ** 64 - 1, 2 ** 64 - 1 - 2 ** 11
 
-        def top_words(seed, first_stream, n_streams, n_blocks=1, first_block=0):
-            words = np.full((n_streams, 4 * n_blocks), top, dtype=np.uint64)
-            words[:, 1::2] = below
-            return words
+        def top_rows(seed, first_stream, n_blocks, first_block):
+            words = np.full(4 * n_blocks, top, dtype=np.uint64)
+            words[1::2] = below
+            return itertools.repeat(words)
 
-        monkeypatch.setattr(montecarlo, "raw_blocks", top_words)
+        monkeypatch.setattr(montecarlo, "_stream_rows", top_rows)
         z = lane_normals(1, 0, 3, 6)
         assert np.isfinite(z).all()
         assert np.array_equal(z[:, 0::2], np.full((3, 3), ndtri(1.0 - 2.0 ** -53)))

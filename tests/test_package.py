@@ -170,21 +170,31 @@ def test_no_module_imports_another_modules_private_names():
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
 
 
-def _callers(source: str, name: str) -> list:
-    """The innermost function around each call of ``name`` in ``source``
-    (None at module level), in source order."""
+def _enclosing(source: str, hit) -> list:
+    """The innermost function around each node of ``source`` that ``hit``
+    accepts (None at module level), in source order."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+        if hit(node):
             found.append(func)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _callers(source: str, name: str) -> list:
+    return _enclosing(source, lambda node: isinstance(node, ast.Call)
+                      and getattr(node.func, "id", None) == name)
+
+
+def _readers(source: str, attr: str) -> list:
+    return _enclosing(source, lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == attr)
 
 
 def test_every_plot_is_drawn_by_the_table_emitter():
@@ -194,3 +204,13 @@ def test_every_plot_is_drawn_by_the_table_emitter():
                     "h") == [None, "f", "m"]
     source = Path(tilqr.cli.__file__).read_text(encoding="utf-8")
     assert _callers(source, "render_svg") == ["_emit_table"]
+
+
+def test_the_grid_solver_reads_volatility_and_drift_at_one_site_each():
+    # the stability check evaluates the volatility once per time node, and
+    # each slice step reads that table; the step hands its control's drift
+    # to the field update instead of evaluating it again
+    assert _readers("a.vol\ndef f():\n    b.c.vol(1)\n    d.vol2\n", "vol") == [None, "f"]
+    source = Path(tilqr.hjbgrid.__file__).read_text(encoding="utf-8")
+    assert _readers(source, "vol") == ["_check_cfl"]
+    assert _readers(source, "drift") == ["_slice_control"]

@@ -187,6 +187,11 @@ class TestNaiveSystem:
         np.testing.assert_allclose(sol.p, closed_form_p(benchmark_params, g.nodes),
                                    rtol=0, atol=1e-10)
 
+    def test_closed_form_is_refused_at_zero_penalty(self):
+        # p is identically zero there, which the normalization cannot express
+        with pytest.raises(ConfigError, match="closed form requires gamma > 0"):
+            closed_form_p(LqrParams(gamma=0.0), grid().nodes)
+
     def test_q_matches_closed_form(self, benchmark_params):
         # q(t) = -2 p(t) exp(a_bar (t - T)) solves the linear companion ODE
         p = benchmark_params
