@@ -293,11 +293,6 @@ def _json_cell(v):
     return str(v)
 
 
-def _write_text(path: Path, text: str):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _emit_table(config: RunConfig, out_dir: Path, name: str,
                 columns, rows, comments=(), plot=None) -> list:
     """Write ``name.csv``, when requested ``name.json``, and with ``plot``,
@@ -334,7 +329,7 @@ def _emit_table(config: RunConfig, out_dir: Path, name: str,
             header="\n".join(config_echo(config))))
     paths = [out_dir / f"{name}.{ext}" for ext in texts]
     for path, text in zip(paths, texts.values()):
-        _write_text(path, text)
+        path.write_text(text, encoding="utf-8", newline="\n")
     return paths
 
 

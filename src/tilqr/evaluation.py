@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import readonly
+from ._util import readonly, rk4
 from .errors import ConfigError, NumericError
 from .model import LqrParams
 from .riccati import STRATEGY_LABELS, GainSchedule, TimeGrid, strategy_gains
@@ -70,36 +70,25 @@ def solve_moments(gain: GainSchedule, params: LqrParams) -> MomentPath:
     if abs(grid.horizon - params.horizon) > 1e-12:
         raise ConfigError(
             f"gain horizon {grid.horizon} does not match model horizon {params.horizon}")
-    ab, bb, sg = params.a_bar, params.b_bar, params.sigma
+    # Python floats, as the gains are: a float32 parameter would narrow the RHS
+    ab, bb, var = float(params.a_bar), float(params.b_bar), float(params.sigma * params.sigma)
     k, c = gain.k_state, gain.c_offset
-    k_half = 0.5 * (k[:-1] + k[1:])
-    c_half = 0.5 * (c[:-1] + c[1:])
-    n, h = grid.n_steps, grid.dt
-    m = np.empty(n + 1)
-    s = np.empty(n + 1)
-    m[0] = params.x0
     try:
-        s[0] = params.x0 ** 2
+        start = [float(params.x0), float(params.x0 ** 2)]
     except OverflowError:
         raise NumericError(f"x0 = {params.x0!r} has a square that overflows") from None
 
-    def rhs(ki, ci, mv, sv):
+    def rhs(gains, y):
+        (ki, ci), (mv, sv) = gains, y
         lam = ab - bb * ki
-        return lam * mv - bb * ci, 2.0 * lam * sv - 2.0 * bb * ci * mv + sg * sg
+        return lam * mv - bb * ci, 2.0 * lam * sv - 2.0 * bb * ci * mv + var
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            stages = ((k[i], c[i]), (k_half[i], c_half[i]),
-                      (k_half[i], c_half[i]), (k[i + 1], c[i + 1]))
-            dm1, ds1 = rhs(*stages[0], m[i], s[i])
-            dm2, ds2 = rhs(*stages[1], m[i] + 0.5 * h * dm1, s[i] + 0.5 * h * ds1)
-            dm3, ds3 = rhs(*stages[2], m[i] + 0.5 * h * dm2, s[i] + 0.5 * h * ds2)
-            dm4, ds4 = rhs(*stages[3], m[i] + h * dm3, s[i] + h * ds3)
-            m[i + 1] = m[i] + (h / 6.0) * (dm1 + 2.0 * dm2 + 2.0 * dm3 + dm4)
-            s[i + 1] = s[i] + (h / 6.0) * (ds1 + 2.0 * ds2 + 2.0 * ds3 + ds4)
-            if not (np.isfinite(m[i + 1]) and np.isfinite(s[i + 1])):
-                raise NumericError(f"moment integration blew up at node {i + 1}")
-    return MomentPath(grid=grid, mean=m, second_moment=s)
+    ks, cs = k.tolist(), c.tolist()
+    mid = zip((0.5 * (k[:-1] + k[1:])).tolist(), (0.5 * (c[:-1] + c[1:])).tolist())
+    states = rk4(rhs, start, grid.dt, zip(ks, cs), mid, zip(ks[1:], cs[1:]))
+    if not np.all(np.isfinite(states[-1])):
+        raise NumericError(f"moment integration blew up at node {len(states) - 1}")
+    return MomentPath(grid, *np.array(states).T)  # mean, second moment
 
 
 def exact_cost(gain: GainSchedule, params: LqrParams) -> CostReport:

@@ -379,24 +379,21 @@ class StrategyComparison:
         return _estimate(self.costs[j], self.good[j], self.config.antithetic)
 
 
-def _add_rows(total, started, buf, m: int, ok) -> None:
+def _add_rows(total, buf, m: int, ok) -> None:
     """Add the rows ``buf[:, 1:m + 1]`` that ``ok`` marks to ``total``, in row order.
 
     ``buf[:, 0]`` is the slot of the running total, so one ``np.add.reduce``
     per gain and chunk adds rows in the order ``rows[ok].sum(axis=0)`` takes
     over the whole batch (adding per-chunk sums would not be bitwise equal).
-    A gain's total starts at its first valid row, as that reduction does,
-    not at a row of zeros; ``started[j]`` is set once it has.
+    Totals start at -0.0, the exact additive identity, so the first chunk
+    adds to its total as every later one does.
     """
     for j, valid in enumerate(ok):
-        first = 0 if started[j] else 1
         buf[j, 0] = total[j]
-        rows = buf[j, first:m + 1]
+        rows = buf[j, :m + 1]
         if not valid.all():  # compress only in a chunk with a bad row
-            rows = rows[np.concatenate([[True], valid])[first:]]
-        if len(rows):
-            np.add.reduce(rows, axis=0, out=total[j])
-            started[j] = True
+            rows = rows[np.concatenate([[True], valid])]
+        np.add.reduce(rows, axis=0, out=total[j])
 
 
 def compare_strategies(params: LqrParams, config: SimConfig, strategies,
@@ -436,8 +433,7 @@ def compare_strategies(params: LqrParams, config: SimConfig, strategies,
     good = np.empty((n_gains, n_paths), dtype=bool)
     states = np.empty((n_gains, keep, n_steps + 1))
     controls = np.empty((n_gains, keep, n_steps))
-    sum_x, sum_u = np.empty((n_gains, n_steps + 1)), np.empty((n_gains, n_steps))
-    started_x, started_u = np.zeros(n_gains, dtype=bool), np.zeros(n_gains, dtype=bool)
+    sum_x, sum_u = np.full((n_gains, n_steps + 1), -0.0), np.full((n_gains, n_steps), -0.0)
     finite = np.empty((block, n_steps + 1), dtype=bool)
 
     def reduce_chunk(lo, hi):
@@ -464,13 +460,13 @@ def compare_strategies(params: LqrParams, config: SimConfig, strategies,
                     np.isfinite(xs[j, r0:r1], out=finite[:r1 - r0]).all(axis=1, out=row)
                     row &= np.isfinite(us[j], out=finite[:r1 - r0, :n_steps]).all(axis=1)
                 np.abs(us, out=us)
-                _add_rows(sum_u, started_u, u, r1 - r0, ok_rows)
+                _add_rows(sum_u, u, r1 - r0, ok_rows)
                 # |u| * |u| is u * u bit for bit, so the squares reuse the buffer
                 miss = xs[:, r0:r1, -1] - params.x0
                 us *= us
                 costs[:, lo + r0:lo + r1] = (0.5 * dt * np.sum(us, axis=2)
                                              + 0.5 * params.gamma * miss * miss)
-            _add_rows(sum_x, started_x, x, m, ok)
+            _add_rows(sum_x, x, m, ok)
 
     with ThreadPoolExecutor(max_workers=1) as lane:
         reduced = None

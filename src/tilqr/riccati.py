@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._util import readonly
+from ._util import readonly, rk4
 from .errors import ConfigError, NumericError
 from .model import LqrParams
 
@@ -52,7 +52,8 @@ def rk4_backward(field: Callable, terminal, grid: TimeGrid) -> np.ndarray:
     Parameters
     ----------
     field : callable
-        Right-hand side ``field(t, y) -> array``.
+        Right-hand side ``field(t, y)``: ``y`` is a fresh 1-d array, and a
+        result with other than one value per component raises ConfigError.
     terminal : array_like
         Value at the last node; stored there bit-exactly.
     grid : TimeGrid
@@ -68,25 +69,22 @@ def rk4_backward(field: Callable, terminal, grid: TimeGrid) -> np.ndarray:
         As soon as a step produces a non-finite value, naming the first bad
         node.
     """
-    y_T = np.atleast_1d(np.asarray(terminal, dtype=float))
-    n = grid.n_steps
-    h = grid.dt
-    nodes = grid.nodes
-    out = np.empty((n + 1, y_T.size))
-    out[n] = y_T
+    y_T = np.asarray(terminal, dtype=float).ravel()
+    n, h, nodes = grid.n_steps, grid.dt, grid.nodes
+
+    def rhs(t, y):
+        dy = np.asarray(field(t, np.array(y)), dtype=float).ravel()
+        if dy.size != y_T.size:
+            raise ConfigError(f"field returned {dy.size} values for {y_T.size} state components")
+        return dy.tolist()
+
+    t = nodes[n:0:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n, 0, -1):
-            t = nodes[i]
-            y = out[i]
-            k1 = np.asarray(field(t, y), dtype=float)
-            k2 = np.asarray(field(t - 0.5 * h, y - 0.5 * h * k1), dtype=float)
-            k3 = np.asarray(field(t - 0.5 * h, y - 0.5 * h * k2), dtype=float)
-            k4 = np.asarray(field(t - h, y - h * k3), dtype=float)
-            out[i - 1] = y - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(out[i - 1])):
-                raise NumericError(
-                    f"backward integration blew up at node {i - 1} (t = {nodes[i - 1]:.6g})")
-    return out
+        states = rk4(rhs, y_T.tolist(), -h, t, t - 0.5 * h, t - h)
+    if not np.all(np.isfinite(states[-1])):
+        i = n + 1 - len(states)
+        raise NumericError(f"backward integration blew up at node {i} (t = {nodes[i]:.6g})")
+    return np.array(states[::-1])
 
 
 class GainLabel(enum.Enum):
@@ -170,8 +168,7 @@ def solve_equilibrium_riccati(params: LqrParams, grid: TimeGrid) -> RiccatiSolut
         s = 2.0 * a + c
         da = -2.0 * ab * a + 2.0 * bb * bb * a * s - 0.5 * bb * bb * s * s
         dc = -ab * c + bb * bb * c * s
-        dh = -sg * sg * a
-        return np.array([da, dc, dh])
+        return da, dc, -sg * sg * a
 
     sol = rk4_backward(field, [0.5 * params.gamma, -params.gamma, 0.0], grid)
     return RiccatiSolution(grid=grid, a=sol[:, 0], c=sol[:, 1], h=sol[:, 2],
@@ -210,8 +207,7 @@ def solve_naive(params: LqrParams, grid: TimeGrid) -> NaiveSolution:
     def field(t, v):
         p, q = v
         dp = 2.0 * bb * bb * p * p - 2.0 * ab * p
-        dq = -(ab - 2.0 * bb * bb * p) * q
-        return np.array([dp, dq])
+        return dp, -(ab - 2.0 * bb * bb * p) * q
 
     sol = rk4_backward(field, [0.5 * params.gamma, -params.gamma], grid)
     return NaiveSolution(grid=grid, p=sol[:, 0], q=sol[:, 1])

@@ -105,6 +105,35 @@ class TestMoments:
         with pytest.raises(NumericError, match=r"^x0 = 1e\+300 has a square that overflows$"):
             solve_moments(zero_gain(), params)
 
+    def test_an_integer_initial_state_with_an_overflowing_square_raises(self):
+        with pytest.raises(NumericError, match=r"^x0 = 10{200} has a square that overflows$"):
+            solve_moments(zero_gain(), LqrParams(x0=10 ** 200))
+
+    def test_an_integer_initial_state_starts_at_its_rounded_square(self):
+        # (2^53 + 1)^2 rounds to 2^106 + 2^54; the square of the rounded
+        # x0, 2^106, would not
+        x0 = 2 ** 53 + 1
+        mom = solve_moments(zero_gain(), LqrParams(x0=x0))
+        assert mom.mean.dtype == mom.second_moment.dtype == np.float64
+        assert (mom.mean[0], mom.second_moment[0]) == (2.0 ** 53, 2.0 ** 106 + 2.0 ** 54)
+
+    def test_float32_parameters_are_stepped_in_double_precision(self):
+        # 0.5 squares exactly in float32, so both parameter sets share the RHS
+        narrow = LqrParams(a_bar=np.float32(0.3), b_bar=np.float32(1.1), sigma=np.float32(0.5))
+        wide = LqrParams(a_bar=float(narrow.a_bar), b_bar=float(narrow.b_bar), sigma=0.5)
+        for gain in strategy_gains(wide, TimeGrid(n_steps=100, horizon=1.0)).values():
+            a, b = solve_moments(gain, narrow), solve_moments(gain, wide)
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.second_moment, b.second_moment)
+
+    def test_a_blow_up_on_the_last_step_raises(self, benchmark_params):
+        k = np.zeros(5)
+        k[-1] = -1e300
+        gain = GainSchedule(grid=TimeGrid(n_steps=4, horizon=1.0), k_state=k,
+                            c_offset=np.zeros(5), label=GainLabel.CUSTOM)
+        with pytest.raises(NumericError, match="^moment integration blew up at node 4$"):
+            solve_moments(gain, benchmark_params)
+
 
 class TestExactCost:
     def test_zero_control_matches_closed_form(self, benchmark_params):

@@ -413,13 +413,13 @@ class TestLane:
         error = MemoryError("second chunk")
         threads, chunks_done, real = [], [], montecarlo._add_rows
 
-        def add_rows(total, started, buf, m, ok):
+        def add_rows(total, buf, m, ok):
             threads.append(threading.get_ident())
             if chunks_done:
                 raise error
             if total.shape[1] == 40 + 1:  # the states' sums, not the controls'
                 chunks_done.append(m)
-            return real(total, started, buf, m, ok)
+            return real(total, buf, m, ok)
 
         monkeypatch.setattr(montecarlo, "_add_rows", add_rows)
         gains = [constant_gain(0.4, 0.1, 40), constant_gain(1.2, -0.3, 40)]

@@ -214,3 +214,18 @@ def test_the_grid_solver_reads_volatility_and_drift_at_one_site_each():
     source = Path(tilqr.hjbgrid.__file__).read_text(encoding="utf-8")
     assert _readers(source, "vol") == ["_check_cfl"]
     assert _readers(source, "drift") == ["_slice_control"]
+
+
+def _sixths(source: str) -> list:
+    return _enclosing(source, lambda node: isinstance(node, ast.BinOp)
+                      and isinstance(node.op, ast.Div)
+                      and getattr(node.right, "value", None) == 6.0)
+
+
+def test_one_runge_kutta_combination_in_the_package():
+    # the backward coefficient systems and the forward moment ODE step
+    # through one stepper, so the RK4 weights are written once
+    assert _sixths("x = h / 6.0\ndef f():\n    return (h / 6) * k + h / 3.0\n") == [None, "f"]
+    found = [(path.stem, func) for path in sorted(Path(tilqr.__file__).parent.glob("*.py"))
+             for func in _sixths(path.read_text(encoding="utf-8"))]
+    assert found == [("_util", "rk4")]

@@ -117,6 +117,55 @@ class TestRk4Backward:
         with pytest.raises(NumericError, match="node"):
             rk4_backward(lambda t, y: -y * y, [5.0], TimeGrid(n_steps=50, horizon=10.0))
 
+    def test_stage_times_are_the_node_its_midpoint_and_the_next_node(self):
+        g = TimeGrid(n_steps=7, horizon=1.3)
+        h, calls = g.dt, []
+
+        def field(t, y):
+            calls.append(t)
+            return np.array([math.cos(t) * y[1], -t * y[0]])
+
+        rk4_backward(field, [0.4, -1.1], g)
+        assert len(calls) == 4 * g.n_steps
+        for step, i in enumerate(range(g.n_steps, 0, -1)):
+            t = g.nodes[i]
+            assert calls[4 * step:4 * step + 4] == [t, t - 0.5 * h, t - 0.5 * h, t - h]
+
+    def test_the_field_gets_a_fresh_one_dimensional_array(self):
+        # a field that writes into its argument cannot touch the stored states
+        def scribbling(t, y):
+            assert y.shape == (2,)
+            dy = np.array([y[1], -y[0]])
+            y[:] = np.nan
+            return dy
+
+        clean = rk4_backward(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.5], grid(20))
+        np.testing.assert_array_equal(rk4_backward(scribbling, [1.0, 0.5], grid(20)), clean)
+
+    @pytest.mark.parametrize("field, count", [(lambda t, y: -y[:1], 1),
+                                              (lambda t, y: np.concatenate([y, y]), 4),
+                                              (lambda t, y: 2.0, 1)],
+                             ids=["too few", "too many", "a scalar"])
+    def test_a_field_with_the_wrong_number_of_values_is_refused(self, field, count):
+        with pytest.raises(ConfigError,
+                           match=f"^field returned {count} values for 2 state components$"):
+            rk4_backward(field, [1.0, 2.0], TimeGrid(n_steps=4, horizon=1.0))
+
+    def test_a_scalar_field_for_one_component_is_accepted(self):
+        ys = rk4_backward(lambda t, y: 2.0, [1.0], TimeGrid(n_steps=4, horizon=1.0))
+        np.testing.assert_allclose(ys[:, 0], 1.0 - 2.0 * (1.0 - np.linspace(0.0, 1.0, 5)),
+                                   rtol=0, atol=1e-15)
+
+    def test_a_float32_horizon_is_stepped_in_double_precision(self):
+        # 0.75 / 4, its half and its sixth are exact in float32, so only a
+        # stage narrowed to float32 could tell the two grids apart
+        def field(t, y):
+            return np.array([y[1], -t * y[0]])
+
+        wide = rk4_backward(field, [1.0, 0.3], TimeGrid(n_steps=4, horizon=0.75))
+        narrow = rk4_backward(field, [1.0, 0.3], TimeGrid(n_steps=4, horizon=np.float32(0.75)))
+        np.testing.assert_array_equal(narrow, wide)
+
 
 class TestEquilibriumSystem:
     def test_terminal_identities_bit_exact(self, benchmark_params):
@@ -215,6 +264,13 @@ class TestNaiveSystem:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) > 3.7
         assert errs[-1] <= 1e-8
+
+    def test_a_blow_up_on_the_last_step_raises(self):
+        # the first of four steps is fine; the pair overflows only on the
+        # step into t = 0
+        with pytest.raises(NumericError,
+                           match=r"^backward integration blew up at node 0 \(t = 0\)$"):
+            solve_naive(LqrParams(gamma=10.0), TimeGrid(n_steps=4, horizon=1.0))
 
     def test_terminal_identities_bit_exact(self, benchmark_params):
         sol = solve_naive(benchmark_params, grid(100))
