@@ -16,14 +16,23 @@ from it before the first step.
 The scheme is explicit, so a diffusion stability bound on the time step is
 enforced up front. Boundaries close with quadratic extrapolation, which is
 exact for the quadratic fields of the linear-quadratic benchmark.
+
+Where this process may run on two CPUs, a worker forked per solve steps the
+indexed field's rows from the middle down, through shared memory, with the
+same operations on the same operands as one process would.
 """
 
 from __future__ import annotations
 
+import errno
 import math
+import mmap
+import os
+import pickle
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -127,10 +136,12 @@ class GridSolution:
             object.__setattr__(self, name, readonly(getattr(self, name)))
 
 
-def _extrapolate_edges(arr: np.ndarray):
+def _extrapolate_edges(arr: np.ndarray, first: bool = True, last: bool = True):
     # quadratic extrapolation in the first axis: second difference constant
-    arr[0] = 3.0 * arr[1] - 3.0 * arr[2] + arr[3]
-    arr[-1] = 3.0 * arr[-2] - 3.0 * arr[-3] + arr[-4]
+    if first:
+        arr[0] = 3.0 * arr[1] - 3.0 * arr[2] + arr[3]
+    if last:
+        arr[-1] = 3.0 * arr[-2] - 3.0 * arr[-3] + arr[-4]
 
 
 def _check_cfl(model: ModelSpec, nodes: np.ndarray, xs: np.ndarray,
@@ -185,6 +196,35 @@ def _diag_fields(jslice: np.ndarray, dx: float):
     return d_y, d_yy, d_xy
 
 
+# the fewest cells of a slice that two processes step faster than one: on 2
+# vCPUs split solves ran slower at 25 x 40, even at 100 x 80 and 100 x 120
+# (121 nodes), and faster at 170 x 200 and 400 x 160. At least 8 x 8, so
+# that each half holds the four rows its edge row is extrapolated from.
+_SPLIT_CELLS = 121 * 121
+
+
+def _row_parts(n: int) -> tuple:
+    """The ``(lo, hi)`` rows of an ``n x n`` slice each process steps: the
+    caller's, then a forked worker's if this process may run on two CPUs and
+    the slice pays for a handshake."""
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and n * n >= _SPLIT_CELLS):
+        return ((0, n // 2), (n // 2, n))
+    return ((0, n),)
+
+
+def _shared(shape: tuple) -> np.ndarray:
+    """Unset floats in an anonymous shared mapping, which a forked worker
+    writes too. Out of memory raises ``MemoryError``, as ``np.empty`` does."""
+    try:
+        buf = mmap.mmap(-1, 8 * math.prod(shape))
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {8 * math.prod(shape)} bytes for shape {shape}") from exc
+    return np.frombuffer(buf).reshape(shape)
+
+
 @dataclass(frozen=True)
 class _Stepper:
     """Per-solve constants of the explicit step, and its one slice of scratch."""
@@ -197,6 +237,9 @@ class _Stepper:
     dt: float
     dx: float
     scratch: np.ndarray  # (n_x+1)^2
+    rows: tuple          # _row_parts of a slice
+    empty: Callable      # allocates what every part's process writes
+    control: np.ndarray  # (3, n_x-1): a step's control, drift and sigma^2/2 at interior nodes
 
 
 def _stepper(model: ModelSpec, grid: GridSpec2) -> tuple:
@@ -204,8 +247,11 @@ def _stepper(model: ModelSpec, grid: GridSpec2) -> tuple:
     xs = grid.xs
     nodes = grid.horizon * np.linspace(0.0, 1.0, grid.n_t + 1)
     sigma, sigma_max, ratio = _check_cfl(model, nodes, xs, grid)
+    rows = _row_parts(xs.size)
+    empty = _shared if len(rows) > 1 else np.empty
     return (_Stepper(model=model, xs=xs, xi=xs[1:-1], nodes=nodes, sigma=sigma, dt=grid.dt,
-                     dx=grid.dx, scratch=np.empty((xs.size, xs.size))), sigma_max, ratio)
+                     dx=grid.dx, scratch=np.empty((xs.size, xs.size)), rows=rows,
+                     empty=empty, control=empty((3, xs.size - 2))), sigma_max, ratio)
 
 
 def _slice_control(st: _Stepper, k: int, v_slice: np.ndarray, derivs: tuple,
@@ -248,28 +294,39 @@ def _slice_control(st: _Stepper, k: int, v_slice: np.ndarray, derivs: tuple,
     return value_rate, a_out[1:-1], mu
 
 
-def _advance_slice(st: _Stepper, k: int, v_next: np.ndarray, j_next: np.ndarray,
-                   value_rate: np.ndarray, a_int: np.ndarray, mu: np.ndarray,
-                   v_out: np.ndarray, j_out: np.ndarray):
+def _advance_slice(st: _Stepper, k: int, v_next: np.ndarray, value_rate: np.ndarray,
+                   a_int: np.ndarray, mu: np.ndarray, v_out: np.ndarray,
+                   step: Callable) -> list:
     """One explicit backward step of both fields from slice ``k``, given what
-    ``_slice_control`` returns there, written into ``v_out`` and ``j_out``.
-
-    The indexed field is updated in place, on ``j_out`` and the scratch, in
-    the operation order of
-    ``j_next + dt * (f + mu * j_x + 0.5 * sigma^2 * j_xx)``, so every value
-    is bitwise that of the expression.
-    """
-    xs, xi, dt, dx = st.xs, st.xi, st.dt, st.dx
+    ``_slice_control`` returns there: the value field into ``v_out``, and
+    the indexed field by ``step``, from ``_indexed_steps``, whose result it
+    returns."""
     half_var = 0.5 * st.sigma[k] ** 2
-
-    v_xx = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / dx ** 2
-    v_out[1:-1] = v_next[1:-1] + dt * (value_rate + half_var * v_xx)
+    v_xx = (v_next[2:] - 2.0 * v_next[1:-1] + v_next[:-2]) / st.dx ** 2
+    v_out[1:-1] = v_next[1:-1] + st.dt * (value_rate + half_var * v_xx)
     _extrapolate_edges(v_out)
+    st.control[0], st.control[1], st.control[2] = a_int, mu, half_var
+    return step(k)
 
-    f = np.asarray(st.model.running_cost(st.nodes[k], xs[None, :], xi[:, None],
+
+def _step_rows(st: _Stepper, k: int, j: np.ndarray, buf: Optional[np.ndarray],
+               lo: int, hi: int):
+    """Rows ``lo .. hi - 1`` of the indexed field's step from slice ``k``
+    under ``st.control``, in place, in the operation order of
+    ``j_next + dt * (f + mu * j_x + 0.5 * sigma^2 * j_xx)``: every value is
+    bitwise that of the expression, whichever process steps which rows. The
+    sweep (``buf`` None) writes ``j[k - 1]`` and returns whether the rows are
+    finite; a Picard pass writes ``buf``, copies it into ``j[k - 1]`` and
+    returns the sup distance between the two."""
+    xs, dt, dx, n = st.xs, st.dt, st.dx, st.xs.size
+    a, b = max(lo, 1), min(hi, n - 1)  # interior rows, a - 1 .. b - 2 of the interior arrays
+    a_int, mu, half_var = st.control[:, a - 1:b - 1]
+    j_next, out = j[k], j[k - 1] if buf is None else buf
+
+    f = np.asarray(st.model.running_cost(st.nodes[k], xs[None, :], st.xi[a - 1:b - 1, None],
                                          a_int[:, None]), dtype=float)
-    up, mid, down = j_next[2:], j_next[1:-1], j_next[:-2]
-    acc, j_xx = j_out[1:-1], st.scratch[1:-1]
+    up, mid, down = j_next[a + 1:b + 1], j_next[a:b], j_next[a - 1:b - 1]
+    acc, j_xx = out[a:b], st.scratch[a:b]
     np.subtract(up, down, out=acc)
     np.divide(acc, 2.0 * dx, out=acc)                   # j_x
     np.multiply(mu[:, None], acc, out=acc)
@@ -278,11 +335,98 @@ def _advance_slice(st: _Stepper, k: int, v_next: np.ndarray, j_next: np.ndarray,
     np.subtract(up, j_xx, out=j_xx)
     np.add(j_xx, down, out=j_xx)
     np.divide(j_xx, dx ** 2, out=j_xx)                  # j_xx
-    np.multiply(np.reshape(half_var, (-1, 1)), j_xx, out=j_xx)
+    np.multiply(half_var[:, None], j_xx, out=j_xx)
     np.add(acc, j_xx, out=acc)
     np.multiply(dt, acc, out=acc)
     np.add(mid, acc, out=acc)
-    _extrapolate_edges(j_out)
+    _extrapolate_edges(out, lo == 0, hi == n)
+    if buf is None:
+        return bool(np.all(np.isfinite(out[lo:hi])))
+    diff = np.subtract(buf[lo:hi], j[k - 1, lo:hi], out=st.scratch[lo:hi])
+    j[k - 1, lo:hi] = buf[lo:hi]
+    # + 0.0 turns a -0.0 maximum into 0.0, as abs would
+    return float(max(diff.max(), -diff.min()) + 0.0)
+
+
+@contextmanager
+def _indexed_steps(st: _Stepper, j: np.ndarray, buf: Optional[np.ndarray] = None):
+    """Yields ``step(k)``: each part's ``_step_rows`` result for the step
+    from slice ``k``, a part's exception raised once both are done, the
+    caller's first. A second part of ``st.rows`` goes to a worker forked
+    here, and reaped on exit, that shares ``j``, ``buf`` and ``st.control``.
+    Both ends poll their pipe, yielding the CPU between tries: a blocking
+    read can wake on the writer's CPU and run the parts one by one."""
+    links = []
+    if len(st.rows) > 1:
+        (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on a fork with threads, which an idle BLAS
+            # pool has; the worker calls no BLAS
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the worker; os._exit flushes no stdio and runs no atexit
+            try:
+                os.close(req_w)
+                os.close(rep_r)
+                os.set_blocking(req_r, False)
+                # a blow-up surfaces through the caller's checks
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    while True:  # until EOFError: the caller closed its end
+                        k = _receive(req_r)
+                        try:
+                            reply = _step_rows(st, k, j, buf, *st.rows[1])
+                        except Exception as exc:  # the caller raises it
+                            reply = exc
+                        _send(rep_w, reply)
+            finally:
+                os._exit(0)  # the caller reads replies, not the exit status
+        os.close(req_r)
+        os.close(rep_w)
+        os.set_blocking(rep_r, False)
+        links.append((req_w, rep_r, pid))
+
+    def step(k: int) -> list:
+        for request, _, _ in links:
+            _send(request, k)
+        try:
+            results = [_step_rows(st, k, j, buf, *st.rows[0])]
+        finally:
+            replies = [_receive(reply) for _, reply, _ in links]
+        for reply in replies:
+            if isinstance(reply, Exception):
+                raise reply
+        return results + replies
+
+    try:
+        yield step
+    finally:
+        for request, reply, pid in links:  # EOF on its requests ends the worker
+            os.close(request)
+            os.close(reply)
+            os.waitpid(pid, 0)
+
+
+def _send(fd: int, obj):
+    data = pickle.dumps(obj)
+    data = len(data).to_bytes(8, "little") + data
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(fd: int):
+    """The next object ``_send`` wrote, polled from the non-blocking ``fd``
+    without sleeping. Raises EOFError once the other end is closed."""
+    data = b""
+    while len(data) < 8 + int.from_bytes(data[:8], "little"):
+        try:
+            chunk = os.read(fd, 1 << 16)
+        except BlockingIOError:
+            os.sched_yield()
+            continue
+        if not chunk:
+            raise EOFError("the grid solver's worker process ended")
+        data += chunk
+    return pickle.loads(data[8:])
 
 
 def _terminal_fields(st: _Stepper, n_t: int) -> tuple:
@@ -290,7 +434,7 @@ def _terminal_fields(st: _Stepper, n_t: int) -> tuple:
     the last slice of ``v`` and ``j``; every other entry is unset. Raises
     NumericError, naming slice ``n_t``, when the terminal data is not finite."""
     xs, n = st.xs, st.xs.size
-    v, j, alpha = np.empty((n_t + 1, n)), np.empty((n_t + 1, n, n)), np.empty((n_t + 1, n))
+    v, j, alpha = np.empty((n_t + 1, n)), st.empty((n_t + 1, n, n)), np.empty((n_t + 1, n))
     # an overflow surfaces through the finiteness check, not as a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v[n_t] = st.model.terminal_cost(xs, xs)
@@ -316,7 +460,8 @@ def _check_iteration_settings(tol: float, max_iter: int):
         raise ConfigError(f"max_iter must be >= 2, got {max_iter}")
 
 
-def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple) -> tuple:
+def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple,
+              step: Callable) -> tuple:
     """One Picard pass in window ``lo .. hi``: step ``fields = (v, j, alpha)``
     in place from slice ``lo + top``, which already holds the pass's result,
     down to slice ``lo``, setting the control on every slice it steps from
@@ -326,10 +471,11 @@ def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple) -> tuple:
     is finite. Before the first step the pass takes that iterate's coupling
     derivatives on all these slices in one ``_diag_fields`` call, and copies
     of their ``v`` and ``alpha`` rows. Each step writes ``v`` in place and
-    ``j`` into one extra slice buffer, takes the ``j`` distance against the
-    slice it replaces, then copies the new slice in. A pass scans a slice
-    for non-finite values only when one of its distances is not finite,
-    which a non-finite slice always makes it. Where that scan or a
+    ``j`` into the solve's one slice buffer, takes the ``j`` distance
+    against the slice it replaces, then copies the new slice in, each part
+    of ``st.rows`` in its own process (``_indexed_steps``). A pass scans a
+    slice for non-finite values only when one of its distances is not
+    finite, which a non-finite slice always makes it. Where that scan or a
     Hamiltonian slot fails, the pass stops rather than raises.
 
     Returns the record ``(dist, valid)``. ``dist[:, i]`` holds the sup
@@ -343,7 +489,6 @@ def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple) -> tuple:
     dist = np.zeros((3, hi - lo + 1))
     coupling = _diag_fields(j[lo:lo + top + 1], st.dx)
     v_prev, a_prev = v[lo:lo + top].copy(), alpha[lo:lo + top + 1].copy()
-    j_new = np.empty_like(j[lo])
     valid = lo + top + 1
     # expected transient blow-ups stop the pass; silence their warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -352,13 +497,11 @@ def _backward(st: _Stepper, lo: int, hi: int, top: int, fields: tuple) -> tuple:
                 rate, a_int, mu = _slice_control(
                     st, k + 1, v[k + 1], tuple(c[k + 1 - lo] for c in coupling), alpha[k + 1])
                 valid = k + 1
-                _advance_slice(st, k + 1, v[k + 1], j[k + 1], rate, a_int, mu, v[k], j_new)
+                parts = _advance_slice(st, k + 1, v[k + 1], rate, a_int, mu, v[k], step)
                 d = dist[:2, k - lo]
                 d[0] = np.max(np.abs(v[k] - v_prev[k - lo]))
-                diff = np.subtract(j_new, j[k], out=st.scratch)
-                # + 0.0 turns a -0.0 maximum into 0.0, as abs would
-                d[1] = max(diff.max(), -diff.min()) + 0.0
-                j[k] = j_new
+                # the largest part's distance is the slice's, NaN if any is
+                d[1] = math.nan if any(map(math.isnan, parts)) else max(parts)
                 if not (math.isfinite(d[0]) and math.isfinite(d[1])):
                     _check_finite("value field", v[k], k)
                     _check_finite("indexed field", j[k], k)
@@ -388,13 +531,15 @@ def solve_extended_hjb_sweep(model: ModelSpec, grid: GridSpec2) -> GridSolution:
     st, sigma_max, ratio = _stepper(model, grid)
     v, j, alpha = _terminal_fields(st, grid.n_t)
     # a blow-up surfaces through the finiteness check, not as a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _indexed_steps(st, j) as step, np.errstate(over="ignore", invalid="ignore",
+                                                    divide="ignore"):
         for k in range(grid.n_t - 1, -1, -1):
             rate, a_int, mu = _slice_control(st, k + 1, v[k + 1],
                                              _diag_fields(j[k + 1], st.dx), alpha[k + 1])
-            _advance_slice(st, k + 1, v[k + 1], j[k + 1], rate, a_int, mu, v[k], j[k])
+            finite = _advance_slice(st, k + 1, v[k + 1], rate, a_int, mu, v[k], step)
             _check_finite("value field", v[k], k)
-            _check_finite("indexed field", j[k], k)
+            if not all(finite):  # the scan names the node
+                _check_finite("indexed field", j[k], k)
         _slice_control(st, 0, v[0], _diag_fields(j[0], st.dx), alpha[0])
     _check_finite("control field", alpha)  # slice 0's is set after the last field check
     report = SchemeReport(mode="sweep", sigma_max=sigma_max, stability_ratio=ratio,
@@ -426,8 +571,8 @@ def _distance(dist: np.ndarray, top: int) -> tuple:
     return distance, max(top - settled - 1, 0)
 
 
-def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, tol: float,
-                    max_iter: int, passes: list):
+def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, step: Callable,
+                    tol: float, max_iter: int, passes: list):
     """Fixed-point iteration on slices ``lo .. hi`` of ``fields = (v, j, alpha)``,
     in place, from the terminal data in slice ``hi`` extended constantly.
     Returns ``(status, distances, passes)`` where status is ``"ok"``
@@ -465,7 +610,7 @@ def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, tol: float,
     top = hi - lo  # a pass steps slices lo .. lo + top - 1
     for p in range(max_iter):
         if p == len(passes):
-            passes.append(_backward(st, lo, hi, top, fields))
+            passes.append(_backward(st, lo, hi, top, fields, step))
         dist, valid = passes[p]
         if valid > lo:
             return "blowup", distances, passes
@@ -473,7 +618,7 @@ def _iterate_window(st: _Stepper, lo: int, hi: int, fields: tuple, tol: float,
         distances.append(d)
         if d <= tol:
             if p + 1 < len(passes):  # the fields hold a later pass
-                return _iterate_window(st, lo, hi, fields, tol, max_iter, [])
+                return _iterate_window(st, lo, hi, fields, step, tol, max_iter, [])
             return "ok", distances, passes
         # contraction check from the second distance on; the first pass
         # only measures how far the constant extension sits from one solve
@@ -514,7 +659,7 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
     scanning every slice of every pass.
 
     Memory: the output fields, in which every window iterates in place,
-    plus a few slices' worth per pass: one slice buffer, the previous
+    one slice buffer, and a few slices' worth per pass: the previous
     iterate's ``v`` and ``alpha`` rows and its coupling derivatives on the
     diagonal, and the per-slice distances each pass records.
 
@@ -534,24 +679,25 @@ def solve_extended_hjb_picard(model: ModelSpec, grid: GridSpec2,
 
     trace, passes = [], []
     pending = [(0, grid.n_t)]
-    while pending:
-        lo, hi = pending.pop()
-        status, distances, passes = _iterate_window(st, lo, hi, fields, tol, max_iter,
-                                                    passes)
-        if status == "ok":
-            trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
-            passes = []  # the next window ends at lo
-            continue
-        if hi - lo < 2:
-            trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
-            raise PicardError(
-                f"no convergence on slices [{lo}, {hi}] ({status} after "
-                f"{len(distances)} passes, last distances "
-                f"{[f'{d:.3g}' for d in distances[-3:]]})",
-                trace=tuple(trace))
-        mid = (lo + hi) // 2
-        pending.append((lo, mid))
-        pending.append((mid, hi))  # next, with this window's passes
+    with _indexed_steps(st, fields[1], st.empty(fields[1].shape[1:])) as step:
+        while pending:
+            lo, hi = pending.pop()
+            status, distances, passes = _iterate_window(st, lo, hi, fields, step, tol,
+                                                        max_iter, passes)
+            if status == "ok":
+                trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
+                passes = []  # the next window ends at lo
+                continue
+            if hi - lo < 2:
+                trace.append(PicardWindow(k_lo=lo, k_hi=hi, distances=tuple(distances)))
+                raise PicardError(
+                    f"no convergence on slices [{lo}, {hi}] ({status} after "
+                    f"{len(distances)} passes, last distances "
+                    f"{[f'{d:.3g}' for d in distances[-3:]]})",
+                    trace=tuple(trace))
+            mid = (lo + hi) // 2
+            pending.append((lo, mid))
+            pending.append((mid, hi))  # next, with this window's passes
 
     # converged everywhere: each window's first control slice was rewritten
     # by the window ending there; slice 0 takes its control from the final

@@ -2,10 +2,12 @@
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tilqr.validation
-from tilqr import cli
+from tilqr import cli, hjbgrid
 from tilqr import ConfigError, LqrParams, NumericError, TimeGrid, equilibrium_gain, exact_cost, solve_equilibrium_riccati
 from tilqr.cli import (
     NumericsSection,
@@ -757,6 +759,24 @@ class TestMainEntry:
         assert files == []
         assert json.loads(stderr) == {
             "error": "config", "message": "not enough memory: Unable to allocate 22.4 GiB"}
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="the two-process grid step needs os.sched_getaffinity")
+    @pytest.mark.parametrize("mode", ["sweep", "picard"])
+    def test_a_shared_field_that_cannot_be_mapped_exits_config(self, monkeypatch, mode):
+        # the two-process grid step maps its fields with mmap, whose ENOMEM
+        # must read as np.empty's MemoryError does, not as an io error
+        def no_memory(*args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+        monkeypatch.setattr(hjbgrid, "_SPLIT_CELLS", 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(mmap, "mmap", no_memory)
+        rc, stderr, caught, files = run_in_process(["pde", "--mode", mode], SMALL_CONFIG)
+        assert rc == EXIT_CONFIG
+        assert files == []
+        record = json.loads(stderr)
+        assert record["error"] == "config"
+        assert record["message"].startswith("not enough memory: ")
 
     @pytest.mark.parametrize("command", ["sweep", "compare"])
     def test_a_plot_that_cannot_be_drawn_leaves_no_file(self, monkeypatch, command):

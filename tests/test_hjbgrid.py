@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -716,6 +718,162 @@ class TestMemory:
             with pytest.raises(ConfigError, match=r"unstable.*n_t >= 65625$"):
                 solver(MODEL, grid)
         assert peak_traced_bytes(solve) < 8e6
+
+    def test_these_grids_take_the_one_process_path(self):
+        # tracemalloc cannot see a field in a shared mapping, so the bounds
+        # above hold only on grids stepped in one process
+        for n in (self.GRID.n_x + 1, 81):
+            assert hjbgrid._row_parts(n) == ((0, n),)
+
+
+def split_everywhere(monkeypatch) -> list:
+    """Make every grid of 8 or more nodes step each slice in two processes,
+    as on a host that gives this process two CPUs; returns the pids of the
+    workers forked from then on."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(hjbgrid, "_SPLIT_CELLS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raised(solve, *args, **kwargs) -> Exception:
+    with pytest.raises(Exception) as info:
+        solve(*args, **kwargs)
+    return info.value
+
+
+def offdiagonal_blowup_model(rows, t_max=math.inf, value=np.inf):
+    """A running cost of ``value`` more than 0.6 off the diagonal, on the
+    state rows that ``rows`` selects, before ``t_max``: only the scan of the
+    indexed field sees it."""
+    return replace(MODEL, running_cost=lambda t, y, x, a: 0.5 * a * a + np.where(
+        rows(x) & (np.abs(y - x) > 0.6) & (t < t_max), value, 0.0))
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="the two-process step needs os.fork and os.sched_getaffinity")
+class TestTwoProcesses:
+    """A slice split between the caller and a forked worker gives every bit,
+    distance and message of the one-process step, and the worker is reaped
+    however the solve ends."""
+
+    SMALL = GridSpec2(n_t=4, n_x=8, x_lo=-1.0, x_hi=1.0, horizon=0.1)  # rows 0-3 and 4-8
+
+    @pytest.mark.parametrize("solve, digest", [
+        (lambda: solutions_sha256(solve_extended_hjb_sweep(MODEL, benchmark_grid(100, 80)),
+                                  solve_extended_hjb_picard(MODEL, benchmark_grid(100, 80))),
+         SOLVED_100X80_SHA256),
+        (lambda: solutions_sha256(*(solve(replace(MODEL, vol=lambda t, x: 0.5 * (1.0 + 0.2 * t)
+                                                  * (1.0 + 0.1 * np.tanh(x))),
+                                          benchmark_grid(25, 40))
+                                    for solve in (solve_extended_hjb_sweep,
+                                                  solve_extended_hjb_picard))),
+         SOLVED_VARYING_VOL_25X40_SHA256),
+        (lambda: solutions_sha256(solve_extended_hjb_picard(
+            lqr_model(replace(PARAMS, horizon=3.0)),
+            GridSpec2(n_t=300, n_x=60, x_lo=-3.0, x_hi=5.0, horizon=3.0))),
+         HORIZON_3_300X60_SHA256),
+        (lambda: solutions_sha256(solve_extended_hjb_picard(
+            lqr_model(replace(PARAMS, a_bar=-1.0, gamma=20.0)), benchmark_grid(200, 60))),
+         STABLE_DRIFT_200X60_SHA256),
+        (lambda: solutions_sha256(solve_extended_hjb_picard(
+            MODEL, benchmark_grid(100, 80), tol=70.0, max_iter=2)),
+         LOOSE_TOL_100X80_SHA256),
+        (lambda: solutions_sha256(trace=raised(solve_extended_hjb_picard, MODEL,
+                                               benchmark_grid(100, 80), tol=0.1,
+                                               max_iter=2).trace),
+         ONE_SLICE_FAILURE_TRACE_SHA256),
+    ], ids=["100x80", "varying-vol", "horizon-3", "stable-drift", "upper-half-starts-over",
+            "one-slice-failure"])
+    def test_the_pinned_solutions_are_bitwise_those_of_one_process(self, monkeypatch, solve,
+                                                                   digest):
+        pids = split_everywhere(monkeypatch)
+        assert solve() == digest, pin_mismatch(f"the digest {digest}")
+        assert pids
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("rows, first_row", [
+        (lambda x: x > 0.1, range(4, 9)), (lambda x: x < -0.1, range(0, 4))],
+        ids=["worker", "caller"])
+    def test_a_blow_up_in_one_part_names_the_node_one_process_names(self, monkeypatch, rows,
+                                                                   first_row):
+        # the cost turns infinite on the step into slice 1, so the sweep
+        # fails on its third step, after two that the worker shared
+        model = offdiagonal_blowup_model(rows, t_max=0.06)
+        one = raised(solve_extended_hjb_sweep, model, self.SMALL)
+        pids = split_everywhere(monkeypatch)
+        two = raised(solve_extended_hjb_sweep, model, self.SMALL)
+        assert type(two) is NumericError
+        assert str(two) == str(one)
+        node = re.fullmatch(r"indexed field blew up at time slice 1, node \((\d+), \d+\)",
+                            str(two))
+        assert node and int(node[1]) in first_row
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("rows", [lambda x: x > 0.1, lambda x: x < -0.1],
+                             ids=["worker", "caller"])
+    def test_a_nan_in_one_part_stops_the_picard_pass(self, monkeypatch, rows):
+        # a NaN distance in either part must make the slice's distance NaN,
+        # so that the pass scans the slice and stops as one process does
+        model = offdiagonal_blowup_model(rows, t_max=0.06, value=np.nan)
+        one = raised(solve_extended_hjb_picard, model, self.SMALL)
+        pids = split_everywhere(monkeypatch)
+        two = raised(solve_extended_hjb_picard, model, self.SMALL)
+        assert type(two) is PicardError
+        assert str(two) == str(one)
+        assert solutions_sha256(trace=two.trace) == solutions_sha256(trace=one.trace)
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    def test_a_picard_failure_reaps_the_worker(self, monkeypatch):
+        one = raised(solve_extended_hjb_picard, hopeless_model(), self.SMALL)
+        pids = split_everywhere(monkeypatch)
+        two = raised(solve_extended_hjb_picard, hopeless_model(), self.SMALL)
+        assert type(two) is PicardError
+        assert str(two) == str(one)
+        assert solutions_sha256(trace=two.trace) == solutions_sha256(trace=one.trace)
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_an_error_raised_in_the_worker_is_raised_by_the_caller(self, monkeypatch, solve):
+        def cost(t, y, x, a):
+            # the indexed field's update passes the parameter nodes as a row
+            if np.ndim(y) == 2 and np.any(np.asarray(x) > 0.1):
+                raise ConfigError("running cost undefined above x = 0.1")
+            return 0.5 * a * a
+        model = replace(MODEL, running_cost=cost)
+        one = raised(solve, model, self.SMALL)
+        pids = split_everywhere(monkeypatch)
+        two = raised(solve, model, self.SMALL)
+        assert type(two) is ConfigError
+        assert str(two) == str(one) == "running cost undefined above x = 0.1"
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    def test_one_cpu_forks_nothing(self, monkeypatch):
+        pids = split_everywhere(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        grid = benchmark_grid(25, 40)
+        assert hjbgrid._row_parts(grid.n_x + 1) == ((0, grid.n_x + 1),)
+        solve_extended_hjb_sweep(MODEL, grid)
+        solve_extended_hjb_picard(MODEL, grid)
+        assert pids == []
 
 
 class TestDiagonalIdentity:

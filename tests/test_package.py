@@ -99,7 +99,8 @@ def test_no_module_imports_a_name_it_never_uses(path):
 
 
 def _thread_imports(source: str) -> list:
-    """The ``threading`` and ``queue`` imports of ``source``, by line."""
+    """The ``threading``, ``queue`` and ``multiprocessing`` imports of
+    ``source``, by line."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -109,7 +110,7 @@ def _thread_imports(source: str) -> list:
         else:
             continue
         found += [f"{module} (line {node.lineno})" for module in modules
-                  if module.split(".")[0] in ("threading", "queue")]
+                  if module.split(".")[0] in ("threading", "queue", "multiprocessing")]
     return found
 
 
@@ -229,3 +230,43 @@ def test_one_runge_kutta_combination_in_the_package():
     found = [(path.stem, func) for path in sorted(Path(tilqr.__file__).parent.glob("*.py"))
              for func in _sixths(path.read_text(encoding="utf-8"))]
     assert found == [("_util", "rk4")]
+
+
+def _forks(source: str) -> list:
+    """The functions of ``source`` that call ``os.fork``, once per call."""
+    return _enclosing(source, lambda node: isinstance(node, ast.Call)
+                      and ast.unparse(node.func) == "os.fork")
+
+
+def _child_branch_ends(source: str) -> list:
+    """The last statement of each ``if <pid> == 0:`` branch of ``source``,
+    ``<pid>`` a name assigned from ``os.fork()``, or of that branch's
+    ``finally`` if it ends in a ``try``."""
+    tree = ast.parse(source)
+    pids = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and ast.unparse(node.value) == "os.fork()"
+            for target in node.targets if isinstance(target, ast.Name)}
+    ends = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in {f"{p} == 0" for p in pids}:
+            last = node.body[-1]
+            ends.append(ast.unparse(last.finalbody[-1] if isinstance(last, ast.Try)
+                                    and last.finalbody else last))
+    return ends
+
+
+def test_one_forked_worker_that_ends_in_os_exit():
+    # the grid solver forks its one worker per solve; a child that returned
+    # would flush the caller's stdio buffers and run its atexit handlers, and
+    # multiprocessing would bring its own start methods and helper threads
+    example = ("import multiprocessing\ndef f():\n    pid = os.fork()\n    if pid == 0:\n"
+               "        try:\n            g()\n        finally:\n            os._exit(0)\n")
+    assert _thread_imports(example) == ["multiprocessing (line 1)"]
+    assert _forks(example) == ["f"]
+    assert _child_branch_ends(example) == ["os._exit(0)"]
+    package = sorted(Path(tilqr.__file__).parent.glob("*.py"))
+    forks = [(path.stem, func) for path in package
+             for func in _forks(path.read_text(encoding="utf-8"))]
+    assert forks == [("hjbgrid", "_indexed_steps")]
+    ends = _child_branch_ends(Path(tilqr.hjbgrid.__file__).read_text(encoding="utf-8"))
+    assert len(ends) == 1 and ends[0].startswith("os._exit(")
