@@ -351,12 +351,14 @@ def _step_rows(st: _Stepper, k: int, j: np.ndarray, buf: Optional[np.ndarray],
 @contextmanager
 def _indexed_steps(st: _Stepper, j: np.ndarray, buf: Optional[np.ndarray] = None):
     """Yields ``step(k)``: each part's ``_step_rows`` result for the step
-    from slice ``k``, a part's exception raised once both are done, the
-    caller's first. A second part of ``st.rows`` goes to a worker forked
+    from slice ``k``. A second part of ``st.rows`` goes to a worker forked
     here, and reaped on exit, that shares ``j``, ``buf`` and ``st.control``.
-    Both ends poll their pipe, yielding the CPU between tries: a blocking
-    read can wake on the writer's CPU and run the parts one by one."""
-    links = []
+    A worker whose step raises ends, and from then on the caller steps its
+    rows after its own: that raises what one process would, or else the
+    worker was killed and ``step`` raises ``ChildProcessError``. Both ends
+    poll their pipe, yielding the CPU between tries: a blocking read can
+    wake on the writer's CPU and run the parts one by one."""
+    links, ended = [], []
     if len(st.rows) > 1:
         (req_r, req_w), (rep_r, rep_w) = os.pipe(), os.pipe()
         with warnings.catch_warnings():
@@ -371,13 +373,8 @@ def _indexed_steps(st: _Stepper, j: np.ndarray, buf: Optional[np.ndarray] = None
                 os.set_blocking(req_r, False)
                 # a blow-up surfaces through the caller's checks
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    while True:  # until EOFError: the caller closed its end
-                        k = _receive(req_r)
-                        try:
-                            reply = _step_rows(st, k, j, buf, *st.rows[1])
-                        except Exception as exc:  # the caller raises it
-                            reply = exc
-                        _send(rep_w, reply)
+                    while (k := _receive(req_r)) is not None:  # a step that raises ends it too
+                        _send(rep_w, _step_rows(st, k, j, buf, *st.rows[1]))
             finally:
                 os._exit(0)  # the caller reads replies, not the exit status
         os.close(req_r)
@@ -388,19 +385,21 @@ def _indexed_steps(st: _Stepper, j: np.ndarray, buf: Optional[np.ndarray] = None
     def step(k: int) -> list:
         for request, _, _ in links:
             _send(request, k)
-        try:
-            results = [_step_rows(st, k, j, buf, *st.rows[0])]
+        try:  # the caller's part, and the worker's once the worker has ended
+            results = [_step_rows(st, k, j, buf, *r) for r in st.rows[:len(st.rows) - len(links)]]
         finally:
             replies = [_receive(reply) for _, reply, _ in links]
-        for reply in replies:
-            if isinstance(reply, Exception):
-                raise reply
+            if None in replies:
+                ended.append(links.pop())
+        if None in replies:  # the worker ended: its rows raise here what one process would
+            _step_rows(st, k, j, buf, *st.rows[1])
+            raise ChildProcessError(f"the grid solver's worker ended on the step from slice {k}")
         return results + replies
 
     try:
         yield step
     finally:
-        for request, reply, pid in links:  # EOF on its requests ends the worker
+        for request, reply, pid in links + ended:  # EOF on its requests ends the worker
             os.close(request)
             os.close(reply)
             os.waitpid(pid, 0)
@@ -415,7 +414,7 @@ def _send(fd: int, obj):
 
 def _receive(fd: int):
     """The next object ``_send`` wrote, polled from the non-blocking ``fd``
-    without sleeping. Raises EOFError once the other end is closed."""
+    without sleeping, or None once the other end is closed."""
     data = b""
     while len(data) < 8 + int.from_bytes(data[:8], "little"):
         try:
@@ -424,7 +423,7 @@ def _receive(fd: int):
             os.sched_yield()
             continue
         if not chunk:
-            raise EOFError("the grid solver's worker process ended")
+            return None
         data += chunk
     return pickle.loads(data[8:])
 

@@ -84,8 +84,9 @@ class ModelSpec:
     All evaluators must accept numpy arrays and return an array that
     broadcasts against their arguments; the grid solver relies on that.
     They must also be pointwise, each value depending only on the matching
-    elements of the arguments: the grid solver may evaluate ``running_cost``
-    on part of a slice's rows at a time, in a forked worker process.
+    elements of the arguments, and deterministic: the grid solver may
+    evaluate ``running_cost`` on part of a slice's rows at a time, in a
+    forked worker process, and again in the caller if that raises.
     """
 
     drift: Callable

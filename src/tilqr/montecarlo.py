@@ -402,18 +402,20 @@ def compare_strategies(params: LqrParams, config: SimConfig, strategies,
 
     Common random numbers are automatic: each noise chunk is drawn once and
     drives every strategy. For each chunk, in path order: per-path costs and
-    finite masks, running sums of the valid states and |controls|, and a
+    validity masks, running sums of the valid states and |controls|, and a
     copy of the first ``keep`` paths (``0 <= keep <= n_paths``). Each mean
     equals the mean over the valid paths of all that gain's trajectories bit
-    for bit. One trajectory buffer, the chunk's states, exists; one lane maps
-    the noise and reduces each chunk while the calling thread draws the next
-    chunk's words. The reduction recomputes the controls ``-k_i X_i - c_i``
-    from the states in blocks of ``_STREAM_BLOCK`` paths, with the kernel's
-    operations on the kernel's operands, so every bit is the kernel's. The
-    kernel waits for the previous chunk's reduction before it writes the
-    buffer, and the last reduction is waited after the loop. More than 0.1%
-    non-finite paths in any gain raise ``NumericError``. Duplicate labels
-    get an ordinal suffix so downstream columns stay distinguishable.
+    for bit. A path is valid when its last state is finite: exactly when all
+    its states and controls are, as the kernel only adds and multiplies. One
+    trajectory buffer, the chunk's states, exists; one lane maps the noise and
+    reduces each chunk while the calling thread draws the next chunk's words.
+    The reduction recomputes the controls ``-k_i X_i - c_i`` from the states
+    in blocks of ``_STREAM_BLOCK`` paths, with the kernel's operations on the
+    kernel's operands, so every bit is the kernel's. The kernel waits for the
+    previous chunk's reduction before it writes the buffer, and the last
+    reduction is waited after the loop. More than 0.1% non-finite paths in any
+    gain raise ``NumericError``. Duplicate labels get an ordinal suffix so
+    downstream columns stay distinguishable.
     """
     gains = list(strategies)
     if not gains:
@@ -434,7 +436,6 @@ def compare_strategies(params: LqrParams, config: SimConfig, strategies,
     states = np.empty((n_gains, keep, n_steps + 1))
     controls = np.empty((n_gains, keep, n_steps))
     sum_x, sum_u = np.full((n_gains, n_steps + 1), -0.0), np.full((n_gains, n_steps), -0.0)
-    finite = np.empty((block, n_steps + 1), dtype=bool)
 
     def reduce_chunk(lo, hi):
         m = hi - lo
@@ -442,6 +443,9 @@ def compare_strategies(params: LqrParams, config: SimConfig, strategies,
         if lo < keep:
             states[:, lo:hi] = xs[:, :keep - lo]
         ok = good[:, lo:hi]
+        # a non-finite state or control leaves every later state non-finite
+        # (inf * 0 and inf - inf are NaN), so the last state decides
+        np.isfinite(xs[:, :, -1], out=ok)
         # a diverging path's controls overflow here as in the kernel, and
         # finite paths near the float ceiling may sum to non-finite means,
         # kept as such; bad paths are dropped
@@ -454,11 +458,6 @@ def compare_strategies(params: LqrParams, config: SimConfig, strategies,
                 us -= c_path
                 if lo + r0 < keep:
                     controls[:, lo + r0:lo + r1] = us[:, :keep - lo - r0]
-                # one gain at a time through the caller's scratch: the lane
-                # allocates nothing chunk-sized beside the next chunk's noise
-                for j, row in enumerate(ok_rows):
-                    np.isfinite(xs[j, r0:r1], out=finite[:r1 - r0]).all(axis=1, out=row)
-                    row &= np.isfinite(us[j], out=finite[:r1 - r0, :n_steps]).all(axis=1)
                 np.abs(us, out=us)
                 _add_rows(sum_u, u, r1 - r0, ok_rows)
                 # |u| * |u| is u * u bit for bit, so the squares reuse the buffer

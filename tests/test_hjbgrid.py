@@ -1,6 +1,7 @@
 """Tests for the coupled finite-difference solver and its two modes."""
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -35,6 +36,8 @@ from tilqr import (
     solve_extended_hjb_picard,
     solve_extended_hjb_sweep,
 )
+from tilqr.cli import main
+from tilqr.errors import EXIT_CONFIG
 from toolchain import pin_mismatch
 
 PARAMS = LqrParams()
@@ -755,6 +758,19 @@ def raised(solve, *args, **kwargs) -> Exception:
     return info.value
 
 
+def end_the_worker_on_step(monkeypatch, k: int):
+    """Make a forked worker exit, with no reply, when asked for its rows of
+    the step from slice ``k``; this process still steps them."""
+    caller, real = os.getpid(), hjbgrid._step_rows
+
+    def step_rows(st, step, *args):
+        if step == k and os.getpid() != caller:
+            os._exit(0)
+        return real(st, step, *args)
+
+    monkeypatch.setattr(hjbgrid, "_step_rows", step_rows)
+
+
 def offdiagonal_blowup_model(rows, t_max=math.inf, value=np.inf):
     """A running cost of ``value`` more than 0.6 off the diagonal, on the
     state rows that ``rows`` selects, before ``t_max``: only the scan of the
@@ -863,6 +879,75 @@ class TestTwoProcesses:
         two = raised(solve, model, self.SMALL)
         assert type(two) is ConfigError
         assert str(two) == str(one) == "running cost undefined above x = 0.1"
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_an_exception_that_cannot_be_pickled_is_raised_as_itself(self, monkeypatch,
+                                                                       solve):
+        class Undefined(Exception):  # local, so pickle cannot send it between processes
+            pass
+
+        def cost(t, y, x, a):
+            if np.ndim(y) == 2 and np.any(np.asarray(x) > 0.1):
+                raise Undefined("running cost undefined above x = 0.1")
+            return 0.5 * a * a
+        model = replace(MODEL, running_cost=cost)
+        one = raised(solve, model, self.SMALL)
+        pids = split_everywhere(monkeypatch)
+        two = raised(solve, model, self.SMALL)
+        assert type(two) is Undefined
+        assert str(two) == str(one) == "running cost undefined above x = 0.1"
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    def test_the_rows_of_a_worker_that_ended_are_stepped_by_the_caller_from_then_on(
+            self, monkeypatch):
+        # Picard stops a pass on a NumericError and goes on with the next
+        # window, so the steps after the worker's error must still be taken
+        class Undefined(NumericError):  # local, so pickle cannot send it
+            pass
+
+        def cost(t, y, x, a):
+            if np.ndim(y) == 2 and np.any(np.asarray(x) > 0.1) and t < 0.03:
+                raise Undefined("running cost undefined above x = 0.1 before t = 0.03")
+            return 0.5 * a * a
+        model = replace(MODEL, running_cost=cost)
+        one = raised(solve_extended_hjb_picard, model, self.SMALL)
+        pids = split_everywhere(monkeypatch)
+        two = raised(solve_extended_hjb_picard, model, self.SMALL)
+        assert type(two) is PicardError
+        assert str(two) == str(one)
+        assert solutions_sha256(trace=two.trace) == solutions_sha256(trace=one.trace)
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("solve", [solve_extended_hjb_sweep, solve_extended_hjb_picard],
+                             ids=["sweep", "picard"])
+    def test_a_worker_that_ends_without_a_reply_is_a_child_process_error(self, monkeypatch,
+                                                                          solve):
+        end_the_worker_on_step(monkeypatch, 2)
+        pids = split_everywhere(monkeypatch)
+        with pytest.raises(ChildProcessError, match="on the step from slice 2$"):
+            solve(MODEL, self.SMALL)
+        assert len(pids) == 1
+        assert_no_worker_left()
+
+    @pytest.mark.parametrize("mode", ["sweep", "picard"])
+    def test_a_worker_that_ends_makes_pde_exit_with_one_io_record(self, monkeypatch, capsys,
+                                                                  tmp_path, mode):
+        config = tmp_path / "run.ini"
+        config.write_text("[pde]\nn_t = 25\nn_x = 40\nn_y = 40\n", encoding="utf-8")
+        end_the_worker_on_step(monkeypatch, 10)
+        pids = split_everywhere(monkeypatch)
+        rc = main(["pde", "--mode", mode, "--config", str(config),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "io", "message": "the grid solver's worker ended on the step from slice 10"}
         assert len(pids) == 1
         assert_no_worker_left()
 

@@ -899,6 +899,52 @@ class TestNonFinitePolicy:
         assert np.array_equal(run.controls[0], controls[:8])
 
 
+def spiked_gain(step: int, k_step: float = 0.4, c_step: float = 0.1,
+                k: float = 0.4) -> GainSchedule:
+    """``constant_gain(k, 0.1, 10)`` with the gain and offset of one step replaced."""
+    gain = constant_gain(k, 0.1, 10)
+    k_state, c_offset = gain.k_state.copy(), gain.c_offset.copy()
+    k_state[step], c_offset[step] = k_step, c_step
+    return GainSchedule(grid=gain.grid, k_state=k_state, c_offset=c_offset,
+                        label=GainLabel.CUSTOM)
+
+
+class TestValidPaths:
+    """A path is valid when its last state is finite: exactly when every
+    state and control of it is, which is the rule the reference applies."""
+
+    # the spikes at step 9 are on the last step, after every state but the last
+    CASES = {
+        "nan-k-last": (LqrParams(), spiked_gain(9, k_step=np.nan)),
+        "inf-k-mid": (LqrParams(), spiked_gain(4, k_step=np.inf)),
+        "minus-inf-c-last": (LqrParams(), spiked_gain(9, c_step=-np.inf)),
+        # inf * 0: the state that c makes infinite meets a zero gain and drift
+        "zero-k-and-a_bar": (LqrParams(a_bar=0.0),
+                             spiked_gain(3, k_step=0.0, c_step=np.inf, k=0.0)),
+        # inf * 0: b_bar = 0 turns the infinite control into a NaN drift
+        "zero-b_bar": (LqrParams(b_bar=0.0), spiked_gain(9, k_step=np.inf)),
+        # k x overflows where |x| > 1.2 while every state before it is finite
+        "k-x-overflow": (LqrParams(), spiked_gain(9, k_step=1.5e308)),
+    }
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_good_marks_the_paths_whose_states_and_controls_are_all_finite(
+            self, case, antithetic, monkeypatch):
+        params, gain = self.CASES[case]
+        monkeypatch.setattr(montecarlo, "_RETAIN_CHUNK", 16)  # four chunks
+        # more than 0.1% of the paths go bad; read the mask instead of raising
+        monkeypatch.setattr(montecarlo, "_checked", lambda good: good)
+        config = SimConfig(n_paths=64, n_steps=10, seed=6, antithetic=antithetic)
+        with np.errstate(divide="ignore", invalid="ignore"):  # means over no valid path
+            run = compare_strategies(params, config, [gain], config.n_paths)
+        reference = valid_rows(run.states[0], run.controls[0])
+        assert not reference.all()
+        if case == "k-x-overflow":
+            assert reference.any() and np.isfinite(run.states[0][:, -2]).all()
+        assert np.array_equal(run.good[0], reference)
+
+
 class TestReductionBits:
     """Every field of the retaining route, pinned by one hash per mode.
 
